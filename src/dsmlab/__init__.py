@@ -25,9 +25,7 @@ from .core import (
     Update,
     clock_local_step,
     clock_merge,
-    compare_timestamps,
     histories_equivalent,
-    is_complete,
     is_sequential,
     is_well_formed,
     operations,

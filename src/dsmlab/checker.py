@@ -15,14 +15,14 @@ Per-register checking itself has a fast path and a fallback:
   timestamp, each read right after the write it observed) and certified in
   linear time. Certification is real: legality, equivalence, and precedence
   are checked, never assumed.
-* fallback: an exhaustive precedence-respecting search with memoization on
-  (remaining operations, memory state). The search is exact but bounded by a
-  state cap; hitting the cap yields an explicit "undecided" verdict rather
-  than a guess.
+* fallback: an exact search for a legal order that respects precedence.
 
-A small brute-force oracle (check_sc_bruteforce) enumerates interleavings of
-the per-process sequences directly from the definition; it exists to
-cross-check the compositional route on small histories and refuses large ones.
+The fallback and the brute-force oracle (check_sc_bruteforce, which searches
+the interleavings of the per-process sequences straight from the definition
+to cross-check small histories) are one bounded iterative search; they
+differ only in which operations may go next. It is memoized on (placed
+operations, memory state), no check depends on Python's recursion limit, and
+hitting the state cap yields an explicit "undecided" verdict, not a guess.
 
 Trace audits round out the kit: audit_logical_clocks replays clock obligations
 over the message log, and audit_timestamp_visibility checks the ordering
@@ -33,16 +33,16 @@ before it, in logical time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     Event,
     INITIAL_TS,
     INVOCATION,
     OK,
-    OperationDescriptor,
     OpId,
     READ,
     RESPONSE_EVENT,
@@ -51,7 +51,6 @@ from .core import (
     WRITE,
     histories_equivalent,
     is_well_formed,
-    operations,
     pending_operations,
     project_register,
 )
@@ -114,17 +113,14 @@ class Verdict:
 
 
 def build_logical_time_history(h: Sequence[Event]) -> list[Event]:
-    """Reorder events by (lt, process, per-process position).
+    """Reorder events by (lt, process).
 
     Requires every event to carry an lt and every process's lts to be
-    strictly increasing; under that premise each process's subsequence is
-    unchanged, so the result is equivalent to the input. The per-process
-    position tie-break keeps equal-(lt, proc) events (none are produced by
-    the protocols, but inputs are not trusted) in their original order.
+    strictly increasing; under that premise (lt, process) is unique per
+    event and each process's subsequence is unchanged, so the result is
+    equivalent to the input.
     """
     last: dict[int, int] = {}
-    pos: dict[int, int] = {}
-    keyed = []
     for e in h:
         if e.lt is None:
             raise HistoryError(
@@ -137,11 +133,7 @@ def build_logical_time_history(h: Sequence[Event]) -> list[Event]:
                 f"({prev} then {e.lt}); reordering would not preserve its view"
             )
         last[e.proc] = e.lt
-        k = pos.get(e.proc, 0)
-        pos[e.proc] = k + 1
-        keyed.append(((e.lt, e.proc, k), e))
-    keyed.sort(key=lambda t: t[0])
-    return [e for _, e in keyed]
+    return sorted(h, key=lambda e: (e.lt, e.proc))
 
 
 # --- sequential legality -------------------------------------------------------
@@ -171,28 +163,93 @@ def is_legal_sequential(s: Sequence[Event]) -> bool:
     return True
 
 
-# --- linearizability search ---------------------------------------------------
+# --- exact search -----------------------------------------------------------------
 
 
-class _CapHit(Exception):
-    pass
+class _OpTable(NamedTuple):
+    events: list  # the history
+    inv: dict  # opid -> index of its invocation in events
+    res: dict  # opid -> index of its response in events
+    descs: dict  # opid -> descriptor, in invocation order
+
+    def witness(self, opids: Iterable[OpId]) -> list[Event]:
+        """The sequential history running the given operations in order."""
+        return [self.events[i] for o in opids for i in (self.inv[o], self.res[o])]
 
 
-def _op_table(h: Sequence[Event]):
-    inv_idx: dict[OpId, int] = {}
-    res_idx: dict[OpId, int] = {}
-    descs: dict[OpId, OperationDescriptor] = {}
-    inv_ev: dict[OpId, Event] = {}
-    res_ev: dict[OpId, Event] = {}
-    for i, e in enumerate(h):
+def _op_table(h: Sequence[Event]) -> _OpTable:
+    events = list(h)
+    inv, res, descs = {}, {}, {}
+    for i, e in enumerate(events):
         if e.kind == INVOCATION:
-            inv_idx[e.op.opid] = i
-            inv_ev[e.op.opid] = e
+            inv[e.op.opid] = i
             descs[e.op.opid] = e.op
         else:
-            res_idx[e.op.opid] = i
-            res_ev[e.op.opid] = e
-    return inv_idx, res_idx, descs, inv_ev, res_ev
+            res[e.op.opid] = i
+    return _OpTable(events, inv, res, descs)
+
+
+def _complete_op_table(h: Sequence[Event]) -> _OpTable:
+    """The op table of a well-formed complete history; HistoryError otherwise."""
+    t = _op_table(h)
+    if not is_well_formed(t.events):
+        raise HistoryError("history is not well formed")
+    if len(t.res) != len(t.inv):
+        raise HistoryError("history has pending operations; complete it first")
+    return t
+
+
+def _search(
+    t: _OpTable,
+    candidates: Callable[[int], Iterable[int]],
+    state_cap: int,
+    violation: Violation,
+) -> Verdict:
+    """Depth-first search for a legal order of all of t's operations.
+
+    A state is (done, mem): bit i of done is set once the i-th operation in
+    invocation order is placed, and mem holds each register's value, None
+    while unwritten (so a register written 0 stays distinct from one never
+    written). candidates(done) yields the operations that may go next, in
+    the order to try them; each one legal in mem is placed in turn. The
+    path lives on an explicit stack, so depth is not bounded by Python's
+    recursion limit. A visited state is not expanded again; the cap is
+    checked before a new state is counted, and reaching it is UNDECIDED.
+    """
+    ops = list(t.descs.values())
+    slot = {reg: r for r, reg in enumerate(dict.fromkeys(op.reg for op in ops))}
+
+    def moves(done: int, mem: tuple):
+        for i in candidates(done):
+            op = ops[i]
+            r = slot[op.reg]
+            if op.kind != READ:
+                yield i, mem[:r] + (op.arg,) + mem[r + 1 :]
+            elif (mem[r] or 0) == op.ret:
+                yield i, mem
+
+    full = (1 << len(ops)) - 1
+    seen: set = set()
+    stack: list = []  # (done, untried legal moves) per open state on the path
+    path: list[int] = []  # path[k]: the move taken from stack[k]
+    done, mem = 0, (None,) * len(slot)
+    while done != full:
+        if (done, mem) not in seen:
+            if len(seen) >= state_cap:
+                return Verdict(UNDECIDED, states_explored=len(seen))
+            seen.add((done, mem))
+            stack.append((done, moves(done, mem)))
+        while stack and (step := next(stack[-1][1], None)) is None:
+            stack.pop()
+        if not stack:
+            return Verdict(REJECTED, violation=violation, states_explored=len(seen))
+        i, mem = step
+        del path[len(stack) - 1 :]
+        path.append(i)
+        done = stack[-1][0] | 1 << i
+    return Verdict(
+        ACCEPTED, witness=t.witness(ops[i].opid for i in path), states_explored=len(seen)
+    )
 
 
 def check_linearizable(h: Sequence[Event], *, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:
@@ -207,65 +264,28 @@ def check_linearizable(h: Sequence[Event], *, state_cap: int = DEFAULT_STATE_CAP
     memory state) configuration. The verdict is exact unless the state cap
     is hit, which yields UNDECIDED with the count of states explored.
     """
-    events = list(h)
-    if not is_well_formed(events):
-        raise HistoryError("history is not well formed")
-    inv_idx, res_idx, descs, inv_ev, res_ev = _op_table(events)
-    if len(res_idx) != len(inv_idx):
-        raise HistoryError("history has pending operations; complete it first")
-    if not descs:
-        return Verdict(ACCEPTED, witness=[])
+    t = _complete_op_table(h)
+    inv = [t.inv[o] for o in t.descs]
+    res = [t.res[o] for o in t.descs]
+    by_res = sorted(range(len(res)), key=res.__getitem__)
+    res_sorted = [res[j] for j in by_res]
 
-    order = sorted(descs, key=lambda o: inv_idx[o])
-    memo: set = set()
-    explored = 0
+    def minimal(done: int) -> Iterable[int]:
+        # unplaced ops invoked before the earliest response still to come;
+        # every op before the first unplaced one, and every op responding
+        # before that one's invocation, is placed already
+        lo = (~done & (done + 1)).bit_length() - 1
+        j = bisect_left(res_sorted, inv[lo])
+        while done >> by_res[j] & 1:
+            j += 1
+        for i in range(lo, bisect_left(inv, res_sorted[j])):
+            if not done >> i & 1:
+                yield i
 
-    def dfs(remaining: frozenset, mem: tuple) -> Optional[list]:
-        nonlocal explored
-        if not remaining:
-            return []
-        key = (remaining, mem)
-        if key in memo:
-            return None
-        if explored >= state_cap:
-            raise _CapHit
-        memo.add(key)
-        explored += 1
-        bound = min(res_idx[o] for o in remaining)
-        memdict = dict(mem)
-        for o in order:
-            if o not in remaining or inv_idx[o] >= bound:
-                continue
-            op = descs[o]
-            if op.kind == READ:
-                if memdict.get(op.reg, 0) != op.ret:
-                    continue
-                tail = dfs(remaining - {o}, mem)
-            else:
-                memdict2 = dict(memdict)
-                memdict2[op.reg] = op.arg
-                tail = dfs(remaining - {o}, tuple(sorted(memdict2.items())))
-            if tail is not None:
-                return [o] + tail
-        return None
-
-    try:
-        found = dfs(frozenset(descs), ())
-    except _CapHit:
-        return Verdict(UNDECIDED, states_explored=explored)
-    if found is None:
-        regs = {op.reg for op in descs.values()}
-        reg = next(iter(regs)) if len(regs) == 1 else None
-        return Verdict(
-            REJECTED,
-            violation=Violation(reg, "no order satisfies read legality and precedence"),
-            states_explored=explored,
-        )
-    witness: list[Event] = []
-    for o in found:
-        witness.append(inv_ev[o])
-        witness.append(res_ev[o])
-    return Verdict(ACCEPTED, witness=witness, states_explored=explored)
+    regs = {op.reg for op in t.descs.values()}
+    reg = next(iter(regs)) if len(regs) == 1 else None
+    violation = Violation(reg, "no order satisfies read legality and precedence")
+    return _search(t, minimal, state_cap, violation)
 
 
 # --- timestamp witness ---------------------------------------------------------
@@ -285,12 +305,8 @@ def construct_timestamp_witness(
     cannot have come from a run: a duplicated write timestamp, a missing
     one, or a read timestamp matching no write and not the initial one.
     """
-    events = list(hx)
-    if not is_well_formed(events):
-        raise HistoryError("history is not well formed")
-    inv_idx, res_idx, descs, inv_ev, res_ev = _op_table(events)
-    if len(res_idx) != len(inv_idx):
-        raise HistoryError("history has pending operations; complete it first")
+    t = _complete_op_table(hx)
+    descs = t.descs
     regs = {op.reg for op in descs.values()}
     if len(regs) > 1:
         raise HistoryError(f"single-register history expected, got registers {sorted(regs)}")
@@ -301,16 +317,14 @@ def construct_timestamp_witness(
             raise InstrumentationError(f"operation {o} carries no timestamp")
         return Timestamp(*ts)
 
-    writes = sorted(
-        ((ts_of(o), o) for o, op in descs.items() if op.kind == WRITE),
-    )
+    writes = sorted((ts_of(o), o) for o, op in descs.items() if op.kind == WRITE)
     for (ts1, o1), (ts2, o2) in zip(writes, writes[1:]):
         if ts1 == ts2:
             raise InstrumentationError(f"writes {o1} and {o2} share timestamp {ts1}")
     write_ts = {ts for ts, _ in writes}
 
     def read_key(o: OpId):
-        inv = inv_ev[o]
+        inv = t.events[t.inv[o]]
         return (inv.lt if inv.lt is not None else 0, inv.proc, o)
 
     reads_at: dict[Timestamp, list[OpId]] = {}
@@ -330,12 +344,7 @@ def construct_timestamp_witness(
     for ts, o in writes:
         ordered.append(o)
         ordered.extend(reads_at.get(ts, []))
-
-    witness: list[Event] = []
-    for o in ordered:
-        witness.append(inv_ev[o])
-        witness.append(res_ev[o])
-    return witness
+    return t.witness(ordered)
 
 
 def _precedence_violation(
@@ -391,7 +400,8 @@ def _compose_witnesses(
     corresponding sequential history. Ties among order-free operations are
     broken by (timestamp, invocation lt, process, opid) so the composed
     witness is canonical for a given input."""
-    inv_idx, res_idx, descs, inv_ev, res_ev = _op_table(hlt)
+    t = _op_table(hlt)
+    events, inv_idx, descs = t.events, t.inv, t.descs
     succs: dict[OpId, set] = {o: set() for o in descs}
     indeg: dict[OpId, int] = {o: 0 for o in descs}
 
@@ -413,7 +423,7 @@ def _compose_witnesses(
                 edge(o1, e.op.opid)
 
     def key(o: OpId):
-        inv = inv_ev[o]
+        inv = events[inv_idx[o]]
         ts = descs[o].ts if descs[o].ts is not None else INITIAL_TS
         return (ts, inv.lt, inv.proc, o)
 
@@ -430,11 +440,7 @@ def _compose_witnesses(
                 heappush(heap, key(b))
     if len(out) != len(descs):
         raise CheckerInternalError("witness composition found an order cycle")
-    witness: list[Event] = []
-    for o in out:
-        witness.append(inv_ev[o])
-        witness.append(res_ev[o])
-    return witness
+    return t.witness(out)
 
 
 def check_sc_compositional(
@@ -467,27 +473,19 @@ def check_sc_compositional(
     if pending_operations(events):
         raise HistoryError("history has pending operations; run complete_history first")
     hlt = build_logical_time_history(events)
-    regs: list[RegisterId] = []
-    for e in hlt:
-        if e.op.reg not in regs:
-            regs.append(e.op.reg)
-    per_register: dict[RegisterId, Verdict] = {}
-    explored = 0
-    for x in regs:
-        vx = _check_register(project_register(hlt, x), x, state_cap)
-        per_register[x] = vx
-        explored += vx.states_explored
-    for x in regs:
-        if per_register[x].rejected:
+    per_register = {  # registers in order of first appearance
+        x: _check_register(project_register(hlt, x), x, state_cap)
+        for x in dict.fromkeys(e.op.reg for e in hlt)
+    }
+    explored = sum(vx.states_explored for vx in per_register.values())
+    for vx in per_register.values():
+        if vx.rejected:
             return Verdict(
-                REJECTED,
-                violation=per_register[x].violation,
-                states_explored=explored,
+                REJECTED, violation=vx.violation, states_explored=explored,
                 per_register=per_register,
             )
-    for x in regs:
-        if per_register[x].undecided:
-            return Verdict(UNDECIDED, states_explored=explored, per_register=per_register)
+    if any(vx.undecided for vx in per_register.values()):
+        return Verdict(UNDECIDED, states_explored=explored, per_register=per_register)
     witness = _compose_witnesses(events, hlt, per_register)
     if not is_legal_sequential(witness) or not histories_equivalent(witness, events):
         raise CheckerInternalError("composed witness failed certification")
@@ -505,63 +503,25 @@ def check_sc_bruteforce(h: Sequence[Event], *, op_cap: int = ORACLE_OP_CAP) -> V
     memoized on (per-process progress, memory state). Exact and oblivious
     to timestamps and clocks, hence useful as an oracle; cost grows
     multinomially, hence the hard op cap (raises OracleCapError beyond it)."""
-    events = list(h)
-    if not is_well_formed(events):
-        raise HistoryError("history is not well formed")
-    inv_idx, res_idx, descs, inv_ev, res_ev = _op_table(events)
-    if len(res_idx) != len(inv_idx):
-        raise HistoryError("history has pending operations; complete it first")
-    if len(descs) > op_cap:
+    t = _complete_op_table(h)
+    if len(t.descs) > op_cap:
         raise OracleCapError(
-            f"{len(descs)} operations exceed the {op_cap}-operation oracle cap"
+            f"{len(t.descs)} operations exceed the {op_cap}-operation oracle cap"
         )
-    procs = sorted({op.proc for op in descs.values()})
-    seqs: dict[int, list[OperationDescriptor]] = {p: [] for p in procs}
-    for e in events:
-        if e.kind == INVOCATION:
-            seqs[e.proc].append(e.op)
-    memo: set = set()
-    explored = 0
+    seqs: dict[int, list[int]] = {}  # process -> its ops' indices, in order
+    for i, o in enumerate(t.descs):
+        seqs.setdefault(t.events[t.inv[o]].proc, []).append(i)
+    procs = sorted(seqs)
 
-    def dfs(idx: tuple, mem: tuple) -> Optional[list]:
-        nonlocal explored
-        if all(idx[i] == len(seqs[p]) for i, p in enumerate(procs)):
-            return []
-        key = (idx, mem)
-        if key in memo:
-            return None
-        memo.add(key)
-        explored += 1
-        memdict = dict(mem)
-        for i, p in enumerate(procs):
-            if idx[i] == len(seqs[p]):
-                continue
-            op = seqs[p][idx[i]]
-            nxt = idx[:i] + (idx[i] + 1,) + idx[i + 1 :]
-            if op.kind == READ:
-                if memdict.get(op.reg, 0) != op.ret:
-                    continue
-                tail = dfs(nxt, mem)
-            else:
-                memdict2 = dict(memdict)
-                memdict2[op.reg] = op.arg
-                tail = dfs(nxt, tuple(sorted(memdict2.items())))
-            if tail is not None:
-                return [op.opid] + tail
-        return None
+    def heads(done: int) -> Iterable[int]:
+        # each process's next unplaced op; its placed ops form a prefix
+        for p in procs:
+            i = next((i for i in seqs[p] if not done >> i & 1), None)
+            if i is not None:
+                yield i
 
-    found = dfs(tuple(0 for _ in procs), ())
-    if found is None:
-        return Verdict(
-            REJECTED,
-            violation=Violation(None, "no interleaving of per-process orders is legal"),
-            states_explored=explored,
-        )
-    witness: list[Event] = []
-    for o in found:
-        witness.append(inv_ev[o])
-        witness.append(res_ev[o])
-    return Verdict(ACCEPTED, witness=witness, states_explored=explored)
+    violation = Violation(None, "no interleaving of per-process orders is legal")
+    return _search(t, heads, DEFAULT_STATE_CAP, violation)
 
 
 # --- completion of crashed-run histories ----------------------------------------
@@ -582,45 +542,23 @@ def complete_history(h: Sequence[Event]) -> list[Event]:
     pend = pending_operations(events)
     if not pend:
         return events
-    drop: set[OpId] = set()
-    retain: list[OperationDescriptor] = []
-    for op in pend:
-        if op.kind == WRITE and op.ts is not None:
-            retain.append(op)
-        else:
-            drop.add(op.opid)
     for e in events:
         if e.lt is None:
             raise HistoryError(
                 f"event for op {e.op.opid} has no lt annotation; cannot place "
                 "synthetic responses"
             )
-    out: list[Event] = []
-    fresh: dict[OpId, OperationDescriptor] = {}
-    retain_ids = {op.opid for op in retain}
-    for e in events:
-        if e.op.opid in drop:
-            continue
-        if e.op.opid in retain_ids:
-            d = fresh.setdefault(
-                e.op.opid,
-                OperationDescriptor(
-                    opid=e.op.opid,
-                    proc=e.op.proc,
-                    kind=e.op.kind,
-                    reg=e.op.reg,
-                    arg=e.op.arg,
-                    ret=OK,
-                    ts=e.op.ts,
-                ),
-            )
-            out.append(Event(e.kind, d, e.rt, e.lt, e.proc))
-        else:
-            out.append(e)
+    fresh = {op.opid: replace(op, ret=OK) for op in pend if op.kind == WRITE and op.ts is not None}
+    drop = {op.opid for op in pend} - fresh.keys()
+    out = [
+        Event(e.kind, fresh[e.op.opid], e.rt, e.lt, e.proc) if e.op.opid in fresh else e
+        for e in events
+        if e.op.opid not in drop
+    ]
     base_rt = max((e.rt for e in out), default=0)
     base_lt = max((e.lt for e in out), default=0)
-    for i, op in enumerate(sorted(retain, key=lambda o: o.opid)):
-        d = fresh[op.opid]
+    for i, o in enumerate(sorted(fresh)):
+        d = fresh[o]
         out.append(Event(RESPONSE_EVENT, d, base_rt + 1 + i, base_lt + 1 + i, d.proc))
     return out
 

@@ -11,8 +11,10 @@ Subcommands:
 Exit codes are part of the interface:
 
     0  success; for `check`, the history was accepted
-    1  `check` rejected the history (or the two checking routes disagreed)
-    2  verdict unavailable: search cap hit, or oracle refused the history
+    1  `check` rejected the history (or the two checking routes disagreed);
+       `fuzz` found a soundness violation, or an audit failure with no mutant
+    2  verdict unavailable: a search hit its state cap, or the oracle refused
+       the history
     3  invalid run configuration
     4  simulation hit the tick horizon before quiescing (files still written)
     5  malformed history or message-log file
@@ -35,8 +37,6 @@ from .checker import (
     HistoryError,
     OracleCapError,
     Verdict,
-    audit_logical_clocks,
-    audit_timestamp_visibility,
     check_sc_bruteforce,
     check_sc_compositional,
     complete_history,
@@ -61,6 +61,8 @@ EXIT_UNDECIDED = 2
 EXIT_CONFIG = 3
 EXIT_HORIZON = 4
 EXIT_PARSE = 5
+
+_EXIT_OF = {ACCEPTED: EXIT_OK, REJECTED: EXIT_REJECTED, UNDECIDED: EXIT_UNDECIDED}
 
 
 def _err(msg: str) -> None:
@@ -167,9 +169,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             _err(f"unusable history: {exc}")
             return EXIT_PARSE
         _print_verdict("compositional", comp)
-        code = {ACCEPTED: EXIT_OK, REJECTED: EXIT_REJECTED, UNDECIDED: EXIT_UNDECIDED}[
-            comp.outcome
-        ]
+        code = _EXIT_OF[comp.outcome]
     if args.mode in ("bruteforce", "both"):
         try:
             oracle = check_sc_bruteforce(completed, op_cap=args.op_cap)
@@ -183,11 +183,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         if oracle is not None:
             _print_verdict("bruteforce", oracle)
             if args.mode == "bruteforce":
-                code = {ACCEPTED: EXIT_OK, REJECTED: EXIT_REJECTED}[oracle.outcome]
+                code = _EXIT_OF[oracle.outcome]
     if args.mode == "both" and comp is not None and oracle is not None:
-        if comp.outcome == UNDECIDED or comp.outcome == oracle.outcome:
-            print("agreement: yes" if comp.outcome == oracle.outcome else
-                  "agreement: compositional undecided, oracle decided")
+        if comp.outcome == oracle.outcome:
+            print("agreement: yes")
+        elif comp.undecided or oracle.undecided:
+            names = ("compositional", "oracle") if comp.undecided else ("oracle", "compositional")
+            print("agreement: {} undecided, {} decided".format(*names))
         else:
             _err(
                 "checker disagreement: compositional says "
@@ -229,6 +231,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     if report.soundness_violation_seeds:
         print(f"SOUNDNESS VIOLATIONS at seeds {report.soundness_violation_seeds}")
+        return EXIT_REJECTED
+    # mutants are there to trip the audits; the intact protocol never may
+    if report.mutant == MUTANT_NONE and (clock_bad or vis_bad):
+        return EXIT_REJECTED
     return EXIT_OK
 
 

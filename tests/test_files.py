@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dsmlab.cli import EXIT_PARSE, main
 from dsmlab.core import OK, READ, Timestamp, WRITE
 from dsmlab.files import (
     ConfigError,
@@ -199,6 +200,69 @@ def test_parse_message_log_rejects_bad_input():
     rec.pop("send_rt")
     with pytest.raises(ParseError):
         parse_message_log(lines[0] + "\n" + json.dumps(rec) + "\n")
+
+
+# --- hostile field types: ParseError, and exit 5 from the CLI ----------------------
+
+
+def _recorded_run(tmp_path):
+    t = _trace(seed=7)
+    hist = tmp_path / "run.jsonl"
+    write_history(hist, t.history)
+    write_message_log(sidecar_path(hist), t)
+    return hist
+
+
+def _retype(path, lineno, key, value):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[lineno])
+    assert key in rec
+    rec[key] = value
+    lines[lineno] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("key", ["proc", "rt", "lt"])
+def test_history_refuses_booleans_for_integers(tmp_path, key):
+    # the boolean equals the original number, so only its type is wrong
+    hist = _recorded_run(tmp_path)
+    original = json.loads(hist.read_text(encoding="utf-8").splitlines()[0])[key]
+    assert original in (0, 1)
+    _retype(hist, 0, key, bool(original))
+    with pytest.raises(ParseError, match=key):
+        read_history(hist)
+    assert main(["check", str(hist)]) == EXIT_PARSE
+    assert main(["stats", str(hist)]) == EXIT_PARSE
+
+
+def _first_line_with(path, kind):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return next(i for i, ln in enumerate(lines) if json.loads(ln).get("kind") == kind)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("update", "ts", 5),             # timestamp pair
+        ("update", "val", "7"),          # register value
+        ("update", "reg", 3),            # register name
+        ("query", "reg", None),
+        ("query", "sender", True),       # integers
+        ("query", "rid", [1]),
+        ("query", "send_rt", "3"),
+        ("ack", "recv_lt", 1.5),         # integers or null
+        ("ack", "handled", 1),           # flags
+        ("ack", "dropped", None),
+        (None, "n", "3"),                # header
+    ],
+)
+def test_message_log_type_checks_every_field(tmp_path, kind, key, value):
+    hist = _recorded_run(tmp_path)
+    side = sidecar_path(hist)
+    _retype(side, 0 if kind is None else _first_line_with(side, kind), key, value)
+    with pytest.raises(ParseError):
+        read_message_log(side)
+    assert main(["stats", str(hist)]) == EXIT_PARSE
 
 
 # --- run config files ---------------------------------------------------------------
