@@ -41,13 +41,12 @@ from .protocol import (
     SC_ABD,
     Completion,
     Invoke,
-    MwAbdState,
     ProtocolError,
-    ReplicaState,
+    State,
     StepOutput,
+    Variant,
     initial_state,
-    mw_abd_step,
-    sc_abd_step,
+    step,
 )
 from .simnet import (
     AdversarialSchedule,

@@ -53,7 +53,7 @@ from .files import (
 )
 from .fuzz import run_campaign
 from .protocol import MUTANTS, MUTANT_NONE, PROTOCOLS
-from .simnet import ConfigError, run_simulation
+from .simnet import ConfigError, op_rounds, run_simulation
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -238,30 +238,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _op_rounds_from_log(history, records) -> dict:
-    """Rounds per completed op, recomputed from the message log alone: the
-    number of distinct initiator phases (query/update rids) the op's process
-    opened between invocation and response."""
-    spans = {}
-    inv_rt: dict[int, int] = {}
-    for e in history:
-        if e.kind == "inv":
-            inv_rt[e.op.opid] = e.rt
-        else:
-            spans[e.op.opid] = (e.op.proc, inv_rt[e.op.opid], e.rt)
-    rounds = {}
-    for opid, (proc, lo, hi) in spans.items():
-        rids = {
-            r.msg.rid
-            for r in records
-            if r.msg.kind in ("query", "update")
-            and r.msg.sender == proc
-            and lo <= r.send_rt <= hi
-        }
-        rounds[opid] = len(rids)
-    return rounds
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     try:
         history = read_history(args.history)
@@ -300,7 +276,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         _err(f"malformed message log: {exc}")
         return EXIT_PARSE
     print(f"protocol: {header['protocol']}  n={header['n']}  seed={header['seed']}")
-    rounds = _op_rounds_from_log(history, records)
+    rounds = op_rounds(history, records)
     for kind in (WRITE, READ):
         hist: dict[int, int] = {}
         for opid, d in completed.items():

@@ -106,6 +106,17 @@ def _is_ts(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(_is_int(c) for c in v)
 
 
+def _load(lineno: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        _fail(lineno, f"not valid JSON ({exc.msg})")
+    except RecursionError:  # the decoder recurses once per nesting level
+        _fail(lineno, "not valid JSON (nested too deeply)")
+    except ValueError:  # an integer longer than int() converts
+        _fail(lineno, "not valid JSON (number too long)")
+
+
 def parse_history(text: str) -> list[Event]:
     """Parse and validate a history file's content.
 
@@ -121,10 +132,7 @@ def parse_history(text: str) -> list[Event]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _fail(lineno, f"not valid JSON ({exc.msg})")
+        rec = _load(lineno, line)
         if not isinstance(rec, dict):
             _fail(lineno, "record is not an object")
         if set(rec) != set(RECORD_KEYS):
@@ -252,10 +260,7 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty message log (missing header line)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line 1: not valid JSON ({exc.msg})")
+    header = _load(1, lines[0])
     if (
         not isinstance(header, dict)
         or not {"protocol", "n", "seed"} <= set(header)
@@ -265,10 +270,7 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
         raise ParseError("header line must carry a protocol string, and integers n and seed")
     records: list[MessageRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _fail(lineno, f"not valid JSON ({exc.msg})")
+        rec = _load(lineno, line)
         if not isinstance(rec, dict) or set(rec) != set(_MSG_KEYS):
             _fail(lineno, "bad message record keys")
         for key in ("sender", "receiver", "lt", "rid", "send_rt"):

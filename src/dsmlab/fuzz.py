@@ -33,7 +33,6 @@ from .checker import (
     REJECTED,
     UNDECIDED,
     OracleCapError,
-    Verdict,
     Violation,
     audit_logical_clocks,
     audit_timestamp_visibility,

@@ -1,4 +1,4 @@
-"""Per-process state machines for the replicated-register protocols.
+"""Per-process state machine for the replicated-register protocols.
 
 Each step consumes one stimulus (an operation invocation or a received
 message) and returns the successor state, the messages to send, and, when a
@@ -6,8 +6,9 @@ quorum fires, the completed operation's result. Steps are pure functions of
 (state, stimulus): the input state is never mutated and identical inputs give
 identical outputs, which is what makes simulation runs replayable.
 
-Two protocols share the replica side (query and update handlers) and the
-message vocabulary; they differ only in how writes obtain timestamps:
+One state machine serves two protocols that share the replica side (query and
+update handlers), the message vocabulary and the read path; they differ only
+in how a write obtains its timestamp:
 
 * ``sc_abd``: a write stamps its value with (logical time, process id) at
   invocation and installs it in a single update round. A read queries a
@@ -21,6 +22,10 @@ message vocabulary; they differ only in how writes obtain timestamps:
   (max + 1, process id), so writes also take two rounds. Logical clocks are
   still maintained on every step, but timestamps are derived from the query
   round, not from the clock.
+
+A run's protocol and mutant are resolved once, by ``initial_state``, into the
+frozen ``Variant`` that every state carries: whether writes query first, how
+many replies close a phase, and whether reads write back.
 
 Every initiator phase carries a fresh request id; responses and acks echo the
 rid they answer. A reply whose rid is not the currently open one is discarded
@@ -91,56 +96,40 @@ class Completion(NamedTuple):
 
 
 @dataclass(frozen=True, slots=True)
-class ReplicaState:
-    """One sc_abd process: replica store plus initiator bookkeeping.
+class Variant:
+    """How one run's processes behave, resolved once by ``initial_state``."""
+
+    query_writes: bool  # mw_abd: a write queries for the highest timestamp first
+    threshold: int  # replies that close a phase: a majority unless small-quorum
+    writeback: bool  # reads install their selected pair; False for no-writeback
+
+
+@dataclass(frozen=True, slots=True)
+class State:
+    """One process: replica store plus initiator bookkeeping.
 
     ``tvps`` maps registers to their stored timestamp-value pair; registers
     never written hold the initial pair ((0, 0), 0), kept implicit via
-    ``pair``. ``responses`` collects (pair, responder) during a read's query
-    phase and responder ids during update phases. ``phase`` is idle between
+    ``pair``. ``responses`` collects (pair, responder) during a query phase
+    and responder ids during update phases. ``phase`` is idle between
     operations; invoking while not idle is a client error.
     """
 
     pid: ProcessId
     n: int
+    v: Variant
     lt: int = 0
     rid: int = 0
     tvps: dict = field(default_factory=dict)
     responses: frozenset = frozenset()
     reading: bool = False
-    rreg: RegisterId = ""
-    rval: Value = 0
+    reg: RegisterId = ""  # the open operation's register
+    val: Optional[Value] = 0  # value to write (kept across a query round) or value read
     phase: str = IDLE
     opid: Optional[OpId] = None
 
     def pair(self, reg: RegisterId) -> TimestampValuePair:
         return self.tvps.get(reg, INITIAL_PAIR)
-
-
-@dataclass(frozen=True, slots=True)
-class MwAbdState:
-    """One mw_abd process. Same shape as ReplicaState plus the pending
-    write's register and value, which must survive the query round."""
-
-    pid: ProcessId
-    n: int
-    lt: int = 0
-    rid: int = 0
-    tvps: dict = field(default_factory=dict)
-    responses: frozenset = frozenset()
-    reading: bool = False
-    rreg: RegisterId = ""
-    rval: Value = 0
-    wreg: RegisterId = ""
-    wval: Value = 0
-    phase: str = IDLE
-    opid: Optional[OpId] = None
-
-    def pair(self, reg: RegisterId) -> TimestampValuePair:
-        return self.tvps.get(reg, INITIAL_PAIR)
-
-
-State = Union[ReplicaState, MwAbdState]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,66 +139,62 @@ class StepOutput:
     completion: Optional[Completion] = None
 
 
-def initial_state(pid: ProcessId, n: int, protocol: str = SC_ABD) -> State:
-    if protocol == SC_ABD:
-        return ReplicaState(pid=pid, n=n)
-    if protocol == MW_ABD:
-        return MwAbdState(pid=pid, n=n)
-    raise ValueError(f"unknown protocol {protocol!r}")
+def initial_state(
+    pid: ProcessId, n: int, protocol: str = SC_ABD, mutant: str = MUTANT_NONE
+) -> State:
+    """A fresh process of the given protocol, weakened by `mutant`.
+
+    Mutants exist for checker calibration: ``small-quorum`` closes phases at
+    floor(n/2) replies (no intersection guarantee, clamped to 1 so n=1 still
+    runs), ``no-writeback`` lets reads return without their update round.
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if mutant not in MUTANTS:
+        raise ValueError(f"unknown mutant {mutant!r}")
+    v = Variant(
+        query_writes=protocol == MW_ABD,
+        threshold=max(1, n // 2) if mutant == MUTANT_SMALL_QUORUM else quorum_size(n),
+        writeback=mutant != MUTANT_NO_WRITEBACK,
+    )
+    return State(pid=pid, n=n, v=v)
 
 
-def _guard_idle(s: State, stim: Invoke) -> None:
+def _broadcast(s: State, kind: type, **fields) -> tuple:
+    """One message of the given kind to every process, self included."""
+    return tuple(kind(sender=s.pid, receiver=j, **fields) for j in range(1, s.n + 1))
+
+
+def invoke(s: State, stim: Invoke) -> StepOutput:
+    """Start an operation in a fresh phase. Reads, and writes under
+    ``query_writes``, ask everyone for their stored pair. Other writes stamp
+    the value with (new clock, own pid) and broadcast the update at once: no
+    query round, the logical clock already dominates every pair observed."""
+    if stim.kind not in (READ, WRITE):
+        raise ProtocolError(f"unknown operation kind {stim.kind!r}")
     if s.phase != IDLE:
         raise ProtocolError(
             f"process {s.pid} invoked op {stim.opid} while {s.phase} on op {s.opid}"
         )
-
-
-def invoke_read(s: State, stim: Invoke) -> StepOutput:
-    """Start a read: open a fresh query phase and ask everyone (self
-    included) for their stored pair."""
-    _guard_idle(s, stim)
     lt = clock_local_step(s.lt)
     rid = s.rid + 1
+    reading = stim.kind == READ
+    query = reading or s.v.query_writes
     nxt = replace(
         s,
         lt=lt,
         rid=rid,
-        reading=True,
-        rreg=stim.reg,
+        reading=reading,
+        reg=stim.reg,
+        val=stim.val,
         responses=frozenset(),
-        phase=QUERYING,
+        phase=QUERYING if query else UPDATING,
         opid=stim.opid,
     )
-    outbox = tuple(
-        Query(sender=s.pid, receiver=j, lt=lt, rid=rid, reg=stim.reg)
-        for j in range(1, s.n + 1)
-    )
-    return StepOutput(nxt, outbox)
-
-
-def invoke_write(s: ReplicaState, stim: Invoke) -> StepOutput:
-    """Start an sc_abd write: stamp the value with (new clock, own pid) and
-    broadcast the update immediately. No query round; the logical clock
-    already dominates every pair this process has observed."""
-    _guard_idle(s, stim)
-    lt = clock_local_step(s.lt)
-    rid = s.rid + 1
+    if query:
+        return StepOutput(nxt, _broadcast(s, Query, lt=lt, rid=rid, reg=stim.reg))
     tsv = TimestampValuePair(Timestamp(lt, s.pid), stim.val)
-    nxt = replace(
-        s,
-        lt=lt,
-        rid=rid,
-        reading=False,
-        responses=frozenset(),
-        phase=UPDATING,
-        opid=stim.opid,
-    )
-    outbox = tuple(
-        Update(sender=s.pid, receiver=j, lt=lt, rid=rid, reg=stim.reg, tsv=tsv)
-        for j in range(1, s.n + 1)
-    )
-    return StepOutput(nxt, outbox)
+    return StepOutput(nxt, _broadcast(s, Update, lt=lt, rid=rid, reg=stim.reg, tsv=tsv))
 
 
 def handle_query(s: State, m: Query) -> StepOutput:
@@ -232,172 +217,66 @@ def handle_update(s: State, m: Update) -> StepOutput:
     return StepOutput(nxt, (Ack(sender=s.pid, receiver=m.sender, lt=lt, rid=m.rid),))
 
 
-def _stale(s: State) -> StepOutput:
-    # Reply to a closed phase: drop it whole, clock merge included, so the
-    # discarded message leaves no trace in the state.
-    return StepOutput(s, ())
+def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
+    """Initiator side of either phase: collect replies to the open phase
+    until the threshold fires on exact equality.
 
-
-def handle_response(
-    s: ReplicaState, m: Response, *, threshold: Optional[int] = None, writeback: bool = True
-) -> StepOutput:
-    """Initiator side of an sc_abd read's query phase. Collects responses
-    until the quorum threshold fires on exact equality, then picks the
-    largest returned pair and broadcasts it as a write-back update.
-
-    `threshold` and `writeback` exist for fault-injection mutants; the
-    defaults are the real protocol.
+    A closed query phase picks the largest returned pair. A read writes it
+    back, or under no-writeback returns it at once; a querying write
+    installs its own value under a timestamp strictly above everything the
+    quorum returned. A closed update phase completes the operation: a read
+    returns the value its query phase selected, a write returns OK.
     """
     if m.rid != s.rid:
-        return _stale(s)
+        # Reply to a closed phase: drop it whole, clock merge included, so
+        # the discarded message leaves no trace in the state.
+        return StepOutput(s, ())
     lt = clock_merge(s.lt, m.lt)
-    responses = s.responses | {(m.tsv, m.sender)}
-    if len(responses) != (threshold or quorum_size(s.n)):
+    query = type(m) is Response
+    responses = s.responses | {(m.tsv, m.sender) if query else m.sender}
+    if len(responses) != s.v.threshold:
         return StepOutput(replace(s, lt=lt, responses=responses), ())
+    rid = s.rid + 1
+    if not query:
+        nxt = replace(s, lt=lt, rid=rid, responses=frozenset(), phase=IDLE, opid=None)
+        return StepOutput(nxt, (), Completion(s.opid, s.val if s.reading else OK))
     # Largest pair by timestamp; the responder id only makes the choice
     # deterministic, equal timestamps always carry equal values.
     tsv, _ = max(responses, key=lambda pr: (pr[0].ts, pr[1]))
-    rid = s.rid + 1
-    if not writeback:
+    if not s.reading:
+        tsv = TimestampValuePair(Timestamp(tsv.ts.lt + 1, s.pid), s.val)
+    elif not s.v.writeback:
         # Mutant: return the value without propagating it to a majority.
         nxt = replace(
-            s, lt=lt, rid=rid, responses=frozenset(), rval=tsv.val, phase=IDLE, opid=None
+            s, lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=IDLE, opid=None
         )
         return StepOutput(nxt, (), Completion(s.opid, tsv.val, tsv.ts))
-    nxt = replace(
-        s, lt=lt, rid=rid, responses=frozenset(), rval=tsv.val, phase=UPDATING
-    )
-    outbox = tuple(
-        Update(sender=s.pid, receiver=j, lt=lt, rid=rid, reg=s.rreg, tsv=tsv)
-        for j in range(1, s.n + 1)
-    )
-    return StepOutput(nxt, outbox)
-
-
-def handle_ack(s: State, m: Ack, *, threshold: Optional[int] = None) -> StepOutput:
-    """Initiator side of an update phase. When a quorum has acknowledged,
-    the operation completes: reads return the value selected in their query
-    phase, writes return OK."""
-    if m.rid != s.rid:
-        return _stale(s)
-    lt = clock_merge(s.lt, m.lt)
-    responses = s.responses | {m.sender}
-    if len(responses) != (threshold or quorum_size(s.n)):
-        return StepOutput(replace(s, lt=lt, responses=responses), ())
-    ret = s.rval if s.reading else OK
-    completion = Completion(s.opid, ret)
-    nxt = replace(
-        s, lt=lt, rid=s.rid + 1, responses=frozenset(), phase=IDLE, opid=None
-    )
-    return StepOutput(nxt, (), completion)
-
-
-# --- mw_abd write path ------------------------------------------------------
-
-
-def mwabd_invoke_write(s: MwAbdState, stim: Invoke) -> StepOutput:
-    """Start an mw_abd write: query a majority for the highest stored
-    timestamp before picking one. The value waits in wreg/wval."""
-    _guard_idle(s, stim)
-    lt = clock_local_step(s.lt)
-    rid = s.rid + 1
-    nxt = replace(
-        s,
-        lt=lt,
-        rid=rid,
-        reading=False,
-        wreg=stim.reg,
-        wval=stim.val,
-        responses=frozenset(),
-        phase=QUERYING,
-        opid=stim.opid,
-    )
-    outbox = tuple(
-        Query(sender=s.pid, receiver=j, lt=lt, rid=rid, reg=stim.reg)
-        for j in range(1, s.n + 1)
-    )
-    return StepOutput(nxt, outbox)
-
-
-def mwabd_handle_response(s: MwAbdState, m: Response) -> StepOutput:
-    """Initiator side of an mw_abd query phase, shared by reads and writes.
-    Reads write back the largest pair unchanged; writes install their own
-    value under a timestamp strictly above everything the quorum returned."""
-    if m.rid != s.rid:
-        return _stale(s)
-    lt = clock_merge(s.lt, m.lt)
-    responses = s.responses | {(m.tsv, m.sender)}
-    if len(responses) != quorum_size(s.n):
-        return StepOutput(replace(s, lt=lt, responses=responses), ())
-    tsv_max, _ = max(responses, key=lambda pr: (pr[0].ts, pr[1]))
-    rid = s.rid + 1
-    if s.reading:
-        nxt = replace(
-            s, lt=lt, rid=rid, responses=frozenset(), rval=tsv_max.val, phase=UPDATING
-        )
-        reg, tsv = s.rreg, tsv_max
-    else:
-        nxt = replace(s, lt=lt, rid=rid, responses=frozenset(), phase=UPDATING)
-        reg, tsv = s.wreg, TimestampValuePair(Timestamp(tsv_max.ts.lt + 1, s.pid), s.wval)
-    outbox = tuple(
-        Update(sender=s.pid, receiver=j, lt=lt, rid=rid, reg=reg, tsv=tsv)
-        for j in range(1, s.n + 1)
-    )
-    return StepOutput(nxt, outbox)
+    nxt = replace(s, lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=UPDATING)
+    return StepOutput(nxt, _broadcast(s, Update, lt=lt, rid=rid, reg=s.reg, tsv=tsv))
 
 
 # --- dispatch ---------------------------------------------------------------
 
 Stimulus = Union[Invoke, Message]
 
-
-def sc_abd_step(s: ReplicaState, stim: Stimulus, *, mutant: str = MUTANT_NONE) -> StepOutput:
-    """One sc_abd step: dispatch an invocation or a received message.
-
-    Mutants weaken the protocol for checker calibration: ``small-quorum``
-    fires thresholds at floor(n/2) (no intersection guarantee, clamped to 1
-    so n=1 still runs), ``no-writeback`` lets reads return without their
-    update round.
-    """
-    if mutant not in MUTANTS:
-        raise ValueError(f"unknown mutant {mutant!r}")
-    threshold = None
-    writeback = True
-    if mutant == MUTANT_SMALL_QUORUM:
-        threshold = max(1, s.n // 2)
-    elif mutant == MUTANT_NO_WRITEBACK:
-        writeback = False
-    if isinstance(stim, Invoke):
-        if stim.kind == READ:
-            return invoke_read(s, stim)
-        if stim.kind == WRITE:
-            return invoke_write(s, stim)
-        raise ProtocolError(f"unknown operation kind {stim.kind!r}")
-    if isinstance(stim, Query):
-        return handle_query(s, stim)
-    if isinstance(stim, Response):
-        return handle_response(s, stim, threshold=threshold, writeback=writeback)
-    if isinstance(stim, Update):
-        return handle_update(s, stim)
-    if isinstance(stim, Ack):
-        return handle_ack(s, stim, threshold=threshold)
-    raise ProtocolError(f"unknown stimulus {stim!r}")
+_HANDLERS = {
+    Invoke: invoke,
+    Query: handle_query,
+    Response: handle_reply,
+    Update: handle_update,
+    Ack: handle_reply,
+}
 
 
-def mw_abd_step(s: MwAbdState, stim: Stimulus) -> StepOutput:
-    """One mw_abd step: dispatch an invocation or a received message."""
-    if isinstance(stim, Invoke):
-        if stim.kind == READ:
-            return invoke_read(s, stim)
-        if stim.kind == WRITE:
-            return mwabd_invoke_write(s, stim)
-        raise ProtocolError(f"unknown operation kind {stim.kind!r}")
-    if isinstance(stim, Query):
-        return handle_query(s, stim)
-    if isinstance(stim, Response):
-        return mwabd_handle_response(s, stim)
-    if isinstance(stim, Update):
-        return handle_update(s, stim)
-    if isinstance(stim, Ack):
-        return handle_ack(s, stim)
-    raise ProtocolError(f"unknown stimulus {stim!r}")
+def step(s: State, stim: Stimulus) -> StepOutput:
+    """One step: dispatch an invocation or a received message."""
+    handler = _HANDLERS.get(type(stim))
+    if handler is None:
+        raise ProtocolError(f"unknown stimulus {stim!r}")
+    return handler(s, stim)
+
+
+# Per-protocol names for the one step function, so that a caller can tell
+# (or time) the two protocols apart where it binds one.
+sc_abd_step = step
+mw_abd_step = step

@@ -3,8 +3,9 @@
 One seeded run drives n peer processes (every process is both a replica and a
 closed-loop client of its own workload), delivers messages over reliable but
 reordering links, injects crash-stop faults, and records everything: the
-operation history, the full message log, per-operation round counts, and the
-crashes actually applied.
+operation history, the full message log, and the crashes actually applied.
+Per-operation round counts are derived from the message log afterwards, by
+the same `op_rounds` that `dsmlab stats` runs on a recorded sidecar.
 
 All nondeterminism flows from the one seeded generator, consumed in event-pop
 order, so two runs of the same config produce identical traces byte for byte.
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .core import (
     Event,
@@ -30,10 +32,8 @@ from .core import (
     OperationDescriptor,
     OpId,
     ProcessId,
-    Query,
     READ,
     RESPONSE_EVENT,
-    Update,
     Value,
     WRITE,
     quorum_size,
@@ -43,7 +43,6 @@ from .protocol import (
     Invoke,
     MUTANT_NONE,
     MUTANTS,
-    MW_ABD,
     PROTOCOLS,
     SC_ABD,
     State,
@@ -282,7 +281,7 @@ class Trace:
     config: SimConfig
     history: list  # list[Event], append order = chronological order
     message_log: list  # list[MessageRecord], send order
-    rounds: dict  # opid -> communication rounds initiated
+    rounds: dict  # opid -> communication rounds initiated, from op_rounds
     ops: dict  # opid -> OperationDescriptor
     crash_log: list  # [(pid, tick)] actually applied, in order
     outcome: str  # QUIESCENT | HORIZON
@@ -299,6 +298,44 @@ class Trace:
         return {i: d for i, d in self.ops.items() if d.ret is not None}
 
 
+def op_rounds(history: Sequence[Event], records: Sequence[MessageRecord]) -> dict[OpId, int]:
+    """Communication rounds per invoked operation, counted from the message
+    log: the distinct initiator phases (query and update rids) that the op's
+    process opened from the op's invocation to its response, or to the end of
+    the log if the op is pending.
+
+    Each send is charged to the latest op its sender invoked at or before the
+    send tick, found by bisection, so the cost is O((ops + messages) log ops).
+    A send outside every op of its sender (before its first invocation, after
+    the op's response, or from a process that invoked nothing) is ignored. A
+    simulated process runs one op at a time and one handler per tick, so each
+    send lies in at most one op's span; in a hand-made log, a send on a tick
+    shared by a response and the next invocation is charged to the later op.
+    """
+    starts: dict[ProcessId, list[int]] = {}  # invocation ticks, in order
+    opened: dict[ProcessId, list[OpId]] = {}
+    ends: dict[OpId, int] = {}
+    rids: dict[OpId, set] = {}
+    for e in history:
+        if e.kind == INVOCATION:
+            starts.setdefault(e.proc, []).append(e.rt)
+            opened.setdefault(e.proc, []).append(e.op.opid)
+            rids[e.op.opid] = set()
+        else:
+            ends[e.op.opid] = e.rt
+    for r in records:
+        m = r.msg
+        if m.kind not in ("query", "update") or m.sender not in starts:
+            continue
+        i = bisect_right(starts[m.sender], r.send_rt) - 1
+        if i < 0:
+            continue
+        opid = opened[m.sender][i]
+        if r.send_rt <= ends.get(opid, r.send_rt):
+            rids[opid].add(m.rid)
+    return {opid: len(ids) for opid, ids in rids.items()}
+
+
 # --- engine -----------------------------------------------------------------
 
 _INVOKE = "invoke"
@@ -311,14 +348,11 @@ class _Run:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.states: dict[ProcessId, State] = {
-            p: initial_state(p, cfg.n, cfg.protocol) for p in range(1, cfg.n + 1)
+            p: initial_state(p, cfg.n, cfg.protocol, cfg.mutant) for p in range(1, cfg.n + 1)
         }
-        if cfg.protocol == SC_ABD:
-            self.step: Callable[[State, object], StepOutput] = (
-                lambda s, stim: sc_abd_step(s, stim, mutant=cfg.mutant)
-            )
-        else:
-            self.step = mw_abd_step
+        # Both names are the one protocol step; binding by name lets a
+        # profiler that rebinds either one tell the protocols apart.
+        self.step = sc_abd_step if cfg.protocol == SC_ABD else mw_abd_step
         self.heap: list = []
         self.seq = itertools.count()
         self.last_exec: dict[ProcessId, int] = {p: -1 for p in self.states}
@@ -329,7 +363,6 @@ class _Run:
         self.opids = itertools.count(1)
         self.history: list[Event] = []
         self.message_log: list[MessageRecord] = []
-        self.rounds: dict[OpId, int] = {}
         self.ops: dict[OpId, OperationDescriptor] = {}
         self.crash_log: list[tuple[ProcessId, int]] = []
 
@@ -358,7 +391,7 @@ class _Run:
             config=self.cfg,
             history=self.history,
             message_log=self.message_log,
-            rounds=self.rounds,
+            rounds=op_rounds(self.history, self.message_log),
             ops=self.ops,
             crash_log=self.crash_log,
             outcome=outcome,
@@ -417,13 +450,12 @@ class _Run:
         self.last_exec[pid] = tick
         if out.outbox:
             first = out.outbox[0]
-            if first.kind in ("query", "update") and out.state.opid is not None:
-                # A fresh initiator phase: one more communication round.
-                self.rounds[out.state.opid] = self.rounds.get(out.state.opid, 0) + 1
-                if first.kind == "update":
-                    desc = self.ops[out.state.opid]
-                    if desc.ts is None:
-                        desc.ts = first.tsv.ts
+            if first.kind == "update":
+                # An initiator's update phase: the op's first one carries its
+                # timestamp.
+                desc = self.ops[out.state.opid]
+                if desc.ts is None:
+                    desc.ts = first.tsv.ts
             for msg in out.outbox:
                 rec = MessageRecord(msg=msg, send_rt=tick)
                 self.message_log.append(rec)

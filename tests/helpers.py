@@ -1,7 +1,8 @@
-"""Shared builders and naive reference checkers for the test suite.
+"""Shared builders and naive references for the test suite.
 
 The naive checkers enumerate permutations outright, with no memoization and
-no cleverness; they exist so the real checkers have something independent to
+no cleverness, and the dense round counter scans the whole message log once
+per operation; they exist so the real code has something independent to
 disagree with.
 """
 
@@ -203,3 +204,28 @@ def strip_ts(h: Sequence[Event]) -> list[Event]:
             fresh[e.op.opid] = replace(e.op, ts=None)
         out.append(Event(e.kind, fresh[e.op.opid], e.rt, e.lt, e.proc))
     return out
+
+
+def dense_op_rounds(history: Sequence[Event], records) -> dict:
+    """Rounds per completed op, recomputed from the message log alone: the
+    number of distinct initiator phases (query/update rids) the op's process
+    opened between invocation and response. O(ops x messages): the reference
+    for simnet.op_rounds."""
+    spans = {}
+    inv_rt: dict[int, int] = {}
+    for e in history:
+        if e.kind == INVOCATION:
+            inv_rt[e.op.opid] = e.rt
+        else:
+            spans[e.op.opid] = (e.op.proc, inv_rt[e.op.opid], e.rt)
+    rounds = {}
+    for opid, (proc, lo, hi) in spans.items():
+        rids = {
+            r.msg.rid
+            for r in records
+            if r.msg.kind in ("query", "update")
+            and r.msg.sender == proc
+            and lo <= r.send_rt <= hi
+        }
+        rounds[opid] = len(rids)
+    return rounds

@@ -15,12 +15,27 @@ from dsmlab.cli import (
     EXIT_UNDECIDED,
     main,
 )
-from dsmlab.core import OK, WRITE
-from dsmlab.files import read_history, serialize_history, write_history
-from dsmlab.fuzz import CampaignReport, RunOutcome
-from dsmlab.simnet import SimConfig, Workload, run_simulation
+from types import SimpleNamespace
 
-from helpers import op_events, sc_not_lin, strip_ts, write_then_stale_read
+from dsmlab.core import OK, READ, WRITE, Query, Timestamp, TimestampValuePair, Update
+from dsmlab.files import (
+    read_history,
+    serialize_history,
+    sidecar_path,
+    write_history,
+    write_message_log,
+)
+from dsmlab.fuzz import CampaignReport, RunOutcome
+from dsmlab.simnet import MessageRecord, SimConfig, Workload, op_rounds, run_simulation
+
+from helpers import (
+    dense_op_rounds,
+    merge_by_rt,
+    op_events,
+    sc_not_lin,
+    strip_ts,
+    write_then_stale_read,
+)
 
 
 def _cfg(tmp_path, text="n = 3\nseed = 4\n", name="run.cfg"):
@@ -295,6 +310,70 @@ def test_stats_parse_error(tmp_path):
     bad = tmp_path / "junk.jsonl"
     bad.write_text("{}\n", encoding="utf-8")
     assert main(["stats", str(bad)]) == EXIT_PARSE
+
+
+def _hostile_run():
+    """p1 writes (ticks 10-20) and then reads (30-40); p2 and p3 invoke
+    nothing. Besides the ops' own phases the log holds a query from p2, which
+    has no invocation, a query from p1 before its first invocation, and an
+    update from p1 after its write's response."""
+    w = op_events(1, 1, WRITE, "x", arg=5, ret=OK, ts=(1, 1), inv=(10, 1), res=(20, 4))
+    r = op_events(2, 1, READ, "x", ret=5, ts=(1, 1), inv=(30, 5), res=(40, 9))
+    tsv = TimestampValuePair(Timestamp(1, 1), 5)
+
+    def sent(msg_type, rid, rt, sender=1, **fields):
+        msg = msg_type(sender=sender, receiver=1, lt=1, rid=rid, reg="x", **fields)
+        return MessageRecord(msg=msg, send_rt=rt, recv_rt=rt + 1, recv_lt=2, handled=True)
+
+    records = [
+        sent(Query, 1, 12, sender=2),     # p2 never invoked anything
+        sent(Query, 1, 5),                # before p1's first invocation
+        sent(Update, 1, 10, tsv=tsv),     # the write's one round
+        sent(Update, 1, 11, tsv=tsv),     # same rid again: still one round
+        sent(Update, 9, 25, tsv=tsv),     # after the write's response
+        sent(Query, 2, 30),               # the read's query round
+        sent(Update, 3, 35, tsv=tsv),     # the read's write-back round
+    ]
+    return merge_by_rt(w, r), records
+
+
+def test_op_rounds_ignores_sends_outside_every_op():
+    history, records = _hostile_run()
+    assert op_rounds(history, records) == {1: 1, 2: 2} == dense_op_rounds(history, records)
+
+
+def test_stats_on_hostile_sidecar(tmp_path, capsys):
+    history, records = _hostile_run()
+    hist = tmp_path / "hostile.jsonl"
+    write_history(hist, history)
+    write_message_log(
+        sidecar_path(hist), SimpleNamespace(config=SimConfig(n=3), message_log=records)
+    )
+    assert main(["stats", str(hist)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "write rounds: 1 round(s) x1" in captured.out
+    assert "read rounds: 2 round(s) x1" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_check_deeply_nested_line_exits_5(tmp_path, capsys):
+    hist = tmp_path / "deep.jsonl"
+    hist.write_text("[" * 200_000 + "\n", encoding="utf-8")
+    assert main(["check", str(hist)]) == EXIT_PARSE
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_stats_deeply_nested_line_exits_5(tmp_path, capsys):
+    hist = tmp_path / "deep.jsonl"
+    hist.write_text("[" * 200_000 + "\n", encoding="utf-8")
+    assert main(["stats", str(hist)]) == EXIT_PARSE
+    hist = _run_then_history(tmp_path)
+    side = tmp_path / "run.msgs.jsonl"
+    header = side.read_text(encoding="utf-8").splitlines()[0]
+    side.write_text(header + "\n" + "[" * 200_000 + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", str(hist)]) == EXIT_PARSE
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_entry_point_requires_subcommand():

@@ -265,6 +265,38 @@ def test_message_log_type_checks_every_field(tmp_path, kind, key, value):
     assert main(["stats", str(hist)]) == EXIT_PARSE
 
 
+# --- deep nesting and overlong numbers: ParseError, not a traceback ----------------
+
+DEEP = "[" * 200_000  # the JSON decoder recurses once per level
+
+
+def test_parse_history_refuses_deep_nesting():
+    with pytest.raises(ParseError, match="line 1: .*nested too deeply"):
+        parse_history(DEEP + "\n")
+
+
+def test_parse_message_log_refuses_deep_nesting():
+    header = serialize_message_log(_trace()).splitlines()[0]
+    with pytest.raises(ParseError, match="line 1: .*nested too deeply"):
+        parse_message_log(DEEP + "\n")
+    with pytest.raises(ParseError, match="line 2: .*nested too deeply"):
+        parse_message_log(header + "\n" + DEEP + "\n")
+
+
+def test_parsers_refuse_overlong_integers(tmp_path):
+    hist = _recorded_run(tmp_path)
+    _retype(hist, 0, "rt", 0)
+    text = hist.read_text(encoding="utf-8").replace('"rt": 0', '"rt": ' + "1" * 5000, 1)
+    with pytest.raises(ParseError, match="line 1: .*number too long"):
+        parse_history(text)
+    header = serialize_message_log(_trace()).splitlines()[0]
+    with pytest.raises(ParseError, match="line 2: .*number too long"):
+        parse_message_log(header + "\n[" + "1" * 5000 + "]\n")
+    hist.write_text(text, encoding="utf-8")
+    assert main(["check", str(hist)]) == EXIT_PARSE
+    assert main(["stats", str(hist)]) == EXIT_PARSE
+
+
 # --- run config files ---------------------------------------------------------------
 
 

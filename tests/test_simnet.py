@@ -17,8 +17,12 @@ from dsmlab.simnet import (
     UniformDelay,
     Workload,
     generate_workload,
+    op_rounds,
     run_simulation,
 )
+
+from helpers import dense_op_rounds
+from test_trace_pins import corpus as trace_pin_corpus
 
 
 def test_runs_are_deterministic_byte_for_byte():
@@ -59,6 +63,15 @@ def test_mw_abd_round_counts():
         assert t.quiescent
         for opid, d in t.completed().items():
             assert t.rounds[opid] == 2
+
+
+def test_op_rounds_matches_dense_reference_on_trace_pin_corpus():
+    for label, cfg in trace_pin_corpus():
+        t = run_simulation(cfg)
+        rounds = op_rounds(t.history, t.message_log)
+        assert sorted(rounds) == sorted(t.ops), label  # pending ops included
+        dense = dense_op_rounds(t.history, t.message_log)
+        assert {o: rounds[o] for o in t.completed()} == dense, label
 
 
 def test_all_ops_complete_without_crashes():
