@@ -392,52 +392,63 @@ def _check_register(hx: list[Event], x: RegisterId, state_cap: int) -> Verdict:
     return v
 
 
-def _compose_witnesses(
-    h: Sequence[Event], hlt: Sequence[Event], per_register: dict
-) -> list[Event]:
+def _compose_witnesses(hlt: Sequence[Event], per_register: dict) -> list[Event]:
     """Merge per-register witness orders into one total order that also
     respects logical-time precedence across registers, then emit the
     corresponding sequential history. Ties among order-free operations are
     broken by (timestamp, invocation lt, process, opid) so the composed
-    witness is canonical for a given input."""
+    witness is canonical for a given input.
+
+    Precedence is linear in size: each maximal run of consecutive responses
+    in hlt feeds one barrier, which also waits for the previous barrier, and
+    each invocation waits for the latest barrier. Barriers skip the heap and
+    are released, cascading, with their last predecessor, so every pop sees
+    the ready set of edges from each response to each later invocation."""
     t = _op_table(hlt)
     events, inv_idx, descs = t.events, t.inv, t.descs
-    succs: dict[OpId, set] = {o: set() for o in descs}
-    indeg: dict[OpId, int] = {o: 0 for o in descs}
+    succs: dict = {}  # node -> successors; a barrier is a bare object()
+    indeg = dict.fromkeys(descs, 0)
 
-    def edge(a: OpId, b: OpId) -> None:
-        if b not in succs[a]:
-            succs[a].add(b)
-            indeg[b] += 1
+    def link(a, b) -> None:
+        succs.setdefault(a, []).append(b)
+        indeg[b] += 1
 
     for vx in per_register.values():
         chain = [e.op.opid for e in vx.witness if e.kind == INVOCATION]
         for a, b in zip(chain, chain[1:]):
-            edge(a, b)
-    responded: list[OpId] = []
+            link(a, b)
+    barrier, prev_kind = None, INVOCATION
     for e in hlt:
         if e.kind == RESPONSE_EVENT:
-            responded.append(e.op.opid)
-        else:
-            for o1 in responded:
-                edge(o1, e.op.opid)
+            if prev_kind == INVOCATION:
+                prev, barrier = barrier, object()
+                indeg[barrier] = 0
+                if prev is not None:
+                    link(prev, barrier)
+            link(e.op.opid, barrier)
+        elif barrier is not None:
+            link(barrier, e.op.opid)
+        prev_kind = e.kind
 
     def key(o: OpId):
         inv = events[inv_idx[o]]
         ts = descs[o].ts if descs[o].ts is not None else INITIAL_TS
         return (ts, inv.lt, inv.proc, o)
 
-    ready = [key(o) for o, d in indeg.items() if d == 0]
-    ready.sort()
-    heap = list(ready)
+    heap = sorted(key(o) for o in descs if not indeg[o])
     out: list[OpId] = []
     while heap:
         *_, o = heappop(heap)
         out.append(o)
-        for b in sorted(succs[o]):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heappush(heap, key(b))
+        released = [o]
+        while released:
+            for b in succs.get(released.pop(), ()):
+                indeg[b] -= 1
+                if not indeg[b]:
+                    if b in descs:
+                        heappush(heap, key(b))
+                    else:
+                        released.append(b)
     if len(out) != len(descs):
         raise CheckerInternalError("witness composition found an order cycle")
     return t.witness(out)
@@ -486,7 +497,7 @@ def check_sc_compositional(
             )
     if any(vx.undecided for vx in per_register.values()):
         return Verdict(UNDECIDED, states_explored=explored, per_register=per_register)
-    witness = _compose_witnesses(events, hlt, per_register)
+    witness = _compose_witnesses(hlt, per_register)
     if not is_legal_sequential(witness) or not histories_equivalent(witness, events):
         raise CheckerInternalError("composed witness failed certification")
     return Verdict(

@@ -17,7 +17,7 @@ Exit codes are part of the interface:
        the history
     3  invalid run configuration
     4  simulation hit the tick horizon before quiescing (files still written)
-    5  malformed history or message-log file
+    5  malformed or ill-formed history, or malformed message-log file
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .checker import (
     check_sc_compositional,
     complete_history,
 )
-from .core import READ, WRITE, pending_operations
+from .core import READ, WRITE, is_well_formed, pending_operations
 from .files import (
     ParseError,
     read_config,
@@ -246,6 +246,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     except ParseError as exc:
         _err(f"malformed history: {exc}")
+        return EXIT_PARSE
+    if not is_well_formed(history):
+        _err("unusable history: history is not well formed")
         return EXIT_PARSE
     ops = {e.op.opid: e.op for e in history}
     completed = {o: d for o, d in ops.items() if d.ret is not None}

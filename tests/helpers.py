@@ -1,8 +1,9 @@
 """Shared builders and naive references for the test suite.
 
 The naive checkers enumerate permutations outright, with no memoization and
-no cleverness, and the dense round counter scans the whole message log once
-per operation; they exist so the real code has something independent to
+no cleverness, the dense round counter scans the whole message log once per
+operation, and the dense composer adds an edge from every response to every
+later invocation; they exist so the real code has something independent to
 disagree with.
 """
 
@@ -11,10 +12,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from dsmlab.core import (
     Event,
+    INITIAL_TS,
     INVOCATION,
     OK,
     OperationDescriptor,
@@ -229,3 +232,51 @@ def dense_op_rounds(history: Sequence[Event], records) -> dict:
         }
         rounds[opid] = len(rids)
     return rounds
+
+
+def dense_compose_witnesses(hlt: Sequence[Event], per_register: dict) -> list[Event]:
+    """The composed witness of checker._compose_witnesses, built from dense
+    precedence: an edge from every earlier response to every later
+    invocation in hlt, plus each register witness's chain, then a heap
+    ordered by (timestamp, invocation lt, process, opid). O(ops^2) edges:
+    the reference for the barrier construction."""
+    inv: dict[int, Event] = {}
+    res: dict[int, Event] = {}
+    for e in hlt:
+        (inv if e.kind == INVOCATION else res)[e.op.opid] = e
+    succs: dict[int, set] = {o: set() for o in inv}
+    indeg: dict[int, int] = {o: 0 for o in inv}
+
+    def edge(a: int, b: int) -> None:
+        if b not in succs[a]:
+            succs[a].add(b)
+            indeg[b] += 1
+
+    for vx in per_register.values():
+        chain = [e.op.opid for e in vx.witness if e.kind == INVOCATION]
+        for a, b in zip(chain, chain[1:]):
+            edge(a, b)
+    responded: list[int] = []
+    for e in hlt:
+        if e.kind == RESPONSE_EVENT:
+            responded.append(e.op.opid)
+        else:
+            for o1 in responded:
+                edge(o1, e.op.opid)
+
+    def key(o: int):
+        ts = inv[o].op.ts if inv[o].op.ts is not None else INITIAL_TS
+        return (ts, inv[o].lt, inv[o].proc, o)
+
+    heap = sorted(key(o) for o, d in indeg.items() if d == 0)
+    out: list[int] = []
+    while heap:
+        *_, o = heappop(heap)
+        out.append(o)
+        for b in sorted(succs[o]):
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heappush(heap, key(b))
+    if len(out) != len(inv):
+        raise ValueError("dense composition found an order cycle")
+    return [e for o in out for e in (inv[o], res[o])]

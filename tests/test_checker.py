@@ -405,6 +405,59 @@ def test_compositional_soundness_against_oracle_on_mutant_histories():
             assert check_sc_bruteforce(h).accepted, f"seed {seed}"
 
 
+def test_composition_detects_order_cycle_through_barrier():
+    # a responds before b is invoked, so a barrier orders a before b; the
+    # register witness claims b before a
+    a = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(1, 1), res=(2, 2))
+    b = op_events(2, 2, WRITE, "x", arg=2, ret=OK, ts=(3, 2), inv=(3, 3), res=(4, 4))
+    hlt = build_logical_time_history(merge_by_rt(a, b))
+    bogus = checker.Verdict(ACCEPTED, witness=b + a)
+    with pytest.raises(CheckerInternalError, match="^witness composition found an order cycle$"):
+        checker._compose_witnesses(hlt, {"x": bogus})
+
+
+def test_composed_witness_is_still_certified(monkeypatch):
+    h = merge_by_rt(
+        op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(1, 1), res=(2, 2)),
+        op_events(2, 2, READ, "x", ret=1, ts=(1, 1), inv=(3, 3), res=(4, 4)),
+    )
+    assert check_sc_compositional(h).accepted
+    monkeypatch.setattr(checker, "_compose_witnesses", lambda hlt, per_register: h[2:] + h[:2])
+    with pytest.raises(CheckerInternalError, match="composed witness failed certification"):
+        check_sc_compositional(h)
+
+
+def _rounds_history(rounds: int, procs: int = 10, regs: int = 5) -> list[Event]:
+    """Timestamped rounds: every process invokes, then every process
+    responds. In round k register j is written k + 1 by one process and
+    read by another, the read returning round k - 1's write."""
+    events: list[Event] = []
+    clock = 0
+    for k in range(rounds):
+        ops = []
+        for j in range(regs):
+            w, r = (2 * j + k) % procs + 1, (2 * j + 1 + k) % procs + 1
+            seen = (k, (2 * j + k - 1) % procs + 1) if k else (0, 0)
+            ops.append((w, WRITE, f"r{j}", dict(arg=k + 1, ret=OK, ts=(k + 1, w))))
+            ops.append((r, READ, f"r{j}", dict(ret=k, ts=seen)))
+        for i, (p, kind, reg, fields) in enumerate(ops):
+            inv, res = clock + i + 1, clock + len(ops) + i + 1
+            events += op_events(k * len(ops) + i + 1, p, kind, reg,
+                                inv=(inv, inv), res=(res, res), **fields)
+        clock += 2 * len(ops)
+    return sorted(events, key=lambda e: e.rt)
+
+
+def test_compositional_accepts_20000_op_history():
+    # dense precedence would need about 2 * 10^8 edges here
+    h = _rounds_history(2000)
+    assert len(h) == 40_000
+    v = check_sc_compositional(h)
+    assert v.accepted
+    assert len(v.witness) == len(h)
+    assert all(vx.states_explored == 0 for vx in v.per_register.values())
+
+
 # --- completion of crashed histories ---------------------------------------------------
 
 

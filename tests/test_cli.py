@@ -312,6 +312,19 @@ def test_stats_parse_error(tmp_path):
     assert main(["stats", str(bad)]) == EXIT_PARSE
 
 
+def test_stats_refuses_ill_formed_history(tmp_path, capsys):
+    # p1 invokes a second op before its first responds
+    w = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(1, 1), res=(4, 4))
+    r = op_events(2, 1, READ, "x", ret=1, ts=(1, 1), inv=(2, 2), res=(3, 3))
+    hist = tmp_path / "overlap.jsonl"
+    write_history(hist, merge_by_rt(w, r))
+    for command in ("stats", "check"):
+        assert main([command, str(hist)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "unusable history: history is not well formed" in captured.err
+        assert captured.out == ""
+
+
 def _hostile_run():
     """p1 writes (ticks 10-20) and then reads (30-40); p2 and p3 invoke
     nothing. Besides the ops' own phases the log holds a query from p2, which
