@@ -26,11 +26,9 @@ from .core import (
     clock_local_step,
     clock_merge,
     histories_equivalent,
-    is_sequential,
     is_well_formed,
     operations,
     pending_operations,
-    project_process,
     project_register,
     quorum_size,
 )

@@ -52,7 +52,6 @@ from .core import (
     histories_equivalent,
     is_well_formed,
     pending_operations,
-    project_register,
 )
 from .protocol import MW_ABD, SC_ABD
 
@@ -291,9 +290,7 @@ def check_linearizable(h: Sequence[Event], *, state_cap: int = DEFAULT_STATE_CAP
 # --- timestamp witness ---------------------------------------------------------
 
 
-def construct_timestamp_witness(
-    hx: Sequence[Event], ts_map: Optional[dict] = None
-) -> list[Event]:
+def construct_timestamp_witness(hx: Sequence[Event]) -> list[Event]:
     """Build the candidate witness order for one register's complete history
     from operation timestamps: writes sorted by their unique timestamps, each
     read placed right after the write whose pair it returned (initial-
@@ -312,7 +309,7 @@ def construct_timestamp_witness(
         raise HistoryError(f"single-register history expected, got registers {sorted(regs)}")
 
     def ts_of(o: OpId) -> Timestamp:
-        ts = ts_map.get(o) if ts_map is not None else descs[o].ts
+        ts = descs[o].ts
         if ts is None:
             raise InstrumentationError(f"operation {o} carries no timestamp")
         return Timestamp(*ts)
@@ -484,10 +481,10 @@ def check_sc_compositional(
     if pending_operations(events):
         raise HistoryError("history has pending operations; run complete_history first")
     hlt = build_logical_time_history(events)
-    per_register = {  # registers in order of first appearance
-        x: _check_register(project_register(hlt, x), x, state_cap)
-        for x in dict.fromkeys(e.op.reg for e in hlt)
-    }
+    by_register: dict[RegisterId, list[Event]] = {}  # in order of first appearance
+    for e in hlt:
+        by_register.setdefault(e.op.reg, []).append(e)
+    per_register = {x: _check_register(hx, x, state_cap) for x, hx in by_register.items()}
     explored = sum(vx.states_explored for vx in per_register.values())
     for vx in per_register.values():
         if vx.rejected:

@@ -52,7 +52,7 @@ from .files import (
     write_message_log,
 )
 from .fuzz import run_campaign
-from .protocol import MUTANTS, MUTANT_NONE, PROTOCOLS
+from .protocol import MUTANTS, MUTANT_NONE, PROTOCOLS, SC_ABD
 from .simnet import ConfigError, op_rounds, run_simulation
 
 EXIT_OK = 0
@@ -327,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--runs", type=int, default=100)
     p_fuzz.add_argument("--mutant", choices=MUTANTS, default=MUTANT_NONE)
     p_fuzz.add_argument("--seed0", type=int, default=0)
-    p_fuzz.add_argument("--protocol", choices=PROTOCOLS, default="sc_abd")
+    p_fuzz.add_argument(
+        "--protocol", choices=PROTOCOLS, default=SC_ABD,
+        help="protocol to simulate; a --mutant applies to either",
+    )
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_stats = sub.add_parser("stats", help="statistics for a recorded history")

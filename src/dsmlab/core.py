@@ -149,11 +149,6 @@ class Event:
 History = list  # list[Event]; order carries the real-time precedence
 
 
-def project_process(h: Sequence[Event], p: ProcessId) -> list[Event]:
-    """Subhistory of events at process p, order preserved."""
-    return [e for e in h if e.proc == p]
-
-
 def project_register(h: Sequence[Event], x: RegisterId) -> list[Event]:
     """Subhistory of operations on register x, order preserved."""
     return [e for e in h if e.op.reg == x]
@@ -173,42 +168,23 @@ def histories_equivalent(h1: Sequence[Event], h2: Sequence[Event]) -> bool:
     return per_process(h1) == per_process(h2)
 
 
-def is_sequential(h: Sequence[Event]) -> bool:
-    """True when each invocation is immediately followed by its matching
-    response. One trailing unmatched invocation (a pending op) is allowed."""
-    i = 0
-    while i < len(h):
-        if h[i].kind != INVOCATION:
-            return False
-        if i + 1 == len(h):
-            return True
-        nxt = h[i + 1]
-        if nxt.kind != RESPONSE_EVENT or nxt.op.opid != h[i].op.opid:
-            return False
-        i += 2
-    return True
-
-
 def is_well_formed(h: Sequence[Event]) -> bool:
-    """Structural sanity: each op invoked once at one process, responded to
-    at most once after its invocation, and every per-process subhistory is
-    sequential (processes are single-threaded clients)."""
-    seen_inv: dict[OpId, Event] = {}
-    seen_res: set[OpId] = set()
+    """Structural sanity: each op invoked once, and every per-process
+    subhistory sequential (processes are single-threaded clients): a process
+    invokes only with no op open, and responds only to its open op. A
+    trailing open op per process (a pending op) is allowed. One pass."""
+    invoked: set[OpId] = set()
+    open_op: dict[ProcessId, OpId] = {}
     for e in h:
+        opid = e.op.opid
         if e.kind == INVOCATION:
-            if e.op.opid in seen_inv:
+            if opid in invoked or e.proc in open_op:
                 return False
-            seen_inv[e.op.opid] = e
-        elif e.kind == RESPONSE_EVENT:
-            inv = seen_inv.get(e.op.opid)
-            if inv is None or e.op.opid in seen_res or inv.proc != e.proc:
-                return False
-            seen_res.add(e.op.opid)
-        else:
+            invoked.add(opid)
+            open_op[e.proc] = opid
+        elif e.kind != RESPONSE_EVENT or open_op.pop(e.proc, None) != opid:
             return False
-    procs = {e.proc for e in h}
-    return all(is_sequential(project_process(h, p)) for p in procs)
+    return True
 
 
 def operations(h: Sequence[Event]) -> list[OperationDescriptor]:

@@ -43,7 +43,6 @@ from .core import (
     Update,
     WRITE,
 )
-from .protocol import MUTANTS, MUTANT_NONE, PROTOCOLS, SC_ABD
 from .simnet import (
     AdversarialSchedule,
     ConfigError,
@@ -64,6 +63,9 @@ class ParseError(ValueError):
 
 
 RECORD_KEYS = ("kind", "opid", "proc", "op", "reg", "val", "ret", "rt", "lt", "ts")
+
+# One compact encoder for every record; json.dumps would build one per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _event_record(e: Event) -> dict:
@@ -86,7 +88,7 @@ def _event_record(e: Event) -> dict:
 
 
 def serialize_history(h: Sequence[Event]) -> str:
-    return "".join(json.dumps(_event_record(e), separators=(",", ":")) + "\n" for e in h)
+    return "".join(_encode(_event_record(e)) + "\n" for e in h)
 
 
 def write_history(path: Union[str, Path], h: Sequence[Event]) -> None:
@@ -238,10 +240,8 @@ def serialize_message_log(trace: Trace) -> str:
         "n": trace.config.n,
         "seed": trace.config.seed,
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines.extend(
-        json.dumps(_message_record(r), separators=(",", ":")) for r in trace.message_log
-    )
+    lines = [_encode(header)]
+    lines.extend(_encode(_message_record(r)) for r in trace.message_log)
     return "\n".join(lines) + "\n"
 
 
@@ -328,33 +328,6 @@ def read_message_log(path: Union[str, Path]) -> tuple[dict, list[MessageRecord]]
 
 # --- run configs ----------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "n", "seed", "protocol", "mutant",
-    "ops_per_process", "read_fraction", "register_count", "think_time",
-    "max_ticks", "mid_op_crash", "crashes",
-    "delay", "delay_min", "delay_max", "delay_fixed", "delay_links", "schedule",
-)
-
-
-def _config_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}")
-
-
-def _config_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
-
-
-def _config_bool(key: str, raw: str) -> bool:
-    if raw in ("true", "false"):
-        return raw == "true"
-    raise ConfigError(f"{key} must be true or false, got {raw!r}")
-
 
 def _parse_crashes(raw: str) -> tuple:
     # "2@40,3@100" -> ((2, 40), (3, 100))
@@ -363,7 +336,7 @@ def _parse_crashes(raw: str) -> tuple:
         pid, sep, tick = part.partition("@")
         if not sep:
             raise ConfigError(f"crash entry {part!r} must look like pid@tick")
-        out.append((_config_int("crashes", pid), _config_int("crashes", tick)))
+        out.append((int(pid), int(tick)))
     return tuple(out)
 
 
@@ -375,9 +348,7 @@ def _parse_links(raw: str) -> dict:
         snd, sep2, rcv = link.partition(">")
         if not sep or not sep2:
             raise ConfigError(f"link entry {part!r} must look like sender>receiver:delay")
-        out[(_config_int("delay_links", snd), _config_int("delay_links", rcv))] = _config_int(
-            "delay_links", d
-        )
+        out[(int(snd), int(rcv))] = int(d)
     return out
 
 
@@ -392,93 +363,89 @@ def _parse_rule(raw: str) -> DelayRule:
     kind = None if kind_raw == "*" else kind_raw
     if kind not in (None, "query", "response", "update", "ack"):
         raise ConfigError(f"rule {raw!r}: unknown message kind {kind_raw!r}")
-    rid = _config_int("schedule", rid_raw) if rid_raw else None
+    rid = int(rid_raw) if rid_raw else None
     snd_raw, sep, rcv_raw = linkspec.partition(">")
     if not sep:
         raise ConfigError(f"rule {raw!r}: link must look like sender>receiver")
-    sender = None if snd_raw == "*" else _config_int("schedule", snd_raw)
-    if rcv_raw in ("*",):
+    sender = None if snd_raw == "*" else int(snd_raw)
+    if rcv_raw == "*":
         receiver = None
     elif rcv_raw in (SELF, OTHER):
         receiver = rcv_raw
     else:
-        receiver = _config_int("schedule", rcv_raw)
+        receiver = int(rcv_raw)
     lo_raw, sep, hi_raw = delayspec.partition("-")
-    lo = _config_int("schedule", lo_raw)
-    hi = _config_int("schedule", hi_raw) if sep else None
-    return DelayRule(kind=kind, sender=sender, receiver=receiver, rid=rid, lo=lo, hi=hi)
+    hi = int(hi_raw) if sep else None
+    return DelayRule(kind=kind, sender=sender, receiver=receiver, rid=rid, lo=int(lo_raw), hi=hi)
 
 
 def parse_schedule(raw: str) -> tuple:
     return tuple(_parse_rule(part) for part in filter(None, (p.strip() for p in raw.split(";"))))
 
 
+_DELAY_MODELS = {
+    "uniform": UniformDelay, "fixed": FixedLinkDelay, "adversarial": AdversarialSchedule
+}
+
+# key -> (part, field, converter). The part is SimConfig, its Workload, or the
+# delay model that the "delay" key picks. Defaults and validity rules live on
+# those dataclasses only; a converter just reads the text, raising ValueError
+# or KeyError when it cannot.
+_CONFIG_KEYS = {
+    "n": (SimConfig, "n", int),
+    "seed": (SimConfig, "seed", int),
+    "protocol": (SimConfig, "protocol", str),
+    "mutant": (SimConfig, "mutant", str),
+    "max_ticks": (SimConfig, "max_ticks", int),
+    "mid_op_crash": (SimConfig, "mid_op_crash", {"true": True, "false": False}.__getitem__),
+    "crashes": (SimConfig, "crashes", _parse_crashes),
+    "delay": (SimConfig, "delay", _DELAY_MODELS.__getitem__),
+    "ops_per_process": (Workload, "ops_per_process", int),
+    "read_fraction": (Workload, "read_fraction", float),
+    "register_count": (Workload, "register_count", int),
+    "think_time": (Workload, "think_time", int),
+    "delay_min": (UniformDelay, "lo", int),
+    "delay_max": (UniformDelay, "hi", int),
+    "delay_fixed": (FixedLinkDelay, "default", int),
+    "delay_links": (FixedLinkDelay, "links", _parse_links),
+    "schedule": (AdversarialSchedule, "rules", parse_schedule),
+}
+
+
 def parse_config(text: str) -> SimConfig:
-    """Parse a flat key = value run config into a validated SimConfig."""
-    pairs: dict[str, str] = {}
+    """Parse a flat key = value run config into a validated SimConfig. Only
+    the keys the text gives are converted; every other field keeps its
+    dataclass default."""
+    given: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        key, sep, value = stripped.partition("=")
+        key, sep, raw = stripped.partition("=")
+        key = key.strip()
         if not sep:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
-        key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in pairs:
+        if key in given:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        pairs[key] = value
-
-    model = pairs.pop("delay", "uniform")
-    allowed_by_model = {
-        "uniform": {"delay_min", "delay_max"},
-        "fixed": {"delay_fixed", "delay_links"},
-        "adversarial": {"schedule"},
-    }
-    if model not in allowed_by_model:
-        raise ConfigError(f"delay must be uniform, fixed, or adversarial, got {model!r}")
-    delay_keys = {"delay_min", "delay_max", "delay_fixed", "delay_links", "schedule"}
-    for key in sorted((set(pairs) & delay_keys) - allowed_by_model[model]):
-        raise ConfigError(f"key {key!r} does not apply to delay = {model}")
-    if model == "uniform":
-        delay: object = UniformDelay(
-            lo=_config_int("delay_min", pairs.pop("delay_min", "1")),
-            hi=_config_int("delay_max", pairs.pop("delay_max", "10")),
-        )
-    elif model == "fixed":
-        delay = FixedLinkDelay(
-            default=_config_int("delay_fixed", pairs.pop("delay_fixed", "1")),
-            links=_parse_links(pairs.pop("delay_links", "")),
-        )
-    else:
-        delay = AdversarialSchedule(rules=parse_schedule(pairs.pop("schedule", "")))
-
-    workload = Workload(
-        ops_per_process=_config_int("ops_per_process", pairs.pop("ops_per_process", "2")),
-        read_fraction=_config_float("read_fraction", pairs.pop("read_fraction", "0.5")),
-        register_count=_config_int("register_count", pairs.pop("register_count", "1")),
-        think_time=_config_int("think_time", pairs.pop("think_time", "1")),
-    )
-    protocol = pairs.pop("protocol", SC_ABD)
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    mutant = pairs.pop("mutant", MUTANT_NONE)
-    if mutant not in MUTANTS:
-        raise ConfigError(f"mutant must be one of {MUTANTS}, got {mutant!r}")
-    cfg = SimConfig(
-        n=_config_int("n", pairs.pop("n", "3")),
-        seed=_config_int("seed", pairs.pop("seed", "0")),
-        delay=delay,
-        workload=workload,
-        crashes=_parse_crashes(pairs.pop("crashes", "")),
-        max_ticks=_config_int("max_ticks", pairs.pop("max_ticks", "1000000")),
-        protocol=protocol,
-        mid_op_crash=_config_bool("mid_op_crash", pairs.pop("mid_op_crash", "false")),
-        mutant=mutant,
-    )
-    assert not pairs, f"unconsumed config keys {sorted(pairs)}"
-    return cfg.validate()
+        given[key] = (lineno, raw.strip())
+    fields: dict[type, dict] = {SimConfig: {}, Workload: {}}
+    for key, (lineno, raw) in given.items():
+        part, name, convert = _CONFIG_KEYS[key]
+        try:
+            fields.setdefault(part, {})[name] = convert(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"line {lineno}: invalid {key} value {raw!r}") from None
+    top = fields.pop(SimConfig)
+    model = top.get("delay", type(SimConfig().delay))
+    for key, (lineno, _) in given.items():
+        part = _CONFIG_KEYS[key][0]
+        if part not in (SimConfig, Workload, model):
+            name = next(k for k, m in _DELAY_MODELS.items() if m is part)
+            raise ConfigError(f"line {lineno}: key {key!r} needs delay = {name}")
+    top["delay"] = model(**fields.get(model, {}))
+    return SimConfig(workload=Workload(**fields[Workload]), **top).validate()
 
 
 def read_config(path: Union[str, Path]) -> SimConfig:

@@ -30,9 +30,9 @@ from typing import Optional
 
 from .checker import (
     ACCEPTED,
+    ORACLE_OP_CAP,
     REJECTED,
     UNDECIDED,
-    OracleCapError,
     Violation,
     audit_logical_clocks,
     audit_timestamp_visibility,
@@ -44,7 +44,6 @@ from .protocol import (
     MUTANT_NO_WRITEBACK,
     MUTANT_NONE,
     MUTANT_SMALL_QUORUM,
-    MUTANTS,
     SC_ABD,
 )
 from .simnet import (
@@ -90,16 +89,17 @@ def no_writeback_schedule() -> AdversarialSchedule:
 
 
 def campaign_config(mutant: str, seed: int, protocol: str = SC_ABD) -> SimConfig:
-    """The config run at one campaign seed. Mutant campaigns use the fixed
-    adversarial setup above; the plain campaign varies topology, workload,
-    delays, and crashes from a generator derived from the seed."""
+    """The config run at one campaign seed, on either protocol. Mutant
+    campaigns use the fixed adversarial setup above; the plain campaign
+    varies topology, workload, delays, and crashes from a generator derived
+    from the seed. Raises ValueError for an unknown mutant."""
     if mutant == MUTANT_SMALL_QUORUM:
         return SimConfig(
             n=3,
             seed=seed,
             delay=small_quorum_schedule(),
             workload=Workload(ops_per_process=3, read_fraction=0.5, register_count=1, think_time=1),
-            protocol=SC_ABD,
+            protocol=protocol,
             mutant=mutant,
         )
     if mutant == MUTANT_NO_WRITEBACK:
@@ -108,7 +108,7 @@ def campaign_config(mutant: str, seed: int, protocol: str = SC_ABD) -> SimConfig
             seed=seed,
             delay=no_writeback_schedule(),
             workload=Workload(ops_per_process=4, read_fraction=0.7, register_count=1, think_time=0),
-            protocol=SC_ABD,
+            protocol=protocol,
             mutant=mutant,
         )
     if mutant != MUTANT_NONE:
@@ -146,7 +146,7 @@ class RunOutcome:
     quiescent: bool
     ops: int
     violation: Optional[Violation] = None
-    oracle: Optional[str] = None  # brute-force outcome when cross-checked
+    oracle: Optional[str] = None  # brute-force outcome, None beyond its op cap
 
 
 @dataclass(slots=True)
@@ -225,26 +225,19 @@ def run_campaign(
     mutant: str = MUTANT_NONE,
     seed0: int = 0,
     protocol: str = SC_ABD,
-    cross_check: bool = True,
 ) -> CampaignReport:
-    """Run `runs` seeded simulations and check each one. With cross_check,
-    every history small enough for the brute-force oracle is verified
-    against it in both directions: rejections are sorted into confirmed
-    versus conservative, and a spurious acceptance cannot pass silently."""
-    if mutant not in MUTANTS:
-        raise ValueError(f"unknown mutant {mutant!r}")
+    """Run `runs` seeded simulations and check each one. Every history small
+    enough for the brute-force oracle is verified against it in both
+    directions: rejections are sorted into confirmed versus conservative, and
+    a spurious acceptance cannot pass silently."""
     report = CampaignReport(protocol=protocol, mutant=mutant, seed0=seed0)
     for i in range(runs):
         seed = seed0 + i
         trace = run_simulation(campaign_config(mutant, seed, protocol))
         history = complete_history(trace.history)
         verdict = check_sc_compositional(history)
-        oracle = None
-        if cross_check and len(history) // 2 <= 10:
-            try:
-                oracle = check_sc_bruteforce(history).outcome
-            except OracleCapError:
-                oracle = None
+        small = len(history) // 2 <= ORACLE_OP_CAP  # complete: two events per op
+        oracle = check_sc_bruteforce(history).outcome if small else None
         report.outcomes.append(
             RunOutcome(
                 seed=seed,

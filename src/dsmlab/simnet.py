@@ -206,11 +206,9 @@ class SimConfig:
         if self.max_ticks < 1:
             raise ConfigError("max_ticks must be >= 1")
         if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
+            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.mutant not in MUTANTS:
-            raise ConfigError(f"unknown mutant {self.mutant!r}")
-        if self.mutant != MUTANT_NONE and self.protocol != SC_ABD:
-            raise ConfigError("mutants are defined for sc_abd only")
+            raise ConfigError(f"mutant must be one of {MUTANTS}, got {self.mutant!r}")
         self.workload.validate()
         self.delay.validate()
         pids = [p for p, _ in self.crashes]
@@ -323,16 +321,17 @@ def op_rounds(history: Sequence[Event], records: Sequence[MessageRecord]) -> dic
             rids[e.op.opid] = set()
         else:
             ends[e.op.opid] = e.rt
-    for r in records:
-        m = r.msg
-        if m.kind not in ("query", "update") or m.sender not in starts:
-            continue
-        i = bisect_right(starts[m.sender], r.send_rt) - 1
+    # A broadcast sends one (sender, tick, rid) n times; place it once.
+    sends = {
+        (m.sender, r.send_rt, m.rid) for r in records if (m := r.msg).kind in ("query", "update")
+    }
+    for sender, rt, rid in sends:
+        i = bisect_right(starts.get(sender, ()), rt) - 1
         if i < 0:
             continue
-        opid = opened[m.sender][i]
-        if r.send_rt <= ends.get(opid, r.send_rt):
-            rids[opid].add(m.rid)
+        opid = opened[sender][i]
+        if rt <= ends.get(opid, rt):
+            rids[opid].add(rid)
     return {opid: len(ids) for opid, ids in rids.items()}
 
 

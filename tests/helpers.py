@@ -3,7 +3,8 @@
 The naive checkers enumerate permutations outright, with no memoization and
 no cleverness, the dense round counter scans the whole message log once per
 operation, and the dense composer adds an edge from every response to every
-later invocation; they exist so the real code has something independent to
+later invocation, and the dense well-formedness test projects the history
+once per process; they exist so the real code has something independent to
 disagree with.
 """
 
@@ -280,3 +281,40 @@ def dense_compose_witnesses(hlt: Sequence[Event], per_register: dict) -> list[Ev
     if len(out) != len(inv):
         raise ValueError("dense composition found an order cycle")
     return [e for o in out for e in (inv[o], res[o])]
+
+
+def dense_is_well_formed(h: Sequence[Event]) -> bool:
+    """Well-formedness as core.is_well_formed decides it, from the
+    definition: each op invoked once at one process and responded to at most
+    once, there, after its invocation; and each process's projection
+    sequential, i.e. every invocation immediately followed by its response,
+    except one trailing pending invocation."""
+    seen_inv: dict[int, Event] = {}
+    seen_res: set[int] = set()
+    for e in h:
+        if e.kind == INVOCATION:
+            if e.op.opid in seen_inv:
+                return False
+            seen_inv[e.op.opid] = e
+        elif e.kind == RESPONSE_EVENT:
+            inv = seen_inv.get(e.op.opid)
+            if inv is None or e.op.opid in seen_res or inv.proc != e.proc:
+                return False
+            seen_res.add(e.op.opid)
+        else:
+            return False
+
+    def sequential(hp: list) -> bool:
+        i = 0
+        while i < len(hp):
+            if hp[i].kind != INVOCATION:
+                return False
+            if i + 1 == len(hp):
+                return True
+            nxt = hp[i + 1]
+            if nxt.kind != RESPONSE_EVENT or nxt.op.opid != hp[i].op.opid:
+                return False
+            i += 2
+        return True
+
+    return all(sequential([e for e in h if e.proc == p]) for p in {e.proc for e in h})

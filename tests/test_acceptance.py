@@ -114,10 +114,11 @@ def test_criterion_2_termination_under_crash_bound():
 
 
 def test_criterion_3_all_randomized_runs_accepted():
-    report = run_campaign(10_000, mutant="none", cross_check=False)
+    report = run_campaign(10_000, mutant="none")
     assert report.accepted == 10_000, (
         f"rejected seeds {report.rejected_seeds[:10]} "
         f"undecided {report.undecided_seeds[:10]}")
+    assert report.soundness_violation_seeds == []
     assert report.clock_failure_seeds == []
     assert report.visibility_failure_seeds == []
     print("\ncriterion 3 PASS: 10000/10000 randomized runs accepted, "
@@ -172,11 +173,11 @@ def test_criterion_5_checker_discrimination():
 
 
 def test_criterion_6_mutants_are_detected():
-    sq = run_campaign(1000, mutant="small-quorum", cross_check=True)
+    sq = run_campaign(1000, mutant="small-quorum")
     assert sq.rejected_seeds, "sub-majority quorums never produced a violation"
     assert sq.confirmed_rejection_seeds, "no rejection was oracle-confirmed"
     assert sq.soundness_violation_seeds == []
-    nw = run_campaign(300, mutant="no-writeback", cross_check=False)
+    nw = run_campaign(300, mutant="no-writeback")
     assert nw.visibility_failure_seeds, "skipped write-backs never tripped the audit"
     print(f"\ncriterion 6 PASS: small-quorum rejected on {len(sq.rejected_seeds)}"
           f"/1000 seeds (first {sq.first_rejected_seed}, "

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dsmlab import checker, cli
+from dsmlab import checker, cli, fuzz
 from dsmlab.checker import ACCEPTED, REJECTED
 from dsmlab.cli import (
     EXIT_CONFIG,
@@ -21,6 +21,7 @@ from dsmlab.core import OK, READ, WRITE, Query, Timestamp, TimestampValuePair, U
 from dsmlab.files import (
     read_history,
     serialize_history,
+    serialize_message_log,
     sidecar_path,
     write_history,
     write_message_log,
@@ -251,6 +252,29 @@ def test_fuzz_no_writeback_campaign(capsys):
     out = capsys.readouterr().out
     assert "visibility audit failures:" in out
     assert "(first seed 0)" in out
+
+
+def test_fuzz_mutant_campaign_simulates_the_chosen_protocol(capsys, monkeypatch):
+    # Mutant campaigns once simulated sc_abd whatever --protocol said.
+    for mutant in ("small-quorum", "no-writeback"):
+        assert fuzz.campaign_config(mutant, 0, "mw_abd").protocol == "mw_abd"
+    traces = []
+
+    def recording(cfg):
+        traces.append(run_simulation(cfg))
+        return traces[-1]
+
+    monkeypatch.setattr(fuzz, "run_simulation", recording)
+    argv = ["fuzz", "--runs", "5", "--protocol", "mw_abd", "--mutant", "small-quorum"]
+    assert main(argv) == EXIT_OK
+    assert "protocol mw_abd, mutant small-quorum" in capsys.readouterr().out
+    assert len(traces) == 5
+    for t in traces:
+        assert (t.protocol, t.config.mutant) == ("mw_abd", "small-quorum")
+        assert json.loads(serialize_message_log(t).splitlines()[0])["protocol"] == "mw_abd"
+        # mw_abd writes query first: two rounds each
+        writes = [o for o, d in t.completed().items() if d.kind == WRITE]
+        assert writes and all(t.rounds[o] == 2 for o in writes)
 
 
 def _stub_campaign(monkeypatch, **outcome):

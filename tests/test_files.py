@@ -1,9 +1,12 @@
 """Wire formats: history JSONL, message-log sidecar, run config files."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from dsmlab import files
 from dsmlab.cli import EXIT_PARSE, main
 from dsmlab.core import OK, READ, Timestamp, WRITE
 from dsmlab.files import (
@@ -21,12 +24,15 @@ from dsmlab.files import (
     write_history,
     write_message_log,
 )
+from dsmlab.protocol import Variant
 from dsmlab.simnet import (
     AdversarialSchedule,
+    DelayRule,
     FixedLinkDelay,
     SimConfig,
     UniformDelay,
     Workload,
+    _Run,
     run_simulation,
 )
 
@@ -302,6 +308,7 @@ def test_parsers_refuse_overlong_integers(tmp_path):
 
 def test_parse_config_defaults():
     cfg = parse_config("")
+    assert cfg == SimConfig()
     assert cfg.n == 3 and cfg.seed == 0 and cfg.protocol == "sc_abd"
     assert cfg.mutant == "none" and cfg.crashes == ()
     assert isinstance(cfg.delay, UniformDelay)
@@ -380,12 +387,75 @@ def test_parse_config_rejections():
         "delay = adversarial\nschedule = gossip:*>*:1",     # unknown kind
         "n = 0",                                # fails SimConfig.validate
         "n = 3\ncrashes = 1@2, 2@3",            # too many crashes for quorum
-        "mutant = small-quorum\nprotocol = mw_abd",          # mutants are sc_abd-only
         "delay = uniform\ndelay_min = 5\ndelay_max = 2",
     ]
     for text in bad:
         with pytest.raises(ConfigError):
             parse_config(text)
+    # a mutant applies to either protocol
+    cfg = parse_config("mutant = small-quorum\nprotocol = mw_abd")
+    assert _Run(cfg).states[1].v == Variant(query_writes=True, threshold=1, writeback=True)
+    assert run_simulation(cfg).protocol == "mw_abd"
+
+
+# key -> (value text, the config it gives with every other key left out).
+# A delay model's own keys come with the "delay" line that selects it.
+CONFIG_KEY_CASES = {
+    "n": ("5", SimConfig(n=5)),
+    "seed": ("42", SimConfig(seed=42)),
+    "protocol": ("mw_abd", SimConfig(protocol="mw_abd")),
+    "mutant": ("no-writeback", SimConfig(mutant="no-writeback")),
+    "max_ticks": ("5000", SimConfig(max_ticks=5000)),
+    "mid_op_crash": ("true", SimConfig(mid_op_crash=True)),
+    "crashes": ("2@9", SimConfig(crashes=((2, 9),))),
+    "delay": ("fixed", SimConfig(delay=FixedLinkDelay())),
+    "ops_per_process": ("4", SimConfig(workload=Workload(ops_per_process=4))),
+    "read_fraction": ("0.75", SimConfig(workload=Workload(read_fraction=0.75))),
+    "register_count": ("3", SimConfig(workload=Workload(register_count=3))),
+    "think_time": ("0", SimConfig(workload=Workload(think_time=0))),
+    "delay_min": ("2", SimConfig(delay=UniformDelay(lo=2))),
+    "delay_max": ("6", SimConfig(delay=UniformDelay(hi=6))),
+    "delay_fixed": ("3", SimConfig(delay=FixedLinkDelay(default=3))),
+    "delay_links": ("1>2:5", SimConfig(delay=FixedLinkDelay(links={(1, 2): 5}))),
+    "schedule": (
+        "ack:*>*:4", SimConfig(delay=AdversarialSchedule(rules=(DelayRule(kind="ack", lo=4),)))
+    ),
+}
+
+
+def _delay_line(key: str) -> str:
+    part = files._CONFIG_KEYS[key][0]
+    name = next((k for k, m in files._DELAY_MODELS.items() if m is part), None)
+    return f"delay = {name}\n" if name else ""
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEY_CASES))
+def test_parse_config_each_key_sets_its_field(key):
+    raw, expected = CONFIG_KEY_CASES[key]
+    assert expected != SimConfig()
+    assert parse_config(_delay_line(key) + f"{key} = {raw}") == expected
+
+
+def test_config_key_cases_cover_every_key():
+    assert set(CONFIG_KEY_CASES) == set(files._CONFIG_KEYS)
+    assert len(files._CONFIG_KEYS) == 17
+
+
+def _readme_config_rows() -> dict:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("## Config file format", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", section, flags=re.M))
+
+
+def test_readme_config_table_lists_exactly_the_accepted_keys():
+    rows = _readme_config_rows()
+    assert set(rows) == set(files._CONFIG_KEYS)
+    # and each default it states is the dataclass default
+    for key, default in rows.items():
+        raw = "" if default == "empty" else default.strip("`")
+        line = _delay_line(key)
+        assert parse_config(line + f"{key} = {raw}") == parse_config(line), key
 
 
 def test_parse_config_comments_and_blank_lines():

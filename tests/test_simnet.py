@@ -6,6 +6,7 @@ import pytest
 
 from dsmlab.core import READ, WRITE, quorum_size
 from dsmlab.files import serialize_history, serialize_message_log
+from dsmlab.protocol import Variant
 from dsmlab.simnet import (
     AdversarialSchedule,
     ConfigError,
@@ -16,6 +17,7 @@ from dsmlab.simnet import (
     SimConfig,
     UniformDelay,
     Workload,
+    _Run,
     generate_workload,
     op_rounds,
     run_simulation,
@@ -142,9 +144,11 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SimConfig(n=3, crashes=((7, 0),)).validate()  # pid out of range
     with pytest.raises(ConfigError):
-        SimConfig(n=3, protocol="mw_abd", mutant="small-quorum").validate()
-    with pytest.raises(ConfigError):
         SimConfig(n=3, max_ticks=0).validate()
+    # a mutant applies to either protocol
+    cfg = SimConfig(n=3, protocol="mw_abd", mutant="small-quorum").validate()
+    assert _Run(cfg).states[1].v == Variant(query_writes=True, threshold=1, writeback=True)
+    assert run_simulation(cfg).quiescent
 
 
 def test_fixed_link_delays_are_honored():
