@@ -29,7 +29,6 @@ from .core import (
     is_well_formed,
     operations,
     pending_operations,
-    project_register,
     quorum_size,
 )
 from .protocol import (

@@ -579,31 +579,30 @@ def audit_logical_clocks(trace) -> bool:
     execution (one process, one tick) all recorded lts agree; across a
     process's handler executions lts strictly increase; every handled
     receipt's lt exceeds the lt its message was sent with. Discarded stale
-    replies and dropped messages never merged, so they carry no obligation."""
-    items: dict[int, dict[int, list[int]]] = {}  # proc -> rt -> [lt]
+    replies and dropped messages never merged, so they carry no obligation.
+    One pass records each execution's lt, then one sort orders them."""
+    lts: dict[tuple[int, int], int] = {}  # (proc, rt) -> lt
 
-    def note(proc: int, rt: int, lt: Optional[int]) -> None:
-        if lt is None:
-            return
-        items.setdefault(proc, {}).setdefault(rt, []).append(lt)
+    def agrees(proc: int, rt: int, lt: Optional[int]) -> bool:
+        return lt is None or lts.setdefault((proc, rt), lt) == lt
 
     for e in trace.history:
-        note(e.proc, e.rt, e.lt)
+        if not agrees(e.proc, e.rt, e.lt):
+            return False
     for rec in trace.message_log:
-        note(rec.msg.sender, rec.send_rt, rec.msg.lt)
-        if rec.handled:
-            note(rec.msg.receiver, rec.recv_rt, rec.recv_lt)
-            if rec.recv_lt <= rec.msg.lt:
-                return False
-    for per_rt in items.values():
-        prev = None
-        for rt in sorted(per_rt):
-            lts = per_rt[rt]
-            if any(lt != lts[0] for lt in lts):
-                return False
-            if prev is not None and lts[0] <= prev:
-                return False
-            prev = lts[0]
+        m = rec.msg
+        if not agrees(m.sender, rec.send_rt, m.lt):
+            return False
+        if rec.handled and (
+            not agrees(m.receiver, rec.recv_rt, rec.recv_lt) or rec.recv_lt <= m.lt
+        ):
+            return False
+    prev_proc, prev_lt = None, None
+    for key in sorted(lts):
+        lt = lts[key]
+        if key[0] == prev_proc and lt <= prev_lt:
+            return False
+        prev_proc, prev_lt = key[0], lt
     return True
 
 

@@ -10,7 +10,7 @@ desk scale, so nothing wraps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 ProcessId = int  # 1..n
 RegisterId = str  # non-empty name, e.g. "x", "r0"
@@ -66,47 +66,44 @@ def quorum_size(n: int) -> int:
 # All four message types carry the sender's logical time at send, and the
 # request id of the phase they belong to. Responses and acks echo the rid of
 # the query/update that solicited them, which is how initiators recognize
-# and discard replies to phases already closed.
+# and discard replies to phases already closed. Messages are named tuples;
+# each type's `kind` is a class attribute, not a field.
 
 
-@dataclass(frozen=True, slots=True)
-class Query:
+class Query(NamedTuple):
     sender: ProcessId
     receiver: ProcessId
     lt: LogicalTime
     rid: RequestId
     reg: RegisterId
-    kind: ClassVar[str] = "query"
+    kind = "query"
 
 
-@dataclass(frozen=True, slots=True)
-class Response:
+class Response(NamedTuple):
     sender: ProcessId
     receiver: ProcessId
     lt: LogicalTime
     rid: RequestId
     tsv: TimestampValuePair
-    kind: ClassVar[str] = "response"
+    kind = "response"
 
 
-@dataclass(frozen=True, slots=True)
-class Update:
+class Update(NamedTuple):
     sender: ProcessId
     receiver: ProcessId
     lt: LogicalTime
     rid: RequestId
     reg: RegisterId
     tsv: TimestampValuePair
-    kind: ClassVar[str] = "update"
+    kind = "update"
 
 
-@dataclass(frozen=True, slots=True)
-class Ack:
+class Ack(NamedTuple):
     sender: ProcessId
     receiver: ProcessId
     lt: LogicalTime
     rid: RequestId
-    kind: ClassVar[str] = "ack"
+    kind = "ack"
 
 
 Message = Union[Query, Response, Update, Ack]
@@ -147,11 +144,6 @@ class Event:
 
 
 History = list  # list[Event]; order carries the real-time precedence
-
-
-def project_register(h: Sequence[Event], x: RegisterId) -> list[Event]:
-    """Subhistory of operations on register x, order preserved."""
-    return [e for e in h if e.op.reg == x]
 
 
 def histories_equivalent(h1: Sequence[Event], h2: Sequence[Event]) -> bool:

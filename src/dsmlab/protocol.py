@@ -35,7 +35,7 @@ straggling replies from closed phases cannot perturb anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .core import (
@@ -104,8 +104,7 @@ class Variant:
     writeback: bool  # reads install their selected pair; False for no-writeback
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
     """One process: replica store plus initiator bookkeeping.
 
     ``tvps`` maps registers to their stored timestamp-value pair; registers
@@ -120,7 +119,7 @@ class State:
     v: Variant
     lt: int = 0
     rid: int = 0
-    tvps: dict = field(default_factory=dict)
+    tvps: dict = {}  # shared default, never mutated: updates build a new dict
     responses: frozenset = frozenset()
     reading: bool = False
     reg: RegisterId = ""  # the open operation's register
@@ -132,8 +131,7 @@ class State:
         return self.tvps.get(reg, INITIAL_PAIR)
 
 
-@dataclass(frozen=True, slots=True)
-class StepOutput:
+class StepOutput(NamedTuple):
     state: State
     outbox: tuple = ()  # tuple[Message, ...] in receiver order
     completion: Optional[Completion] = None
@@ -180,8 +178,7 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
     rid = s.rid + 1
     reading = stim.kind == READ
     query = reading or s.v.query_writes
-    nxt = replace(
-        s,
+    nxt = s._replace(
         lt=lt,
         rid=rid,
         reading=reading,
@@ -200,7 +197,7 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
 def handle_query(s: State, m: Query) -> StepOutput:
     """Replica side: answer with the stored pair for the queried register."""
     lt = clock_merge(s.lt, m.lt)
-    nxt = replace(s, lt=lt)
+    nxt = s._replace(lt=lt)
     resp = Response(sender=s.pid, receiver=m.sender, lt=lt, rid=m.rid, tsv=s.pair(m.reg))
     return StepOutput(nxt, (resp,))
 
@@ -213,7 +210,7 @@ def handle_update(s: State, m: Update) -> StepOutput:
     stored = s.pair(m.reg)
     best = stored if stored.ts >= m.tsv.ts else m.tsv
     tvps = s.tvps if best is stored else {**s.tvps, m.reg: best}
-    nxt = replace(s, lt=lt, tvps=tvps)
+    nxt = s._replace(lt=lt, tvps=tvps)
     return StepOutput(nxt, (Ack(sender=s.pid, receiver=m.sender, lt=lt, rid=m.rid),))
 
 
@@ -235,10 +232,10 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     query = type(m) is Response
     responses = s.responses | {(m.tsv, m.sender) if query else m.sender}
     if len(responses) != s.v.threshold:
-        return StepOutput(replace(s, lt=lt, responses=responses), ())
+        return StepOutput(s._replace(lt=lt, responses=responses), ())
     rid = s.rid + 1
     if not query:
-        nxt = replace(s, lt=lt, rid=rid, responses=frozenset(), phase=IDLE, opid=None)
+        nxt = s._replace(lt=lt, rid=rid, responses=frozenset(), phase=IDLE, opid=None)
         return StepOutput(nxt, (), Completion(s.opid, s.val if s.reading else OK))
     # Largest pair by timestamp; the responder id only makes the choice
     # deterministic, equal timestamps always carry equal values.
@@ -247,11 +244,11 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
         tsv = TimestampValuePair(Timestamp(tsv.ts.lt + 1, s.pid), s.val)
     elif not s.v.writeback:
         # Mutant: return the value without propagating it to a majority.
-        nxt = replace(
-            s, lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=IDLE, opid=None
+        nxt = s._replace(
+            lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=IDLE, opid=None
         )
         return StepOutput(nxt, (), Completion(s.opid, tsv.val, tsv.ts))
-    nxt = replace(s, lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=UPDATING)
+    nxt = s._replace(lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=UPDATING)
     return StepOutput(nxt, _broadcast(s, Update, lt=lt, rid=rid, reg=s.reg, tsv=tsv))
 
 

@@ -11,9 +11,11 @@ All nondeterminism flows from the one seeded generator, consumed in event-pop
 order, so two runs of the same config produce identical traces byte for byte.
 Time is an integer tick counter. Each message is delayed independently by the
 configured delay model (at least one tick), which is also what produces
-reorderings: the network is not FIFO. A process executes at most one handler
-per tick; deliveries and invocations that would violate that are pushed to
-the next free tick, deterministically.
+reorderings: the network is not FIFO. Pending events sit in one FIFO list
+per tick, and a heap holds each pending tick once; events due at one tick
+run in push order. A process executes at most one handler per tick: an
+invocation or delivery for a process that is busy this tick moves to the end
+of the next tick's list, deterministically.
 """
 
 from __future__ import annotations
@@ -352,8 +354,8 @@ class _Run:
         # Both names are the one protocol step; binding by name lets a
         # profiler that rebinds either one tell the protocols apart.
         self.step = sc_abd_step if cfg.protocol == SC_ABD else mw_abd_step
-        self.heap: list = []
-        self.seq = itertools.count()
+        self.heap: list[int] = []  # each tick with pending events, once
+        self.queues: dict[int, list] = {}  # tick -> [(kind, payload)], push order
         self.last_exec: dict[ProcessId, int] = {p: -1 for p in self.states}
         self.crashed: set[ProcessId] = set()
         self.crash_pending: set[ProcessId] = set()
@@ -366,7 +368,12 @@ class _Run:
         self.crash_log: list[tuple[ProcessId, int]] = []
 
     def _push(self, due: int, kind: str, payload) -> None:
-        heappush(self.heap, (due, next(self.seq), kind, payload))
+        queue = self.queues.get(due)
+        if queue is None:
+            self.queues[due] = [(kind, payload)]
+            heappush(self.heap, due)
+        else:
+            queue.append((kind, payload))
 
     def run(self) -> Trace:
         for pid, tick in self.cfg.crashes:
@@ -374,53 +381,51 @@ class _Run:
         for p in self.states:
             if self.workload[p]:
                 self._push(0, _INVOKE, p)
-        outcome = QUIESCENT
-        while self.heap:
-            due, _, kind, payload = heappop(self.heap)
-            if due > self.cfg.max_ticks:
-                outcome = HORIZON
-                break
-            if kind == _CRASH:
-                self._crash(payload, due)
-            elif kind == _INVOKE:
-                self._invoke(payload, due)
-            else:
-                self._deliver(payload, due)
+        outcome = self._drain()
+        rounds = op_rounds(self.history, self.message_log)
         return Trace(
-            config=self.cfg,
-            history=self.history,
-            message_log=self.message_log,
-            rounds=op_rounds(self.history, self.message_log),
-            ops=self.ops,
-            crash_log=self.crash_log,
-            outcome=outcome,
+            self.cfg, self.history, self.message_log, rounds, self.ops, self.crash_log, outcome
         )
 
-    def _defer(self, pid: ProcessId, due: int, kind: str, payload) -> bool:
-        # One handler per process per tick; bump to the next free tick.
-        if self.last_exec[pid] >= due:
-            self._push(self.last_exec[pid] + 1, kind, payload)
-            return True
-        return False
+    def _drain(self) -> str:
+        """Run the queued events tick by tick, each tick's in push order, up
+        to the horizon. Events appended to the tick being drained (think
+        time 0) are reached by the same loop."""
+        heap, queues, last_exec, crashed = self.heap, self.queues, self.last_exec, self.crashed
+        while heap:
+            tick = heappop(heap)
+            if tick > self.cfg.max_ticks:
+                return HORIZON
+            for kind, payload in queues[tick]:
+                pid = payload.msg.receiver if kind == _DELIVER else payload
+                if pid in crashed:
+                    if kind == _DELIVER:
+                        payload.dropped = True
+                elif kind == _CRASH:
+                    self._crash(pid, tick)
+                elif last_exec[pid] >= tick:
+                    self._defer(tick, kind, payload)
+                elif kind == _INVOKE:
+                    self._invoke(pid, tick)
+                else:
+                    self._deliver(pid, payload, tick)
+            del queues[tick]
+        return QUIESCENT
+
+    def _defer(self, tick: int, kind: str, payload) -> bool:
+        # One handler per process per tick: move to the end of the next one.
+        # A method returning True, so that a profiler can count deferrals.
+        self._push(tick + 1, kind, payload)
+        return True
 
     def _crash(self, pid: ProcessId, tick: int) -> None:
-        if pid in self.crashed:
-            return
-        if self.states[pid].phase != IDLE and not self.cfg.mid_op_crash:
-            # Deferred to the op boundary so histories stay complete.
+        if self.states[pid].phase == IDLE or self.cfg.mid_op_crash:
+            self.crashed.add(pid)
+            self.crash_log.append((pid, tick))
+        else:  # deferred to the op boundary, so histories stay complete
             self.crash_pending.add(pid)
-            return
-        self._apply_crash(pid, tick)
-
-    def _apply_crash(self, pid: ProcessId, tick: int) -> None:
-        self.crashed.add(pid)
-        self.crash_log.append((pid, tick))
 
     def _invoke(self, pid: ProcessId, tick: int) -> None:
-        if pid in self.crashed:
-            return
-        if self._defer(pid, tick, _INVOKE, pid):
-            return
         spec = self.workload[pid][self.next_op[pid]]
         self.next_op[pid] += 1
         opid = next(self.opids)
@@ -430,13 +435,7 @@ class _Run:
         self.history.append(Event(INVOCATION, desc, tick, out.state.lt, pid))
         self._apply(pid, out, tick)
 
-    def _deliver(self, rec: MessageRecord, tick: int) -> None:
-        pid = rec.msg.receiver
-        if pid in self.crashed:
-            rec.dropped = True
-            return
-        if self._defer(pid, tick, _DELIVER, rec):
-            return
+    def _deliver(self, pid: ProcessId, rec: MessageRecord, tick: int) -> None:
         before = self.states[pid]
         out = self.step(before, rec.msg)
         rec.recv_rt = tick
@@ -468,7 +467,7 @@ class _Run:
             self.history.append(Event(RESPONSE_EVENT, desc, tick, out.state.lt, pid))
             if pid in self.crash_pending:
                 self.crash_pending.discard(pid)
-                self._apply_crash(pid, tick)
+                self._crash(pid, tick)  # the process is idle again
             elif self.next_op[pid] < len(self.workload[pid]):
                 self._push(tick + self.cfg.workload.think_time, _INVOKE, pid)
 

@@ -2,10 +2,12 @@
 
 The naive checkers enumerate permutations outright, with no memoization and
 no cleverness, the dense round counter scans the whole message log once per
-operation, and the dense composer adds an edge from every response to every
-later invocation, and the dense well-formedness test projects the history
-once per process; they exist so the real code has something independent to
-disagree with.
+operation, the dense composer adds an edge from every response to every
+later invocation, the dense well-formedness test projects the history once
+per process, the dense clock audit groups every lt by process and tick
+before comparing, and the heap scheduler pushes every event, deferrals
+included, onto one (due, seq) heap; they exist so the real code has
+something independent to disagree with.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from dsmlab.core import (
     OperationDescriptor,
     READ,
     RESPONSE_EVENT,
+    RegisterId,
     Timestamp,
     WRITE,
 )
+from dsmlab.simnet import _CRASH, _DELIVER, _INVOKE, HORIZON, QUIESCENT, SimConfig, _Run
 
 
 def op_events(
@@ -318,3 +322,72 @@ def dense_is_well_formed(h: Sequence[Event]) -> bool:
         return True
 
     return all(sequential([e for e in h if e.proc == p]) for p in {e.proc for e in h})
+
+
+def project_register(h: Sequence[Event], x: RegisterId) -> list[Event]:
+    """Subhistory of operations on register x, order preserved."""
+    return [e for e in h if e.op.reg == x]
+
+
+def dense_audit_logical_clocks(trace) -> bool:
+    """checker.audit_logical_clocks from lists: every recorded lt grouped
+    by process and tick, then each group compared whole, and each process's
+    groups walked in tick order."""
+    items: dict[int, dict[int, list[int]]] = {}  # proc -> rt -> [lt]
+
+    def note(proc: int, rt: int, lt: Optional[int]) -> None:
+        if lt is None:
+            return
+        items.setdefault(proc, {}).setdefault(rt, []).append(lt)
+
+    for e in trace.history:
+        note(e.proc, e.rt, e.lt)
+    for rec in trace.message_log:
+        note(rec.msg.sender, rec.send_rt, rec.msg.lt)
+        if rec.handled:
+            note(rec.msg.receiver, rec.recv_rt, rec.recv_lt)
+            if rec.recv_lt <= rec.msg.lt:
+                return False
+    for per_rt in items.values():
+        prev = None
+        for rt in sorted(per_rt):
+            lts = per_rt[rt]
+            if any(lt != lts[0] for lt in lts):
+                return False
+            if prev is not None and lts[0] <= prev:
+                return False
+            prev = lts[0]
+    return True
+
+
+class HeapRun(_Run):
+    """The simulator on its earlier scheduler: one heap entry per event,
+    ordered by (due tick, push counter), with the crash and busy checks made
+    as each event is popped and a busy process's event pushed again at its
+    next free tick. The reference for _Run's per-tick FIFO lists."""
+
+    def __init__(self, cfg: SimConfig):
+        super().__init__(cfg)
+        self.seq = itertools.count()
+
+    def _push(self, due: int, kind: str, payload) -> None:
+        heappush(self.heap, (due, next(self.seq), kind, payload))
+
+    def _drain(self) -> str:
+        while self.heap:
+            due, _, kind, payload = heappop(self.heap)
+            if due > self.cfg.max_ticks:
+                return HORIZON
+            pid = payload.msg.receiver if kind == _DELIVER else payload
+            if pid in self.crashed:
+                if kind == _DELIVER:
+                    payload.dropped = True
+            elif kind == _CRASH:
+                self._crash(pid, due)
+            elif self.last_exec[pid] >= due:
+                self._push(self.last_exec[pid] + 1, kind, payload)
+            elif kind == _INVOKE:
+                self._invoke(pid, due)
+            else:
+                self._deliver(pid, payload, due)
+        return QUIESCENT

@@ -28,7 +28,6 @@ from dsmlab.core import (
     TimestampValuePair,
     WRITE,
     histories_equivalent,
-    project_register,
     quorum_size,
 )
 from dsmlab.fuzz import (
@@ -39,7 +38,7 @@ from dsmlab.fuzz import (
 from dsmlab.protocol import Update, handle_update, initial_state
 from dsmlab.simnet import SimConfig, UniformDelay, Workload, run_simulation
 
-from helpers import random_history, sc_not_lin, write_then_stale_read
+from helpers import project_register, random_history, sc_not_lin, write_then_stale_read
 
 
 def _mixed_workload(rng: random.Random) -> Workload:

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,11 +34,11 @@ from dsmlab.core import (
     WRITE,
     histories_equivalent,
     pending_operations,
-    project_register,
 )
 from dsmlab.simnet import SimConfig, UniformDelay, Workload, run_simulation
 
 from helpers import (
+    dense_audit_logical_clocks,
     merge_by_rt,
     naive_linearizable,
     naive_sc,
@@ -47,6 +48,7 @@ from helpers import (
     strip_ts,
     write_then_stale_read,
 )
+from test_trace_pins import corpus as trace_pin_corpus
 
 
 # --- logical-time reordering ---------------------------------------------------
@@ -534,6 +536,76 @@ def test_clock_audit_catches_tampered_history_event():
     e = t.history[-1]
     t.history[-1] = Event(e.kind, e.op, e.rt, 0, e.proc)  # lt pushed below its past
     assert not audit_logical_clocks(t)
+
+
+def test_clock_audit_catches_tampered_send_lt():
+    # One send's lt lowered by one. The new lt stays above the sender's
+    # previous execution and below the receipt, so only the clause "all lts
+    # of one handler execution agree" can fire.
+    t = run_simulation(SimConfig(n=3, seed=8, workload=Workload(ops_per_process=2)))
+    lts = {(e.proc, e.rt): e.lt for e in t.history}
+    for r in t.message_log:
+        lts[(r.msg.sender, r.send_rt)] = r.msg.lt
+        if r.handled:
+            lts[(r.msg.receiver, r.recv_rt)] = r.recv_lt
+    before, last = {}, {}  # (proc, rt) -> lt of proc's previous execution
+    for proc, rt in sorted(lts):
+        before[(proc, rt)] = last.get(proc, 0)
+        last[proc] = lts[(proc, rt)]
+    i, rec = next(
+        (i, r) for i, r in enumerate(t.message_log)
+        if r.msg.lt - 1 > before[(r.msg.sender, r.send_rt)]
+    )
+    t.message_log[i] = replace(rec, msg=rec.msg._replace(lt=rec.msg.lt - 1))
+    assert not audit_logical_clocks(t)
+    assert not dense_audit_logical_clocks(t)
+    t.message_log[i] = rec
+    assert audit_logical_clocks(t)
+
+
+def _clock_mutant(t, rng: random.Random) -> SimpleNamespace:
+    """t with one event lt, message lt, recv_lt, send_rt or recv_rt moved by
+    one or two, or with every lt of one handler execution moved together
+    (which the audit may still accept); t itself is left untouched."""
+    history, log = list(t.history), list(t.message_log)
+    field = rng.choice(("execution", "event lt", "lt", "recv_lt", "send_rt", "recv_rt"))
+    delta = rng.choice((-2, -1, 1, 2))
+    if field == "execution":
+        e = rng.choice(history)
+        at = (e.proc, e.rt)
+        for i, x in enumerate(history):
+            if (x.proc, x.rt) == at:
+                history[i] = Event(x.kind, x.op, x.rt, x.lt + delta, x.proc)
+        for i, r in enumerate(log):
+            if (r.msg.sender, r.send_rt) == at:
+                log[i] = r = replace(r, msg=r.msg._replace(lt=r.msg.lt + delta))
+            if r.handled and (r.msg.receiver, r.recv_rt) == at:
+                log[i] = replace(r, recv_lt=r.recv_lt + delta)
+    elif field == "event lt":
+        i = rng.randrange(len(history))
+        e = history[i]
+        history[i] = Event(e.kind, e.op, e.rt, e.lt + delta, e.proc)
+    elif field == "lt":
+        i = rng.randrange(len(log))
+        log[i] = replace(log[i], msg=log[i].msg._replace(lt=log[i].msg.lt + delta))
+    else:
+        handled = [i for i, r in enumerate(log) if r.handled or field == "send_rt"]
+        i = rng.choice(handled)
+        log[i] = replace(log[i], **{field: getattr(log[i], field) + delta})
+    return SimpleNamespace(history=history, message_log=log)
+
+
+def test_clock_audit_matches_dense_reference():
+    traces = [run_simulation(cfg) for _, cfg in trace_pin_corpus()]
+    for t in traces:
+        assert audit_logical_clocks(t) and dense_audit_logical_clocks(t)
+    rng = random.Random("clock-mutants")
+    verdicts = []
+    for _ in range(10_000):
+        m = _clock_mutant(rng.choice(traces), rng)
+        verdicts.append(audit_logical_clocks(m))
+        assert verdicts[-1] == dense_audit_logical_clocks(m)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 1000  # both sides compared
 
 
 def test_visibility_audit_passes_on_simulated_traces():

@@ -18,11 +18,10 @@ from dsmlab.core import (
     is_well_formed,
     operations,
     pending_operations,
-    project_register,
     quorum_size,
 )
 
-from helpers import dense_is_well_formed, merge_by_rt, op_events
+from helpers import dense_is_well_formed, merge_by_rt, op_events, project_register
 
 
 def test_timestamp_lexicographic_order():

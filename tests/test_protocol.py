@@ -1,5 +1,6 @@
 """State-machine behavior, driven by hand one message at a time."""
 
+import itertools
 import random
 
 import pytest
@@ -23,12 +24,14 @@ from dsmlab.protocol import (
     MUTANT_SMALL_QUORUM,
     ProtocolError,
     QUERYING,
+    State,
     UPDATING,
     Variant,
     handle_update,
     initial_state,
     step,
 )
+from dsmlab.simnet import SimConfig, Workload, run_simulation
 
 
 def drive_write(n=3, pid=1, val=7, opid=1):
@@ -243,3 +246,24 @@ def test_states_are_immutable_values():
     out = step(s, Invoke(1, WRITE, "x", 1))
     assert s.phase == IDLE  # original untouched
     assert out.state is not s
+
+
+def test_states_and_messages_are_tuples_with_value_semantics():
+    empty = State._field_defaults["tvps"]
+    run_simulation(SimConfig(n=5, seed=3, workload=Workload(ops_per_process=4, register_count=2)))
+    assert empty == {} and initial_state(1, 3).tvps is empty  # shared, never mutated
+    # A stale reply returns the very input state: the simulator marks a
+    # delivery handled by that identity.
+    s = step(initial_state(1, 3), Invoke(1, READ, "x")).state
+    for stale in (Response(2, 1, 50, s.rid + 1, INITIAL_PAIR), Ack(2, 1, 50, s.rid - 1)):
+        out = step(s, stale)
+        assert out.state is s and out.outbox == () and out.completion is None
+    msgs = [
+        Query(1, 2, 3, 4, "x"),
+        Response(1, 2, 3, 4, INITIAL_PAIR),
+        Update(1, 2, 3, 4, "x", INITIAL_PAIR),
+        Ack(1, 2, 3, 4),
+    ]
+    assert all(a != b for a, b in itertools.combinations(msgs, 2))
+    assert [m.kind for m in msgs] == ["query", "response", "update", "ack"]
+    assert all("kind" not in m._fields for m in msgs)

@@ -26,11 +26,11 @@ from dsmlab.checker import (
     check_sc_bruteforce,
     complete_history,
 )
-from dsmlab.core import Event, project_register
+from dsmlab.core import Event
 from dsmlab.fuzz import no_writeback_schedule, small_quorum_schedule
 from dsmlab.simnet import SimConfig, UniformDelay, Workload, run_simulation
 
-from helpers import random_history, strip_ts
+from helpers import project_register, random_history, strip_ts
 
 PINS = Path(__file__).with_name("search_pins.json")
 

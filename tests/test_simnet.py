@@ -6,7 +6,8 @@ import pytest
 
 from dsmlab.core import READ, WRITE, quorum_size
 from dsmlab.files import serialize_history, serialize_message_log
-from dsmlab.protocol import Variant
+from dsmlab.fuzz import campaign_config
+from dsmlab.protocol import MUTANTS, PROTOCOLS, Variant
 from dsmlab.simnet import (
     AdversarialSchedule,
     ConfigError,
@@ -23,7 +24,7 @@ from dsmlab.simnet import (
     run_simulation,
 )
 
-from helpers import dense_op_rounds
+from helpers import HeapRun, dense_op_rounds
 from test_trace_pins import corpus as trace_pin_corpus
 
 
@@ -249,3 +250,33 @@ def test_single_process_cluster_runs():
     assert t.quiescent and len(t.completed()) == 3
     for opid, d in t.completed().items():
         assert t.rounds[opid] == (1 if d.kind == WRITE else 2)
+
+
+def _scheduler_corpus():
+    """Criterion-3 campaign configs on both protocols, both mutant schedules
+    on both protocols, and the trace-pin corpus."""
+    for protocol in PROTOCOLS:
+        for seed in range(1000):
+            yield f"campaign/{protocol}/{seed}", campaign_config("none", seed, protocol)
+        for mutant in MUTANTS[1:]:
+            for seed in range(100):
+                yield f"{mutant}/{protocol}/{seed}", campaign_config(mutant, seed, protocol)
+    yield from trace_pin_corpus()
+
+
+def test_tick_queues_match_the_heap_scheduler():
+    covered = set()
+    for label, cfg in _scheduler_corpus():
+        fast, ref = run_simulation(cfg), HeapRun(cfg.validate()).run()
+        assert serialize_history(fast.history) == serialize_history(ref.history), label
+        assert serialize_message_log(fast) == serialize_message_log(ref), label
+        assert (fast.crash_log, fast.outcome) == (ref.crash_log, ref.outcome), label
+        crashed = {p for p, _ in fast.crash_log}
+        cases = (
+            ("think time 0", cfg.workload.think_time == 0),
+            ("crash at tick 0", any(tick == 0 for _, tick in fast.crash_log)),
+            ("mid-op crash", any(d.ret is None and d.proc in crashed for d in fast.ops.values())),
+            ("horizon cut", fast.outcome == HORIZON),
+        )
+        covered |= {case for case, hit in cases if hit}
+    assert covered == {"think time 0", "crash at tick 0", "mid-op crash", "horizon cut"}
