@@ -10,12 +10,21 @@ kind is "inv" or "res"; op is "read" or "write"; val is the written value
 (null for reads); ret is null on invocations and on pending operations'
 records, the read value or "OK" on responses; ts is [lt, pid] when the
 operation's timestamp is known, null otherwise. Serializing then parsing is
-the identity on histories, and serialization is deterministic, so equal
-traces produce byte-equal files.
+the identity on histories.
 
 The message-log sidecar (same stem, suffix .msgs.jsonl) starts with one
 header line carrying the run's protocol, n, and seed, followed by one record
-per message in send order.
+per message in send order, with thirteen keys in a fixed order:
+
+    {"kind":"update","sender":1,"receiver":1,"lt":1,"rid":1,"reg":"r0",
+     "ts":[1,1],"val":136759,"send_rt":0,"recv_rt":8,"recv_lt":6,
+     "handled":true,"dropped":false}
+
+Both writers format each record line directly as its canonical spelling:
+compact, keys in the order above, every string through the json encoder
+(ASCII escapes). Equal traces therefore produce byte-equal files. The
+readers also accept any other valid JSON spelling of a record (key order,
+whitespace, blank lines), and number lines as they are in the file.
 
 Run configs are flat "key = value" lines with # comments; unknown keys are
 rejected, not ignored, so a typo cannot silently fall back to a default.
@@ -24,6 +33,8 @@ rejected, not ignored, so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -63,32 +74,32 @@ class ParseError(ValueError):
 
 
 RECORD_KEYS = ("kind", "opid", "proc", "op", "reg", "val", "ret", "rt", "lt", "ts")
+_RECORD_KEYSET = frozenset(RECORD_KEYS)
+_record_fields = itemgetter(*RECORD_KEYS)
 
-# One compact encoder for every record; json.dumps would build one per call.
+# The compact JSON encoder: it spells the sidecar header, and every string in
+# a record line, so escaping is always json's ensure_ascii escaping.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+_string = lru_cache(maxsize=256)(_encode)  # a run has few distinct strings
 
 
-def _event_record(e: Event) -> dict:
+def _event_line(e: Event) -> str:
     if e.lt is None:
         raise ValueError(f"event for op {e.op.opid} has no lt; cannot serialize")
     op = e.op
     ret = op.ret if e.kind == RESPONSE_EVENT else None
-    return {
-        "kind": e.kind,
-        "opid": op.opid,
-        "proc": op.proc,
-        "op": op.kind,
-        "reg": op.reg,
-        "val": op.arg,
-        "ret": ret,
-        "rt": e.rt,
-        "lt": e.lt,
-        "ts": list(op.ts) if op.ts is not None else None,
-    }
+    ts = op.ts
+    return (
+        f'{{"kind":{_string(e.kind)},"opid":{op.opid},"proc":{op.proc},'
+        f'"op":{_string(op.kind)},"reg":{_string(op.reg)},'
+        f'"val":{"null" if op.arg is None else op.arg},'
+        f'"ret":{"null" if ret is None else _string(ret) if type(ret) is str else ret},'
+        f'"rt":{e.rt},"lt":{e.lt},"ts":{"null" if ts is None else f"[{ts[0]},{ts[1]}]"}}}\n'
+    )
 
 
 def serialize_history(h: Sequence[Event]) -> str:
-    return "".join(_encode(_event_record(e)) + "\n" for e in h)
+    return "".join(map(_event_line, h))
 
 
 def write_history(path: Union[str, Path], h: Sequence[Event]) -> None:
@@ -99,13 +110,9 @@ def _fail(lineno: int, msg: str) -> None:
     raise ParseError(f"line {lineno}: {msg}")
 
 
-def _is_int(v) -> bool:
-    # exact type: JSON true/false load as bool, a subclass of int
-    return type(v) is int
-
-
 def _is_ts(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(_is_int(c) for c in v)
+    # exact int type: JSON true/false load as bool, a subclass of int
+    return isinstance(v, list) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
 
 
 def _load(lineno: int, line: str):
@@ -137,56 +144,51 @@ def parse_history(text: str) -> list[Event]:
         rec = _load(lineno, line)
         if not isinstance(rec, dict):
             _fail(lineno, "record is not an object")
-        if set(rec) != set(RECORD_KEYS):
-            missing = sorted(set(RECORD_KEYS) - set(rec))
-            extra = sorted(set(rec) - set(RECORD_KEYS))
+        if rec.keys() != _RECORD_KEYSET:
+            missing = sorted(_RECORD_KEYSET - rec.keys())
+            extra = sorted(rec.keys() - _RECORD_KEYSET)
             _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
-        kind, opid, proc, opkind = rec["kind"], rec["opid"], rec["proc"], rec["op"]
+        kind, opid, proc, opkind, reg, val, ret, rt, lt, ts = _record_fields(rec)
         if kind not in (INVOCATION, RESPONSE_EVENT):
-            _fail(lineno, f"kind must be 'inv' or 'res', got {rec['kind']!r}")
+            _fail(lineno, f"kind must be 'inv' or 'res', got {kind!r}")
         if opkind not in (READ, WRITE):
-            _fail(lineno, f"op must be 'read' or 'write', got {rec['op']!r}")
-        if not _is_int(opid):
+            _fail(lineno, f"op must be 'read' or 'write', got {opkind!r}")
+        if type(opid) is not int:
             _fail(lineno, "opid must be an integer")
-        if not _is_int(proc) or proc < 1:
+        if type(proc) is not int or proc < 1:
             _fail(lineno, "proc must be a positive integer")
-        if not isinstance(rec["reg"], str) or not rec["reg"]:
+        if not isinstance(reg, str) or not reg:
             _fail(lineno, "reg must be a non-empty string")
-        if not _is_int(rec["rt"]) or not _is_int(rec["lt"]):
+        if type(rt) is not int or type(lt) is not int:
             _fail(lineno, "rt and lt must be integers")
-        if prev_rt is not None and rec["rt"] < prev_rt:
-            _fail(lineno, f"lines out of rt order ({prev_rt} then {rec['rt']})")
-        prev_rt = rec["rt"]
-        val = rec["val"]
+        if prev_rt is not None and rt < prev_rt:
+            _fail(lineno, f"lines out of rt order ({prev_rt} then {rt})")
+        prev_rt = rt
         if opkind == WRITE:
-            if not _is_int(val):
+            if type(val) is not int:
                 _fail(lineno, "a write record needs an integer val")
         elif val is not None:
             _fail(lineno, "a read record must have val null")
-        ts = rec["ts"]
         if ts is not None:
             if not _is_ts(ts):
                 _fail(lineno, "ts must be null or a [lt, pid] pair of integers")
             ts = Timestamp(*ts)
-        ret = rec["ret"]
         if kind == INVOCATION:
             if ret is not None:
                 _fail(lineno, "an invocation record must have ret null")
             if opid in descs:
                 _fail(lineno, f"op {opid} invoked twice")
-            descs[opid] = OperationDescriptor(
-                opid=opid, proc=proc, kind=opkind, reg=rec["reg"], arg=val, ts=ts
-            )
+            d = descs[opid] = OperationDescriptor(opid, proc, opkind, reg, val, None, ts)
         else:
             d = descs.get(opid)
             if d is None:
                 _fail(lineno, f"response for op {opid} before its invocation")
             if opid in responded:
                 _fail(lineno, f"op {opid} responded to twice")
-            if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, rec["reg"], val):
+            if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, reg, val):
                 _fail(lineno, f"response for op {opid} disagrees with its invocation")
             if opkind == READ:
-                if not _is_int(ret):
+                if type(ret) is not int:
                     _fail(lineno, "a completed read needs an integer ret")
             elif ret != OK:
                 _fail(lineno, f"a completed write needs ret {OK!r}")
@@ -196,9 +198,7 @@ def parse_history(text: str) -> list[Event]:
                 d.ts = ts
             responded.add(opid)
             d.ret = ret
-        events.append(
-            Event(kind, descs[opid], rec["rt"], rec["lt"], proc)
-        )
+        events.append(Event(kind, d, rt, lt, proc))
     return events
 
 
@@ -214,35 +214,30 @@ def sidecar_path(history_path: Union[str, Path]) -> Path:
     return p.with_name(p.stem + ".msgs.jsonl")
 
 
-def _message_record(rec: MessageRecord) -> dict:
+def _message_line(rec: MessageRecord) -> str:
     m = rec.msg
+    reg = getattr(m, "reg", None)
     tsv = getattr(m, "tsv", None)
-    return {
-        "kind": m.kind,
-        "sender": m.sender,
-        "receiver": m.receiver,
-        "lt": m.lt,
-        "rid": m.rid,
-        "reg": getattr(m, "reg", None),
-        "ts": list(tsv.ts) if tsv is not None else None,
-        "val": tsv.val if tsv is not None else None,
-        "send_rt": rec.send_rt,
-        "recv_rt": rec.recv_rt,
-        "recv_lt": rec.recv_lt,
-        "handled": rec.handled,
-        "dropped": rec.dropped,
-    }
+    if tsv is None:
+        payload = '"ts":null,"val":null'
+    else:
+        payload = f'"ts":[{tsv.ts.lt},{tsv.ts.pid}],"val":{tsv.val}'
+    recv_rt, recv_lt = rec.recv_rt, rec.recv_lt
+    return (
+        f'{{"kind":{_string(m.kind)},"sender":{m.sender},"receiver":{m.receiver},'
+        f'"lt":{m.lt},"rid":{m.rid},"reg":{"null" if reg is None else _string(reg)},'
+        f'{payload},"send_rt":{rec.send_rt},'
+        f'"recv_rt":{"null" if recv_rt is None else recv_rt},'
+        f'"recv_lt":{"null" if recv_lt is None else recv_lt},'
+        f'"handled":{"true" if rec.handled else "false"},'
+        f'"dropped":{"true" if rec.dropped else "false"}}}\n'
+    )
 
 
 def serialize_message_log(trace: Trace) -> str:
-    header = {
-        "protocol": trace.config.protocol,
-        "n": trace.config.n,
-        "seed": trace.config.seed,
-    }
-    lines = [_encode(header)]
-    lines.extend(_encode(_message_record(r)) for r in trace.message_log)
-    return "\n".join(lines) + "\n"
+    c = trace.config
+    header = _encode({"protocol": c.protocol, "n": c.n, "seed": c.seed})
+    return header + "\n" + "".join(map(_message_line, trace.message_log))
 
 
 def write_message_log(path: Union[str, Path], trace: Trace) -> None:
@@ -253,72 +248,67 @@ _MSG_KEYS = (
     "kind", "sender", "receiver", "lt", "rid", "reg", "ts", "val",
     "send_rt", "recv_rt", "recv_lt", "handled", "dropped",
 )
+_MSG_KEYSET = frozenset(_MSG_KEYS)
+_msg_fields = itemgetter(*_MSG_KEYS)
+_MSG_INT_KEYS = ("sender", "receiver", "lt", "rid", "send_rt")
 
 
 def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
-    """Parse a sidecar back into (header, message records)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse a sidecar back into (header, message records). Blank lines are
+    skipped but counted, so an error names the line's number in the file."""
+    lines = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty message log (missing header line)")
-    header = _load(1, lines[0])
+    header = _load(*first)
     if (
         not isinstance(header, dict)
-        or not {"protocol", "n", "seed"} <= set(header)
+        or not header.keys() >= {"protocol", "n", "seed"}
         or not isinstance(header["protocol"], str)
-        or not (_is_int(header["n"]) and _is_int(header["seed"]))
+        or not (type(header["n"]) is int and type(header["seed"]) is int)
     ):
         raise ParseError("header line must carry a protocol string, and integers n and seed")
     records: list[MessageRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         rec = _load(lineno, line)
-        if not isinstance(rec, dict) or set(rec) != set(_MSG_KEYS):
+        if not isinstance(rec, dict) or rec.keys() != _MSG_KEYSET:
             _fail(lineno, "bad message record keys")
-        for key in ("sender", "receiver", "lt", "rid", "send_rt"):
-            if not _is_int(rec[key]):
-                _fail(lineno, f"{key} must be an integer")
-        for key in ("recv_rt", "recv_lt"):
-            if rec[key] is not None and not _is_int(rec[key]):
-                _fail(lineno, f"{key} must be null or an integer")
-        for key in ("handled", "dropped"):
-            if not isinstance(rec[key], bool):
-                _fail(lineno, f"{key} must be true or false")
-        if rec["reg"] is not None and (not isinstance(rec["reg"], str) or not rec["reg"]):
+        (kind, sender, receiver, lt, rid, reg, ts, val,
+         send_rt, recv_rt, recv_lt, handled, dropped) = _msg_fields(rec)
+        if not (type(sender) is type(receiver) is type(lt) is type(rid) is type(send_rt) is int):
+            key = next(k for k in _MSG_INT_KEYS if type(rec[k]) is not int)
+            _fail(lineno, f"{key} must be an integer")
+        if recv_rt is not None and type(recv_rt) is not int:
+            _fail(lineno, "recv_rt must be null or an integer")
+        if recv_lt is not None and type(recv_lt) is not int:
+            _fail(lineno, "recv_lt must be null or an integer")
+        if type(handled) is not bool:
+            _fail(lineno, "handled must be true or false")
+        if type(dropped) is not bool:
+            _fail(lineno, "dropped must be true or false")
+        if reg is not None and (not isinstance(reg, str) or not reg):
             _fail(lineno, "reg must be null or a non-empty string")
-        ts, val = rec["ts"], rec["val"]
-        if not (ts is None and val is None or _is_ts(ts) and _is_int(val)):
+        if not (ts is None and val is None or _is_ts(ts) and type(val) is int):
             _fail(lineno, "ts and val must both be null, or a [lt, pid] pair and an integer")
-        kind = rec["kind"]
-        common = dict(
-            sender=rec["sender"], receiver=rec["receiver"], lt=rec["lt"], rid=rec["rid"]
-        )
         tsv = TimestampValuePair(Timestamp(*ts), val) if ts is not None else None
         msg: Message
-        if kind in ("query", "update") and rec["reg"] is None:
+        if kind in ("query", "update") and reg is None:
             _fail(lineno, f"{kind} record needs a reg")
         if kind == "query":
-            msg = Query(reg=rec["reg"], **common)
+            msg = Query(sender, receiver, lt, rid, reg)
         elif kind == "response":
             if tsv is None:
                 _fail(lineno, "response record needs ts and val")
-            msg = Response(tsv=tsv, **common)
+            msg = Response(sender, receiver, lt, rid, tsv)
         elif kind == "update":
             if tsv is None:
                 _fail(lineno, "update record needs ts and val")
-            msg = Update(reg=rec["reg"], tsv=tsv, **common)
+            msg = Update(sender, receiver, lt, rid, reg, tsv)
         elif kind == "ack":
-            msg = Ack(**common)
+            msg = Ack(sender, receiver, lt, rid)
         else:
             _fail(lineno, f"unknown message kind {kind!r}")
-        records.append(
-            MessageRecord(
-                msg=msg,
-                send_rt=rec["send_rt"],
-                recv_rt=rec["recv_rt"],
-                recv_lt=rec["recv_lt"],
-                handled=rec["handled"],
-                dropped=rec["dropped"],
-            )
-        )
+        records.append(MessageRecord(msg, send_rt, recv_rt, recv_lt, handled, dropped))
     return header, records
 
 

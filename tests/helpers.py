@@ -5,32 +5,42 @@ no cleverness, the dense round counter scans the whole message log once per
 operation, the dense composer adds an edge from every response to every
 later invocation, the dense well-formedness test projects the history once
 per process, the dense clock audit groups every lt by process and tick
-before comparing, and the heap scheduler pushes every event, deferrals
-included, onto one (due, seq) heap; they exist so the real code has
-something independent to disagree with.
+before comparing, the heap scheduler pushes every event, deferrals
+included, onto one (due, seq) heap, and the dict writers and parsers build
+or validate one dict per file record through the json module; they exist so
+the real code has something independent to disagree with.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import replace
 from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from dsmlab.core import (
+    Ack,
     Event,
     INITIAL_TS,
     INVOCATION,
     OK,
     OperationDescriptor,
+    Query,
     READ,
     RESPONSE_EVENT,
     RegisterId,
+    Response,
     Timestamp,
+    TimestampValuePair,
+    Update,
     WRITE,
 )
-from dsmlab.simnet import _CRASH, _DELIVER, _INVOKE, HORIZON, QUIESCENT, SimConfig, _Run
+from dsmlab.files import RECORD_KEYS, ParseError, _fail, _load
+from dsmlab.simnet import (
+    _CRASH, _DELIVER, _INVOKE, HORIZON, QUIESCENT, MessageRecord, SimConfig, _Run
+)
 
 
 def op_events(
@@ -391,3 +401,224 @@ class HeapRun(_Run):
             else:
                 self._deliver(pid, payload, due)
         return QUIESCENT
+
+
+# --- file formats through dicts and the json module --------------------------------
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _event_record(e: Event) -> dict:
+    if e.lt is None:
+        raise ValueError(f"event for op {e.op.opid} has no lt; cannot serialize")
+    op = e.op
+    ret = op.ret if e.kind == RESPONSE_EVENT else None
+    return {
+        "kind": e.kind,
+        "opid": op.opid,
+        "proc": op.proc,
+        "op": op.kind,
+        "reg": op.reg,
+        "val": op.arg,
+        "ret": ret,
+        "rt": e.rt,
+        "lt": e.lt,
+        "ts": list(op.ts) if op.ts is not None else None,
+    }
+
+
+def dict_serialize_history(h: Sequence[Event]) -> str:
+    """files.serialize_history as one dict per event, JSON-encoded."""
+    return "".join(_encode(_event_record(e)) + "\n" for e in h)
+
+
+def _message_record(rec: MessageRecord) -> dict:
+    m = rec.msg
+    tsv = getattr(m, "tsv", None)
+    return {
+        "kind": m.kind,
+        "sender": m.sender,
+        "receiver": m.receiver,
+        "lt": m.lt,
+        "rid": m.rid,
+        "reg": getattr(m, "reg", None),
+        "ts": list(tsv.ts) if tsv is not None else None,
+        "val": tsv.val if tsv is not None else None,
+        "send_rt": rec.send_rt,
+        "recv_rt": rec.recv_rt,
+        "recv_lt": rec.recv_lt,
+        "handled": rec.handled,
+        "dropped": rec.dropped,
+    }
+
+
+def dict_serialize_message_log(trace) -> str:
+    """files.serialize_message_log as one dict per record, JSON-encoded."""
+    header = {
+        "protocol": trace.config.protocol,
+        "n": trace.config.n,
+        "seed": trace.config.seed,
+    }
+    lines = [_encode(header)]
+    lines.extend(_encode(_message_record(r)) for r in trace.message_log)
+    return "\n".join(lines) + "\n"
+
+
+def _is_int(v) -> bool:
+    # exact type: JSON true/false load as bool, a subclass of int
+    return type(v) is int
+
+
+def _is_ts(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_int(c) for c in v)
+
+
+def dict_parse_history(text: str) -> list[Event]:
+    """files.parse_history with a set of keys built per line, one helper
+    call per type test, and keyword construction."""
+    descs: dict[int, OperationDescriptor] = {}
+    responded: set[int] = set()
+    events: list[Event] = []
+    prev_rt: Optional[int] = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        rec = _load(lineno, line)
+        if not isinstance(rec, dict):
+            _fail(lineno, "record is not an object")
+        if set(rec) != set(RECORD_KEYS):
+            missing = sorted(set(RECORD_KEYS) - set(rec))
+            extra = sorted(set(rec) - set(RECORD_KEYS))
+            _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
+        kind, opid, proc, opkind = rec["kind"], rec["opid"], rec["proc"], rec["op"]
+        if kind not in (INVOCATION, RESPONSE_EVENT):
+            _fail(lineno, f"kind must be 'inv' or 'res', got {rec['kind']!r}")
+        if opkind not in (READ, WRITE):
+            _fail(lineno, f"op must be 'read' or 'write', got {rec['op']!r}")
+        if not _is_int(opid):
+            _fail(lineno, "opid must be an integer")
+        if not _is_int(proc) or proc < 1:
+            _fail(lineno, "proc must be a positive integer")
+        if not isinstance(rec["reg"], str) or not rec["reg"]:
+            _fail(lineno, "reg must be a non-empty string")
+        if not _is_int(rec["rt"]) or not _is_int(rec["lt"]):
+            _fail(lineno, "rt and lt must be integers")
+        if prev_rt is not None and rec["rt"] < prev_rt:
+            _fail(lineno, f"lines out of rt order ({prev_rt} then {rec['rt']})")
+        prev_rt = rec["rt"]
+        val = rec["val"]
+        if opkind == WRITE:
+            if not _is_int(val):
+                _fail(lineno, "a write record needs an integer val")
+        elif val is not None:
+            _fail(lineno, "a read record must have val null")
+        ts = rec["ts"]
+        if ts is not None:
+            if not _is_ts(ts):
+                _fail(lineno, "ts must be null or a [lt, pid] pair of integers")
+            ts = Timestamp(*ts)
+        ret = rec["ret"]
+        if kind == INVOCATION:
+            if ret is not None:
+                _fail(lineno, "an invocation record must have ret null")
+            if opid in descs:
+                _fail(lineno, f"op {opid} invoked twice")
+            descs[opid] = OperationDescriptor(
+                opid=opid, proc=proc, kind=opkind, reg=rec["reg"], arg=val, ts=ts
+            )
+        else:
+            d = descs.get(opid)
+            if d is None:
+                _fail(lineno, f"response for op {opid} before its invocation")
+            if opid in responded:
+                _fail(lineno, f"op {opid} responded to twice")
+            if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, rec["reg"], val):
+                _fail(lineno, f"response for op {opid} disagrees with its invocation")
+            if opkind == READ:
+                if not _is_int(ret):
+                    _fail(lineno, "a completed read needs an integer ret")
+            elif ret != OK:
+                _fail(lineno, f"a completed write needs ret {OK!r}")
+            if ts is not None:
+                if d.ts is not None and d.ts != ts:
+                    _fail(lineno, f"op {opid} carries two different timestamps")
+                d.ts = ts
+            responded.add(opid)
+            d.ret = ret
+        events.append(
+            Event(kind, descs[opid], rec["rt"], rec["lt"], proc)
+        )
+    return events
+
+
+_MSG_KEYS = (
+    "kind", "sender", "receiver", "lt", "rid", "reg", "ts", "val",
+    "send_rt", "recv_rt", "recv_lt", "handled", "dropped",
+)
+
+
+def dict_parse_message_log(text: str) -> tuple:
+    """files.parse_message_log with the same dict-per-line validation as
+    dict_parse_history. Blank lines are dropped before lines are numbered."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty message log (missing header line)")
+    header = _load(1, lines[0])
+    if (
+        not isinstance(header, dict)
+        or not {"protocol", "n", "seed"} <= set(header)
+        or not isinstance(header["protocol"], str)
+        or not (_is_int(header["n"]) and _is_int(header["seed"]))
+    ):
+        raise ParseError("header line must carry a protocol string, and integers n and seed")
+    records: list[MessageRecord] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        rec = _load(lineno, line)
+        if not isinstance(rec, dict) or set(rec) != set(_MSG_KEYS):
+            _fail(lineno, "bad message record keys")
+        for key in ("sender", "receiver", "lt", "rid", "send_rt"):
+            if not _is_int(rec[key]):
+                _fail(lineno, f"{key} must be an integer")
+        for key in ("recv_rt", "recv_lt"):
+            if rec[key] is not None and not _is_int(rec[key]):
+                _fail(lineno, f"{key} must be null or an integer")
+        for key in ("handled", "dropped"):
+            if not isinstance(rec[key], bool):
+                _fail(lineno, f"{key} must be true or false")
+        if rec["reg"] is not None and (not isinstance(rec["reg"], str) or not rec["reg"]):
+            _fail(lineno, "reg must be null or a non-empty string")
+        ts, val = rec["ts"], rec["val"]
+        if not (ts is None and val is None or _is_ts(ts) and _is_int(val)):
+            _fail(lineno, "ts and val must both be null, or a [lt, pid] pair and an integer")
+        kind = rec["kind"]
+        common = dict(
+            sender=rec["sender"], receiver=rec["receiver"], lt=rec["lt"], rid=rec["rid"]
+        )
+        tsv = TimestampValuePair(Timestamp(*ts), val) if ts is not None else None
+        if kind in ("query", "update") and rec["reg"] is None:
+            _fail(lineno, f"{kind} record needs a reg")
+        if kind == "query":
+            msg = Query(reg=rec["reg"], **common)
+        elif kind == "response":
+            if tsv is None:
+                _fail(lineno, "response record needs ts and val")
+            msg = Response(tsv=tsv, **common)
+        elif kind == "update":
+            if tsv is None:
+                _fail(lineno, "update record needs ts and val")
+            msg = Update(reg=rec["reg"], tsv=tsv, **common)
+        elif kind == "ack":
+            msg = Ack(**common)
+        else:
+            _fail(lineno, f"unknown message kind {kind!r}")
+        records.append(
+            MessageRecord(
+                msg=msg,
+                send_rt=rec["send_rt"],
+                recv_rt=rec["recv_rt"],
+                recv_lt=rec["recv_lt"],
+                handled=rec["handled"],
+                dropped=rec["dropped"],
+            )
+        )
+    return header, records

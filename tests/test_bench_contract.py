@@ -1,17 +1,22 @@
-"""The benchmark's correctness contract as a test: the campaign workload at
-the default seed, traced pass included, reproduces its pinned trace and
-outcome digests and finds every name its tracer patches."""
+"""The benchmark's correctness contract as a test: each workload at the
+default seed, traced pass included, reproduces its pinned digests (the
+campaign's traces and outcomes, the large run's history and sidecar files
+and check output, the bare file and its check and stats output) and finds
+every name its tracer patches."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_campaign_benchmark_at_default_seed_is_correct():
-    argv = ["--workload", "campaign", "--seed", "0", "--seconds", "1", "--trace", "1"]
+@pytest.mark.parametrize("workload", ["campaign", "large-run", "bare-file"])
+def test_benchmark_at_default_seed_is_correct(workload):
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300,

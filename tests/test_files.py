@@ -1,14 +1,19 @@
 """Wire formats: history JSONL, message-log sidecar, run config files."""
 
 import json
+import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from dsmlab import files
 from dsmlab.cli import EXIT_PARSE, main
-from dsmlab.core import OK, READ, Timestamp, WRITE
+from dsmlab.core import (
+    OK, READ, WRITE, Ack, Event, Query, Response, Timestamp, TimestampValuePair, Update,
+)
+from dsmlab.fuzz import campaign_config
 from dsmlab.files import (
     ConfigError,
     ParseError,
@@ -24,11 +29,12 @@ from dsmlab.files import (
     write_history,
     write_message_log,
 )
-from dsmlab.protocol import Variant
+from dsmlab.protocol import PROTOCOLS, Variant
 from dsmlab.simnet import (
     AdversarialSchedule,
     DelayRule,
     FixedLinkDelay,
+    MessageRecord,
     SimConfig,
     UniformDelay,
     Workload,
@@ -36,7 +42,15 @@ from dsmlab.simnet import (
     run_simulation,
 )
 
-from helpers import merge_by_rt, op_events
+from helpers import (
+    dict_parse_history,
+    dict_parse_message_log,
+    dict_serialize_history,
+    dict_serialize_message_log,
+    merge_by_rt,
+    op_events,
+)
+from test_trace_pins import corpus as trace_pin_corpus
 
 
 def _trace(seed=3, **kw):
@@ -301,6 +315,186 @@ def test_parsers_refuse_overlong_integers(tmp_path):
     hist.write_text(text, encoding="utf-8")
     assert main(["check", str(hist)]) == EXIT_PARSE
     assert main(["stats", str(hist)]) == EXIT_PARSE
+
+
+# --- writers and readers against the dict-and-json references ----------------------
+
+
+def _reference_corpus():
+    """Traces of the trace-pin corpus, then criterion-3 campaign runs of both
+    protocols."""
+    for _, cfg in trace_pin_corpus():
+        yield run_simulation(cfg)
+    for protocol in PROTOCOLS:
+        for seed in range(150):
+            yield run_simulation(campaign_config("none", seed, protocol))
+
+
+def test_writers_match_the_json_reference_on_simulated_traces():
+    for t in _reference_corpus():
+        assert serialize_history(t.history) == dict_serialize_history(t.history)
+        assert serialize_message_log(t) == dict_serialize_message_log(t)
+
+
+HOSTILE_REGS = (
+    'q"uote', "back\\slash", "ctl\x00\x1f\t\n\x7f", "n\u00efv\u00e9 \u2603", "\ud800", "/"
+)
+BIG = 2**63 + 1
+
+
+def test_writers_match_the_json_reference_on_hostile_values():
+    h = merge_by_rt(
+        op_events(1, 1, WRITE, HOSTILE_REGS[0], arg=-7, ret=OK, ts=(BIG, 1),
+                  inv=(0, -1), res=(1, BIG)),
+        op_events(-2, 2, READ, HOSTILE_REGS[1], ret=-(2**70), inv=(2, 0), res=(3, 1)),
+        op_events(BIG, 3, READ, HOSTILE_REGS[2], ret=BIG, ts=(0, 0), inv=(4, 2), res=(5, 3)),
+        op_events(4, BIG, WRITE, HOSTILE_REGS[3], arg=BIG, ret=OK, inv=(6, 4), res=(7, 5)),
+        op_events(5, 1, WRITE, HOSTILE_REGS[4], arg=0, ts=(2, 1), inv=(8, 6)),  # pending
+        op_events(6, 2, READ, HOSTILE_REGS[5], inv=(9, 7)),  # pending, no ts
+    )
+    assert serialize_history(h) == dict_serialize_history(h)
+    tsv = TimestampValuePair(Timestamp(BIG, -1), -(2**64))
+    msgs = [
+        Query(1, 2, BIG, -3, HOSTILE_REGS[0]),
+        Response(2, 1, 0, BIG, tsv),
+        Update(-1, BIG, 5, 6, HOSTILE_REGS[3], tsv),
+        Ack(3, 3, -4, 0),
+    ]
+    log = [
+        MessageRecord(msgs[0], -5, BIG, BIG + 1, True, False),   # handled
+        MessageRecord(msgs[1], 0, 4, 5, False, False),            # stale reply
+        MessageRecord(msgs[2], BIG, None, None, False, True),     # dropped
+        MessageRecord(msgs[3], 1),                                # in flight
+    ]
+    for reg in HOSTILE_REGS:
+        log.append(MessageRecord(Query(1, 2, 3, 4, reg), 5, 6, 7, True, False))
+    trace = SimpleNamespace(
+        config=SimpleNamespace(protocol='sc"abd\u00e9', n=BIG, seed=-1), message_log=log
+    )
+    assert serialize_message_log(trace) == dict_serialize_message_log(trace)
+    assert serialize_message_log(trace).isascii()
+
+
+def test_an_event_without_lt_cannot_be_serialized():
+    inv, res = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(0, 1), res=(1, 2))
+    for e in (inv, res):
+        bad = [Event(e.kind, e.op, e.rt, None, e.proc)]
+        with pytest.raises(ValueError, match="op 1 has no lt"):
+            serialize_history(bad)
+        with pytest.raises(ValueError, match="op 1 has no lt"):
+            dict_serialize_history(bad)
+
+
+def _history_view(parse, text):
+    """A history parser's result, or its error, as comparable data: each
+    event's repr and the index of the first event sharing its descriptor."""
+    try:
+        events = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    first: dict = {}
+    return [(repr(e), first.setdefault(id(e.op), i)) for i, e in enumerate(events)]
+
+
+def _log_view(parse, text):
+    try:
+        header, records = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return header, repr(records)
+
+
+_OTHER_VALUES = (
+    None, True, False, 0, -1, 3, 1.5, 2.0, 2**64, "", "x", "OK", [], [1], [1, 2],
+    [1, 2, 3], [True, 1], [1, False], [1.0, 2], [1, 2.0], [None, 1], {}, {"lt": 1},
+)
+_COMBOS = {
+    "kind": ("inv", "res", "query", "response", "update", "ack", "gossip"),
+    "op": ("read", "write"),
+    "reg": (None, "r0", "r1", ""),
+    "ts": (None, [0, 0], [1, 1], [5, 2]),
+    "val": (None, 0, 7),
+    "ret": (None, "OK", 0, 7),
+    "protocol": ("sc_abd", "", None),
+    "n": (1, 0, None),
+    "seed": (0, -1, None),
+}
+
+
+def _mutate(rng: random.Random, line: str) -> str:
+    """One single-field mutation of a record line, re-spelled as compact or
+    spaced JSON, sometimes with its keys reversed."""
+    rec = json.loads(line)
+    ints = [k for k, v in rec.items() if type(v) is int]
+    how = rng.randrange(7)
+    if how == 0:
+        rec[rng.choice(list(rec))] = rng.choice(_OTHER_VALUES)      # retyped value
+    elif how == 1:
+        del rec[rng.choice(list(rec))]                             # dropped key
+    elif how == 2:
+        rec[rng.choice(("extra", "Kind", "ts ", "handled_"))] = 1  # extra key
+    elif how == 3 and ints:
+        key = rng.choice(ints)                                     # bool for an int
+        rec[key] = bool(rec[key]) if rec[key] in (0, 1) else rng.random() < 0.5
+    elif how == 4 and ints:
+        key = rng.choice(ints)                                     # float for an int
+        rec[key] = float(rec[key])
+    elif how == 5:
+        key = rng.choice([k for k in _COMBOS if k in rec])         # kind/reg/ts combination
+        rec[key] = rng.choice(_COMBOS[key])
+    else:
+        return rng.choice(("[]", "5", "null", '"x"', "{", "[1,", "{} {}"))
+    if rng.random() < 0.2:
+        rec = dict(reversed(rec.items()))
+    return json.dumps(rec, separators=rng.choice(((",", ":"), (", ", ": "))))
+
+
+def test_parsers_match_the_dict_reference():
+    pairs = [
+        (serialize_history(t.history), serialize_message_log(t))
+        for t in map(run_simulation, (cfg for _, cfg in trace_pin_corpus()))
+        if t.history
+    ]
+    for hist, log in pairs:
+        assert _history_view(parse_history, hist) == _history_view(dict_parse_history, hist)
+        assert _log_view(parse_message_log, log) == _log_view(dict_parse_message_log, log)
+    rng = random.Random("parser-mutations")
+    accepted = rejected = 0
+    errors = set()
+    for _ in range(6000):
+        hist, log = rng.choice(pairs)
+        lines = hist.splitlines()
+        i = rng.randrange(len(lines))
+        text = "\n".join(lines[:i] + [_mutate(rng, lines[i])] + lines[i + 1:i + 2]) + "\n"
+        got = _history_view(parse_history, text)
+        assert got == _history_view(dict_parse_history, text), text
+        lines = log.splitlines()
+        i = rng.randrange(len(lines))
+        window = lines[:1] + lines[i:i + 1] if i else lines[:2]
+        window[1 if i else 0] = _mutate(rng, window[1 if i else 0])
+        text = "\n".join(window) + "\n"
+        got_log = _log_view(parse_message_log, text)
+        assert got_log == _log_view(dict_parse_message_log, text), text
+        for view in (got, got_log):
+            if isinstance(view, str):
+                rejected += 1
+                errors.add(re.sub(r"\d+", "N", view))
+            else:
+                accepted += 1
+    assert accepted > 500 and rejected > 10_000 and len(errors) > 80, (accepted, rejected, errors)
+
+
+def test_message_log_errors_name_the_line_in_the_file():
+    lines = serialize_message_log(_trace()).splitlines()
+    bad = json.loads(lines[3])
+    bad["sender"] = "1"
+    text = "\n".join([lines[0], "", lines[1], "  ", lines[2], json.dumps(bad)]) + "\n"
+    with pytest.raises(ParseError, match=r"^line 6: sender must be an integer$"):
+        parse_message_log(text)
+    with pytest.raises(ParseError, match=r"^line 3: not valid JSON"):
+        parse_message_log("\n\njunk\n")
+    header, records = parse_message_log("\n" + "\n\n".join(lines[:3]) + "\n\n")
+    assert header["n"] == 3 and len(records) == 2
 
 
 # --- run config files ---------------------------------------------------------------
