@@ -158,9 +158,11 @@ def initial_state(
     return State(pid=pid, n=n, v=v)
 
 
-def _broadcast(s: State, kind: type, **fields) -> tuple:
-    """One message of the given kind to every process, self included."""
-    return tuple(kind(sender=s.pid, receiver=j, **fields) for j in range(1, s.n + 1))
+def _broadcast(s: State, kind: type, *fields) -> tuple:
+    """One message of the given kind to every process, self included; the
+    fields after sender and receiver are given in order."""
+    pid = s.pid
+    return tuple([kind(pid, j, *fields) for j in range(1, s.n + 1)])
 
 
 def invoke(s: State, stim: Invoke) -> StepOutput:
@@ -178,40 +180,34 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
     rid = s.rid + 1
     reading = stim.kind == READ
     query = reading or s.v.query_writes
-    nxt = s._replace(
-        lt=lt,
-        rid=rid,
-        reading=reading,
-        reg=stim.reg,
-        val=stim.val,
-        responses=frozenset(),
-        phase=QUERYING if query else UPDATING,
-        opid=stim.opid,
+    phase = QUERYING if query else UPDATING
+    nxt = State(
+        s.pid, s.n, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val, phase, stim.opid
     )
     if query:
-        return StepOutput(nxt, _broadcast(s, Query, lt=lt, rid=rid, reg=stim.reg))
+        return StepOutput(nxt, _broadcast(s, Query, lt, rid, stim.reg))
     tsv = TimestampValuePair(Timestamp(lt, s.pid), stim.val)
-    return StepOutput(nxt, _broadcast(s, Update, lt=lt, rid=rid, reg=stim.reg, tsv=tsv))
+    return StepOutput(nxt, _broadcast(s, Update, lt, rid, stim.reg, tsv))
 
 
 def handle_query(s: State, m: Query) -> StepOutput:
     """Replica side: answer with the stored pair for the queried register."""
-    lt = clock_merge(s.lt, m.lt)
-    nxt = s._replace(lt=lt)
-    resp = Response(sender=s.pid, receiver=m.sender, lt=lt, rid=m.rid, tsv=s.pair(m.reg))
-    return StepOutput(nxt, (resp,))
+    pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid = s
+    lt = clock_merge(lt, m.lt)
+    nxt = State(pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid)
+    return StepOutput(nxt, (Response(pid, m.sender, lt, m.rid, s.pair(m.reg)),))
 
 
 def handle_update(s: State, m: Update) -> StepOutput:
     """Replica side: install the incoming pair if its timestamp is larger
     than the stored one, then acknowledge. Installation is monotone, so
     replayed or reordered updates are harmless."""
-    lt = clock_merge(s.lt, m.lt)
-    stored = s.pair(m.reg)
-    best = stored if stored.ts >= m.tsv.ts else m.tsv
-    tvps = s.tvps if best is stored else {**s.tvps, m.reg: best}
-    nxt = s._replace(lt=lt, tvps=tvps)
-    return StepOutput(nxt, (Ack(sender=s.pid, receiver=m.sender, lt=lt, rid=m.rid),))
+    pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid = s
+    lt = clock_merge(lt, m.lt)
+    if s.pair(m.reg).ts < m.tsv.ts:
+        tvps = {**tvps, m.reg: m.tsv}
+    nxt = State(pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid)
+    return StepOutput(nxt, (Ack(pid, m.sender, lt, m.rid),))
 
 
 def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
@@ -224,32 +220,32 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     quorum returned. A closed update phase completes the operation: a read
     returns the value its query phase selected, a write returns OK.
     """
-    if m.rid != s.rid:
+    pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid = s
+    if m.rid != rid:
         # Reply to a closed phase: drop it whole, clock merge included, so
         # the discarded message leaves no trace in the state.
         return StepOutput(s, ())
-    lt = clock_merge(s.lt, m.lt)
+    lt = clock_merge(lt, m.lt)
     query = type(m) is Response
-    responses = s.responses | {(m.tsv, m.sender) if query else m.sender}
-    if len(responses) != s.v.threshold:
-        return StepOutput(s._replace(lt=lt, responses=responses), ())
-    rid = s.rid + 1
+    responses = responses | {(m.tsv, m.sender) if query else m.sender}
+    if len(responses) != v.threshold:
+        nxt = State(pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid)
+        return StepOutput(nxt, ())
+    rid += 1
     if not query:
-        nxt = s._replace(lt=lt, rid=rid, responses=frozenset(), phase=IDLE, opid=None)
-        return StepOutput(nxt, (), Completion(s.opid, s.val if s.reading else OK))
+        nxt = State(pid, n, v, lt, rid, tvps, frozenset(), reading, reg, val, IDLE, None)
+        return StepOutput(nxt, (), Completion(opid, val if reading else OK))
     # Largest pair by timestamp; the responder id only makes the choice
     # deterministic, equal timestamps always carry equal values.
     tsv, _ = max(responses, key=lambda pr: (pr[0].ts, pr[1]))
-    if not s.reading:
-        tsv = TimestampValuePair(Timestamp(tsv.ts.lt + 1, s.pid), s.val)
-    elif not s.v.writeback:
+    if not reading:
+        tsv = TimestampValuePair(Timestamp(tsv.ts.lt + 1, pid), val)
+    elif not v.writeback:
         # Mutant: return the value without propagating it to a majority.
-        nxt = s._replace(
-            lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=IDLE, opid=None
-        )
-        return StepOutput(nxt, (), Completion(s.opid, tsv.val, tsv.ts))
-    nxt = s._replace(lt=lt, rid=rid, responses=frozenset(), val=tsv.val, phase=UPDATING)
-    return StepOutput(nxt, _broadcast(s, Update, lt=lt, rid=rid, reg=s.reg, tsv=tsv))
+        nxt = State(pid, n, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, IDLE, None)
+        return StepOutput(nxt, (), Completion(opid, tsv.val, tsv.ts))
+    nxt = State(pid, n, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, UPDATING, opid)
+    return StepOutput(nxt, _broadcast(s, Update, lt, rid, reg, tsv))
 
 
 # --- dispatch ---------------------------------------------------------------

@@ -12,10 +12,11 @@ order, so two runs of the same config produce identical traces byte for byte.
 Time is an integer tick counter. Each message is delayed independently by the
 configured delay model (at least one tick), which is also what produces
 reorderings: the network is not FIFO. Pending events sit in one FIFO list
-per tick, and a heap holds each pending tick once; events due at one tick
-run in push order. A process executes at most one handler per tick: an
-invocation or delivery for a process that is busy this tick moves to the end
-of the next tick's list, deterministically.
+per tick, and a heap holds each pending tick once. One loop, `_Run._drain`,
+runs each tick's events in push order: it steps the protocol and applies
+the step in place (records, delay draws, pushes). A process executes at most
+one handler per tick: an event for a process that is busy this tick moves
+to the end of the next tick's list through `_defer`, deterministically.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .protocol import (
     PROTOCOLS,
     SC_ABD,
     State,
-    StepOutput,
     initial_state,
     mw_abd_step,
     sc_abd_step,
@@ -76,7 +76,7 @@ class UniformDelay:
     def delay(self, msg: Message, rng: random.Random) -> int:
         return rng.randint(self.lo, self.hi)
 
-    def validate(self) -> None:
+    def validate(self, n: int) -> None:
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError(f"uniform delay needs 1 <= lo <= hi, got {self.lo}..{self.hi}")
 
@@ -91,12 +91,14 @@ class FixedLinkDelay:
     def delay(self, msg: Message, rng: random.Random) -> int:
         return self.links.get((msg.sender, msg.receiver), self.default)
 
-    def validate(self) -> None:
+    def validate(self, n: int) -> None:
         if self.default < 1:
             raise ConfigError("fixed delay default must be >= 1")
         for link, d in self.links.items():
             if d < 1:
                 raise ConfigError(f"fixed delay for link {link} must be >= 1, got {d}")
+            if not all(1 <= p <= n for p in link):
+                raise ConfigError(f"fixed delay link {link} has a pid outside 1..{n}")
 
 
 SELF = "self"
@@ -138,9 +140,12 @@ class DelayRule:
             return self.lo
         return rng.randint(self.lo, self.hi)
 
-    def validate(self) -> None:
+    def validate(self, n: int) -> None:
         if self.lo < 1 or (self.hi is not None and self.hi < self.lo):
             raise ConfigError(f"delay rule needs 1 <= lo <= hi, got {self.lo}..{self.hi}")
+        for pid in (self.sender, self.receiver):
+            if isinstance(pid, int) and not 1 <= pid <= n:
+                raise ConfigError(f"delay rule pid {pid} outside 1..{n}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,11 +162,11 @@ class AdversarialSchedule:
                 return rule.draw(rng)
         return self.default
 
-    def validate(self) -> None:
+    def validate(self, n: int) -> None:
         if self.default < 1:
             raise ConfigError("adversarial default delay must be >= 1")
         for rule in self.rules:
-            rule.validate()
+            rule.validate(n)
 
 
 DelayModel = Union[UniformDelay, FixedLinkDelay, AdversarialSchedule]
@@ -212,7 +217,7 @@ class SimConfig:
         if self.mutant not in MUTANTS:
             raise ConfigError(f"mutant must be one of {MUTANTS}, got {self.mutant!r}")
         self.workload.validate()
-        self.delay.validate()
+        self.delay.validate(self.n)
         pids = [p for p, _ in self.crashes]
         if len(set(pids)) != len(pids):
             raise ConfigError("a process may crash at most once")
@@ -367,13 +372,17 @@ class _Run:
         self.ops: dict[OpId, OperationDescriptor] = {}
         self.crash_log: list[tuple[ProcessId, int]] = []
 
-    def _push(self, due: int, kind: str, payload) -> None:
-        queue = self.queues.get(due)
-        if queue is None:
-            self.queues[due] = [(kind, payload)]
+    def _push(self, due: int, kind: str, payload) -> bool:
+        queue = self.queues.setdefault(due, [])
+        if not queue:  # the tick's first event
             heappush(self.heap, due)
-        else:
-            queue.append((kind, payload))
+        queue.append((kind, payload))
+        return True
+
+    # One handler per process per tick: the loop pushes a busy process's
+    # event to the end of the next tick through this name of its own, which
+    # returns True, so that a profiler can count deferrals.
+    _defer = _push
 
     def run(self) -> Trace:
         for pid, tick in self.cfg.crashes:
@@ -382,41 +391,76 @@ class _Run:
             if self.workload[p]:
                 self._push(0, _INVOKE, p)
         outcome = self._drain()
-        rounds = op_rounds(self.history, self.message_log)
-        return Trace(
-            self.cfg, self.history, self.message_log, rounds, self.ops, self.crash_log, outcome
-        )
+        h, log = self.history, self.message_log
+        return Trace(self.cfg, h, log, op_rounds(h, log), self.ops, self.crash_log, outcome)
 
     def _drain(self) -> str:
-        """Run the queued events tick by tick, each tick's in push order, up
-        to the horizon. Events appended to the tick being drained (think
-        time 0) are reached by the same loop."""
-        heap, queues, last_exec, crashed = self.heap, self.queues, self.last_exec, self.crashed
+        """The event loop: each tick's events in push order, up to the
+        horizon, each step's effects applied in place. Events appended to
+        the tick being drained (think time 0) are reached too."""
+        cfg, heap, queues, states, ops = self.cfg, self.heap, self.queues, self.states, self.ops
+        last_exec, crashed, log = self.last_exec, self.crashed, self.message_log
+        workload, next_op, history = self.workload, self.next_op, self.history
+        step, rng, delay, defer = self.step, self.rng, cfg.delay.delay, self._defer
         while heap:
             tick = heappop(heap)
-            if tick > self.cfg.max_ticks:
+            if tick > cfg.max_ticks:
                 return HORIZON
             for kind, payload in queues[tick]:
                 pid = payload.msg.receiver if kind == _DELIVER else payload
                 if pid in crashed:
                     if kind == _DELIVER:
                         payload.dropped = True
-                elif kind == _CRASH:
+                    continue
+                if kind == _CRASH:
                     self._crash(pid, tick)
-                elif last_exec[pid] >= tick:
-                    self._defer(tick, kind, payload)
-                elif kind == _INVOKE:
-                    self._invoke(pid, tick)
+                    continue
+                if last_exec[pid] >= tick:
+                    defer(tick + 1, kind, payload)
+                    continue
+                if kind == _INVOKE:
+                    spec = workload[pid][next_op[pid]]
+                    next_op[pid] += 1
+                    opid = next(self.opids)
+                    desc = ops[opid] = OperationDescriptor(opid, pid, *spec)
+                    state, outbox, completion = step(states[pid], Invoke(opid, *spec))
+                    history.append(Event(INVOCATION, desc, tick, state.lt, pid))
                 else:
-                    self._deliver(pid, payload, tick)
+                    before = states[pid]
+                    state, outbox, completion = step(before, payload.msg)
+                    payload.recv_rt = tick
+                    payload.recv_lt = state.lt
+                    # Only a reply to a closed phase leaves the state as is.
+                    payload.handled = state is not before
+                states[pid] = state
+                last_exec[pid] = tick
+                if outbox:
+                    first = outbox[0]
+                    if first.kind == "update":  # the op's first one carries its ts
+                        desc = ops[state.opid]
+                        if desc.ts is None:
+                            desc.ts = first.tsv.ts
+                    for msg in outbox:
+                        rec = MessageRecord(msg, tick)
+                        log.append(rec)
+                        due = tick + delay(msg, rng)  # >= 1: models are validated
+                        queue = queues.setdefault(due, [])
+                        if not queue:
+                            heappush(heap, due)
+                        queue.append((_DELIVER, rec))
+                if completion is not None:
+                    desc = ops[completion.opid]
+                    desc.ret = completion.ret
+                    if desc.ts is None and completion.ts is not None:
+                        desc.ts = completion.ts
+                    history.append(Event(RESPONSE_EVENT, desc, tick, state.lt, pid))
+                    if pid in self.crash_pending:
+                        self.crash_pending.discard(pid)
+                        self._crash(pid, tick)  # the process is idle again
+                    elif next_op[pid] < len(workload[pid]):
+                        self._push(tick + cfg.workload.think_time, _INVOKE, pid)
             del queues[tick]
         return QUIESCENT
-
-    def _defer(self, tick: int, kind: str, payload) -> bool:
-        # One handler per process per tick: move to the end of the next one.
-        # A method returning True, so that a profiler can count deferrals.
-        self._push(tick + 1, kind, payload)
-        return True
 
     def _crash(self, pid: ProcessId, tick: int) -> None:
         if self.states[pid].phase == IDLE or self.cfg.mid_op_crash:
@@ -424,52 +468,6 @@ class _Run:
             self.crash_log.append((pid, tick))
         else:  # deferred to the op boundary, so histories stay complete
             self.crash_pending.add(pid)
-
-    def _invoke(self, pid: ProcessId, tick: int) -> None:
-        spec = self.workload[pid][self.next_op[pid]]
-        self.next_op[pid] += 1
-        opid = next(self.opids)
-        desc = OperationDescriptor(opid=opid, proc=pid, kind=spec.kind, reg=spec.reg, arg=spec.val)
-        self.ops[opid] = desc
-        out = self.step(self.states[pid], Invoke(opid, spec.kind, spec.reg, spec.val))
-        self.history.append(Event(INVOCATION, desc, tick, out.state.lt, pid))
-        self._apply(pid, out, tick)
-
-    def _deliver(self, pid: ProcessId, rec: MessageRecord, tick: int) -> None:
-        before = self.states[pid]
-        out = self.step(before, rec.msg)
-        rec.recv_rt = tick
-        rec.recv_lt = out.state.lt
-        rec.handled = out.state is not before or bool(out.outbox) or out.completion is not None
-        self._apply(pid, out, tick)
-
-    def _apply(self, pid: ProcessId, out: StepOutput, tick: int) -> None:
-        self.states[pid] = out.state
-        self.last_exec[pid] = tick
-        if out.outbox:
-            first = out.outbox[0]
-            if first.kind == "update":
-                # An initiator's update phase: the op's first one carries its
-                # timestamp.
-                desc = self.ops[out.state.opid]
-                if desc.ts is None:
-                    desc.ts = first.tsv.ts
-            for msg in out.outbox:
-                rec = MessageRecord(msg=msg, send_rt=tick)
-                self.message_log.append(rec)
-                delay = max(1, self.cfg.delay.delay(msg, self.rng))
-                self._push(tick + delay, _DELIVER, rec)
-        if out.completion is not None:
-            desc = self.ops[out.completion.opid]
-            desc.ret = out.completion.ret
-            if desc.ts is None and out.completion.ts is not None:
-                desc.ts = out.completion.ts
-            self.history.append(Event(RESPONSE_EVENT, desc, tick, out.state.lt, pid))
-            if pid in self.crash_pending:
-                self.crash_pending.discard(pid)
-                self._crash(pid, tick)  # the process is idle again
-            elif self.next_op[pid] < len(self.workload[pid]):
-                self._push(tick + self.cfg.workload.think_time, _INVOKE, pid)
 
 
 def run_simulation(cfg: SimConfig) -> Trace:

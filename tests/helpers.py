@@ -38,6 +38,7 @@ from dsmlab.core import (
     WRITE,
 )
 from dsmlab.files import RECORD_KEYS, ParseError, _fail, _load
+from dsmlab.protocol import Invoke, StepOutput
 from dsmlab.simnet import (
     _CRASH, _DELIVER, _INVOKE, HORIZON, QUIESCENT, MessageRecord, SimConfig, _Run
 )
@@ -374,7 +375,8 @@ class HeapRun(_Run):
     """The simulator on its earlier scheduler: one heap entry per event,
     ordered by (due tick, push counter), with the crash and busy checks made
     as each event is popped and a busy process's event pushed again at its
-    next free tick. The reference for _Run's per-tick FIFO lists."""
+    next free tick, and each event handled by its own methods. The reference
+    for _Run's one event loop over per-tick FIFO lists."""
 
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
@@ -401,6 +403,50 @@ class HeapRun(_Run):
             else:
                 self._deliver(pid, payload, due)
         return QUIESCENT
+
+    def _invoke(self, pid: int, tick: int) -> None:
+        spec = self.workload[pid][self.next_op[pid]]
+        self.next_op[pid] += 1
+        opid = next(self.opids)
+        desc = OperationDescriptor(opid=opid, proc=pid, kind=spec.kind, reg=spec.reg, arg=spec.val)
+        self.ops[opid] = desc
+        out = self.step(self.states[pid], Invoke(opid, spec.kind, spec.reg, spec.val))
+        self.history.append(Event(INVOCATION, desc, tick, out.state.lt, pid))
+        self._apply(pid, out, tick)
+
+    def _deliver(self, pid: int, rec: MessageRecord, tick: int) -> None:
+        before = self.states[pid]
+        out = self.step(before, rec.msg)
+        rec.recv_rt = tick
+        rec.recv_lt = out.state.lt
+        rec.handled = out.state is not before or bool(out.outbox) or out.completion is not None
+        self._apply(pid, out, tick)
+
+    def _apply(self, pid: int, out: StepOutput, tick: int) -> None:
+        self.states[pid] = out.state
+        self.last_exec[pid] = tick
+        if out.outbox:
+            first = out.outbox[0]
+            if first.kind == "update":
+                desc = self.ops[out.state.opid]
+                if desc.ts is None:
+                    desc.ts = first.tsv.ts
+            for msg in out.outbox:
+                rec = MessageRecord(msg=msg, send_rt=tick)
+                self.message_log.append(rec)
+                delay = max(1, self.cfg.delay.delay(msg, self.rng))
+                self._push(tick + delay, _DELIVER, rec)
+        if out.completion is not None:
+            desc = self.ops[out.completion.opid]
+            desc.ret = out.completion.ret
+            if desc.ts is None and out.completion.ts is not None:
+                desc.ts = out.completion.ts
+            self.history.append(Event(RESPONSE_EVENT, desc, tick, out.state.lt, pid))
+            if pid in self.crash_pending:
+                self.crash_pending.discard(pid)
+                self._crash(pid, tick)
+            elif self.next_op[pid] < len(self.workload[pid]):
+                self._push(tick + self.cfg.workload.think_time, _INVOKE, pid)
 
 
 # --- file formats through dicts and the json module --------------------------------

@@ -87,6 +87,21 @@ def test_run_invalid_config_exits_3(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "delay = fixed\ndelay_links = 1>2:4, 1>9:3",  # receiver 9 at n = 3
+        "delay = adversarial\nschedule = update:*>self:2; query:7>1:5",  # sender 7
+    ],
+    ids=["delay_links", "schedule"],
+)
+def test_run_refuses_a_link_or_rule_pid_outside_1_to_n(tmp_path, capsys, text):
+    cfg = _cfg(tmp_path, f"n = 3\n{text}\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "outside 1..3" in capsys.readouterr().err
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 def test_run_horizon_exits_4_but_writes_files(tmp_path, capsys):
     cfg = _cfg(tmp_path, "n = 5\nops_per_process = 4\nmax_ticks = 10\n")
     assert main(["run", str(cfg)]) == EXIT_HORIZON

@@ -1,12 +1,16 @@
 """Source hygiene checks that need no linter: stdlib `ast` scans of the
-package source."""
+package source, and a run of the README's library example against the
+package's exports."""
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dsmlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dsmlab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +50,62 @@ def test_package_modules_have_no_unused_imports():
         if (unused := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert not found, f"unused imports: {found}"
+
+
+def _private(node: ast.AST) -> bool:
+    return (
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    )
+
+
+def _names(node: ast.AST) -> Counter:
+    """Identifiers read or written in node: names and attribute names."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> tuple[int, list[str]]:
+    """(private definitions scanned, those never referenced): a private
+    function, method or class counts as referenced when its name appears as
+    a name or an attribute in any of the modules, outside its own body."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    defs = [(m, node) for m, tree in trees.items() for node in ast.walk(tree) if _private(node)]
+    unused = [
+        f"{m}: {node.name}" for m, node in defs if used[node.name] == _names(node)[node.name]
+    ]
+    return len(defs), unused
+
+
+def test_scan_finds_unreferenced_private_definitions():
+    a = (
+        "class _Run:\n"
+        "    def run(self):\n        return self._drain()\n"
+        "    def _drain(self):\n        return 0\n"
+        "    def _invoke(self):\n        return self._invoke()\n"  # only itself
+        "def _helper():\n    pass\n"
+    )
+    b = "from a import _Run, _helper\n_helper(_Run().run())\n"
+    assert unreferenced_private_defs({"a": a, "b": b}) == (4, ["a: _invoke"])
+    scanned, unused = unreferenced_private_defs({"a": a})
+    assert scanned == 4 and sorted(unused) == ["a: _Run", "a: _helper", "a: _invoke"]
+
+
+def test_package_has_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    scanned, unused = unreferenced_private_defs(sources)
+    assert scanned > 0
+    assert not unused, f"private definitions that src/ never uses: {unused}"
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert "from dsmlab import" in code
+    exec(compile(code, "README.md", "exec"), {})

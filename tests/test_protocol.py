@@ -19,12 +19,14 @@ from dsmlab.core import (
 )
 from dsmlab.protocol import (
     IDLE,
+    Completion,
     Invoke,
     MUTANT_NO_WRITEBACK,
     MUTANT_SMALL_QUORUM,
     ProtocolError,
     QUERYING,
     State,
+    StepOutput,
     UPDATING,
     Variant,
     handle_update,
@@ -267,3 +269,100 @@ def test_states_and_messages_are_tuples_with_value_semantics():
     assert all(a != b for a, b in itertools.combinations(msgs, 2))
     assert [m.kind for m in msgs] == ["query", "response", "update", "ack"]
     assert all("kind" not in m._fields for m in msgs)
+
+
+# --- positional construction --------------------------------------------------
+#
+# The handlers build states and messages positionally. Each case below starts
+# from a state whose twelve fields hold twelve distinct values and spells the
+# expected output with `_replace` and keywords, so a swapped positional
+# argument shows up as a wrong field, whatever the traces exercise.
+
+V_SC, V_MW, V_NWB = Variant(False, 3, True), Variant(True, 3, True), Variant(False, 3, False)
+HELD = TimestampValuePair(Timestamp(7, 4), 70)  # stored at "x", and one held reply
+NEW = TimestampValuePair(Timestamp(12, 1), 80)
+
+
+def distinct_state(v=V_SC, phase=QUERYING, reading=True, responses=None):
+    if responses is None:
+        responses = frozenset({(HELD, 4)}) if phase == QUERYING else frozenset({4})
+    s = State(2, 5, v, 11, 13, {"x": HELD}, responses, reading, "x", 17, phase, 19)
+    assert len({repr(f) for f in s}) == len(State._fields) == 12
+    return s
+
+
+def keyword_broadcast(s, kind, **fields):
+    return tuple(kind(sender=s.pid, receiver=j, **fields) for j in range(1, s.n + 1))
+
+
+def positional_cases():
+    """(label, state, stimulus, expected StepOutput) for every handler branch."""
+    cases = []
+    for v in (V_SC, V_MW):
+        s = distinct_state(v, IDLE)
+        fresh = dict(lt=12, rid=14, reg="y", responses=frozenset(), opid=23)
+        nxt = s._replace(reading=True, val=None, phase=QUERYING, **fresh)
+        query = keyword_broadcast(s, Query, lt=12, rid=14, reg="y")
+        cases.append((f"read invoke {v}", s, Invoke(23, READ, "y"), StepOutput(nxt, query)))
+        if v.query_writes:
+            want = StepOutput(s._replace(reading=False, val=29, phase=QUERYING, **fresh), query)
+        else:
+            tsv = TimestampValuePair(Timestamp(12, 2), 29)
+            update = keyword_broadcast(s, Update, lt=12, rid=14, reg="y", tsv=tsv)
+            want = StepOutput(s._replace(reading=False, val=29, phase=UPDATING, **fresh), update)
+        cases.append((f"write invoke {v}", s, Invoke(23, WRITE, "y", 29), want))
+
+    s = distinct_state()
+    ack = (Ack(sender=2, receiver=3, lt=31, rid=31),)
+    q = Query(sender=3, receiver=2, lt=30, rid=31, reg="x")
+    resp = (Response(sender=2, receiver=3, lt=31, rid=31, tsv=HELD),)
+    cases.append(("query", s, q, StepOutput(s._replace(lt=31), resp)))
+    u = Update(sender=3, receiver=2, lt=30, rid=31, reg="x", tsv=NEW)
+    cases.append(("update installs", s, u, StepOutput(s._replace(lt=31, tvps={"x": NEW}), ack)))
+    old = u._replace(tsv=TimestampValuePair(Timestamp(5, 3), 60))
+    cases.append(("update keeps", s, old, StepOutput(s._replace(lt=31), ack)))
+    reply = Response(sender=3, receiver=2, lt=30, rid=13, tsv=NEW)
+    held = s._replace(lt=31, responses=frozenset({(HELD, 4), (NEW, 3)}))
+    cases.append(("reply that does not close", s, reply, StepOutput(held, ())))
+    cases.append(("stale reply", s, reply._replace(rid=12), StepOutput(s, ())))
+
+    two = frozenset({(HELD, 4), (INITIAL_PAIR, 1)})
+    closed = dict(lt=31, rid=14, responses=frozenset())
+    s = distinct_state(responses=two)
+    update = keyword_broadcast(s, Update, lt=31, rid=14, reg="x", tsv=NEW)
+    want = StepOutput(s._replace(val=80, phase=UPDATING, **closed), update)
+    cases.append(("closing query of a read", s, reply, want))
+    s = distinct_state(V_MW, reading=False, responses=two)
+    tsv = TimestampValuePair(Timestamp(13, 2), 17)
+    update = keyword_broadcast(s, Update, lt=31, rid=14, reg="x", tsv=tsv)
+    want = StepOutput(s._replace(val=17, phase=UPDATING, **closed), update)
+    cases.append(("closing query of a write", s, reply, want))
+    s = distinct_state(V_NWB, responses=two)
+    nxt = s._replace(val=80, phase=IDLE, opid=None, **closed)
+    want = StepOutput(nxt, (), Completion(opid=19, ret=80, ts=Timestamp(12, 1)))
+    cases.append(("closing query without write-back", s, reply, want))
+    for reading, ret in ((True, 17), (False, OK)):
+        s = distinct_state(phase=UPDATING, reading=reading, responses=frozenset({4, 1}))
+        nxt = s._replace(phase=IDLE, opid=None, **closed)
+        want = StepOutput(nxt, (), Completion(opid=19, ret=ret))
+        cases.append((f"closing update, ret {ret}", s, Ack(3, 2, 30, 13), want))
+    return cases
+
+
+def test_handlers_fill_every_field_in_place():
+    cases = positional_cases()
+    assert len(cases) == 14
+    for label, s, stim, want in cases:
+        got = step(s, stim)
+        for name in State._fields:
+            assert getattr(got.state, name) == getattr(want.state, name), (label, name)
+        assert [type(m) for m in got.outbox] == [type(m) for m in want.outbox], label
+        for m, w in zip(got.outbox, want.outbox):
+            for name in m._fields:
+                assert getattr(m, name) == getattr(w, name), (label, name)
+        assert (got.completion is None) == (want.completion is None), label
+        if want.completion is not None:
+            for name in Completion._fields:
+                assert getattr(got.completion, name) == getattr(want.completion, name), label
+    stale = next(c for c in cases if c[0] == "stale reply")
+    assert step(stale[1], stale[2]).state is stale[1]

@@ -146,6 +146,16 @@ def test_config_validation_errors():
         SimConfig(n=3, crashes=((7, 0),)).validate()  # pid out of range
     with pytest.raises(ConfigError):
         SimConfig(n=3, max_ticks=0).validate()
+    # link and rule pids lie in 1..n; a rule may also say "self" or "other"
+    for links in ({(0, 1): 2}, {(1, 4): 2}):
+        with pytest.raises(ConfigError, match="outside 1..3"):
+            SimConfig(n=3, delay=FixedLinkDelay(links=links)).validate()
+    for rule in (DelayRule(sender=0), DelayRule(receiver=4), DelayRule(sender=4, receiver="self")):
+        with pytest.raises(ConfigError, match="outside 1..3"):
+            SimConfig(n=3, delay=AdversarialSchedule(rules=(rule,))).validate()
+    SimConfig(n=3, delay=FixedLinkDelay(links={(1, 3): 2, (3, 3): 1})).validate()
+    rules = (DelayRule(sender=3, receiver="other"), DelayRule(sender=1, receiver=3, lo=2))
+    SimConfig(n=3, delay=AdversarialSchedule(rules=rules)).validate()
     # a mutant applies to either protocol
     cfg = SimConfig(n=3, protocol="mw_abd", mutant="small-quorum").validate()
     assert _Run(cfg).states[1].v == Variant(query_writes=True, threshold=1, writeback=True)
