@@ -53,7 +53,7 @@ from .core import (
     is_well_formed,
     pending_operations,
 )
-from .protocol import MW_ABD, SC_ABD
+from .protocol import QUERY_WRITES
 
 DEFAULT_STATE_CAP = 10_000_000
 ORACLE_OP_CAP = 10
@@ -606,19 +606,10 @@ def audit_logical_clocks(trace) -> bool:
     return True
 
 
-def _phase_kinds(protocol: str) -> tuple[set, set]:
-    # (kinds whose ops contain an update phase, kinds whose ops contain a
-    # query phase) under the protocol's contract. sc_abd reads write back,
-    # so both their phases count; sc_abd writes never query.
-    if protocol == SC_ABD:
-        return {READ, WRITE}, {READ}
-    if protocol == MW_ABD:
-        return {READ, WRITE}, {READ, WRITE}
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 def _visibility_scan(history: Sequence[Event], protocol: str) -> tuple[bool, int]:
-    updaters, queriers = _phase_kinds(protocol)
+    # Under both protocols' contracts every read and every write has an
+    # update phase; reads always query first, writes only where QUERY_WRITES.
+    queriers = {READ, WRITE} if QUERY_WRITES[protocol] else {READ}
     hlt = build_logical_time_history(history)
     ok = True
     pairs = 0
@@ -626,7 +617,7 @@ def _visibility_scan(history: Sequence[Event], protocol: str) -> tuple[bool, int
     for e in hlt:
         op = e.op
         if e.kind == RESPONSE_EVENT:
-            if op.kind in updaters and op.ts is not None:
+            if op.ts is not None:
                 cur, cnt = state.get(op.reg, (INITIAL_TS, 0))
                 state[op.reg] = (max(cur, op.ts), cnt + 1)
         else:

@@ -143,9 +143,6 @@ class Event:
     proc: ProcessId
 
 
-History = list  # list[Event]; order carries the real-time precedence
-
-
 def histories_equivalent(h1: Sequence[Event], h2: Sequence[Event]) -> bool:
     """True when every process sees the same operation sequence in both
     histories. Events are compared by operation identity and event kind, so

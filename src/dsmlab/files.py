@@ -338,7 +338,10 @@ def _parse_links(raw: str) -> dict:
         snd, sep2, rcv = link.partition(">")
         if not sep or not sep2:
             raise ConfigError(f"link entry {part!r} must look like sender>receiver:delay")
-        out[(int(snd), int(rcv))] = int(d)
+        key = (int(snd), int(rcv))
+        if key in out:
+            raise ConfigError(f"link {key[0]}>{key[1]} is listed twice")
+        out[key] = int(d)
     return out
 
 

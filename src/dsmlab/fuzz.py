@@ -33,7 +33,6 @@ from .checker import (
     ORACLE_OP_CAP,
     REJECTED,
     UNDECIDED,
-    Violation,
     audit_logical_clocks,
     audit_timestamp_visibility,
     check_sc_bruteforce,
@@ -145,7 +144,6 @@ class RunOutcome:
     visibility_ok: bool
     quiescent: bool
     ops: int
-    violation: Optional[Violation] = None
     oracle: Optional[str] = None  # brute-force outcome, None beyond its op cap
 
 
@@ -153,7 +151,6 @@ class RunOutcome:
 class CampaignReport:
     protocol: str
     mutant: str
-    seed0: int
     outcomes: list = field(default_factory=list)  # list[RunOutcome]
 
     @property
@@ -230,7 +227,7 @@ def run_campaign(
     enough for the brute-force oracle is verified against it in both
     directions: rejections are sorted into confirmed versus conservative, and
     a spurious acceptance cannot pass silently."""
-    report = CampaignReport(protocol=protocol, mutant=mutant, seed0=seed0)
+    report = CampaignReport(protocol=protocol, mutant=mutant)
     for i in range(runs):
         seed = seed0 + i
         trace = run_simulation(campaign_config(mutant, seed, protocol))
@@ -246,7 +243,6 @@ def run_campaign(
                 visibility_ok=audit_timestamp_visibility(trace),
                 quiescent=trace.quiescent,
                 ops=len(trace.ops),
-                violation=verdict.violation,
                 oracle=oracle,
             )
         )

@@ -23,9 +23,11 @@ in how a write obtains its timestamp:
   still maintained on every step, but timestamps are derived from the query
   round, not from the clock.
 
-A run's protocol and mutant are resolved once, by ``initial_state``, into the
-frozen ``Variant`` that every state carries: whether writes query first, how
-many replies close a phase, and whether reads write back.
+``QUERY_WRITES`` is the one place where the two protocols differ. A run's
+protocol and mutant are resolved once, by ``initial_state``, into the frozen
+``Variant`` that every state carries: whether writes query first, how many
+processes there are and how many replies close a phase, and whether reads
+write back.
 
 Every initiator phase carries a fresh request id; responses and acks echo the
 rid they answer. A reply whose rid is not the currently open one is discarded
@@ -59,13 +61,11 @@ from .core import (
     quorum_size,
 )
 
-IDLE = "idle"
-QUERYING = "querying"
-UPDATING = "updating"
-
 SC_ABD = "sc_abd"
 MW_ABD = "mw_abd"
-PROTOCOLS = (SC_ABD, MW_ABD)
+# Whether a write queries a majority before its update round.
+QUERY_WRITES = {SC_ABD: False, MW_ABD: True}
+PROTOCOLS = tuple(QUERY_WRITES)
 
 MUTANT_NONE = "none"
 MUTANT_SMALL_QUORUM = "small-quorum"
@@ -100,6 +100,7 @@ class Variant:
     """How one run's processes behave, resolved once by ``initial_state``."""
 
     query_writes: bool  # mw_abd: a write queries for the highest timestamp first
+    n: int  # processes, each one a replica
     threshold: int  # replies that close a phase: a majority unless small-quorum
     writeback: bool  # reads install their selected pair; False for no-writeback
 
@@ -110,12 +111,12 @@ class State(NamedTuple):
     ``tvps`` maps registers to their stored timestamp-value pair; registers
     never written hold the initial pair ((0, 0), 0), kept implicit via
     ``pair``. ``responses`` collects (pair, responder) during a query phase
-    and responder ids during update phases. ``phase`` is idle between
-    operations; invoking while not idle is a client error.
+    and responder ids during update phases. ``opid`` is None exactly when
+    the process is idle; invoking while an operation is open is a client
+    error.
     """
 
     pid: ProcessId
-    n: int
     v: Variant
     lt: int = 0
     rid: int = 0
@@ -124,7 +125,6 @@ class State(NamedTuple):
     reading: bool = False
     reg: RegisterId = ""  # the open operation's register
     val: Optional[Value] = 0  # value to write (kept across a query round) or value read
-    phase: str = IDLE
     opid: Optional[OpId] = None
 
     def pair(self, reg: RegisterId) -> TimestampValuePair:
@@ -146,23 +146,24 @@ def initial_state(
     floor(n/2) replies (no intersection guarantee, clamped to 1 so n=1 still
     runs), ``no-writeback`` lets reads return without their update round.
     """
-    if protocol not in PROTOCOLS:
+    if protocol not in QUERY_WRITES:
         raise ValueError(f"unknown protocol {protocol!r}")
     if mutant not in MUTANTS:
         raise ValueError(f"unknown mutant {mutant!r}")
     v = Variant(
-        query_writes=protocol == MW_ABD,
+        query_writes=QUERY_WRITES[protocol],
+        n=n,
         threshold=max(1, n // 2) if mutant == MUTANT_SMALL_QUORUM else quorum_size(n),
         writeback=mutant != MUTANT_NO_WRITEBACK,
     )
-    return State(pid=pid, n=n, v=v)
+    return State(pid=pid, v=v)
 
 
 def _broadcast(s: State, kind: type, *fields) -> tuple:
     """One message of the given kind to every process, self included; the
     fields after sender and receiver are given in order."""
     pid = s.pid
-    return tuple([kind(pid, j, *fields) for j in range(1, s.n + 1)])
+    return tuple([kind(pid, j, *fields) for j in range(1, s.v.n + 1)])
 
 
 def invoke(s: State, stim: Invoke) -> StepOutput:
@@ -172,18 +173,15 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
     query round, the logical clock already dominates every pair observed."""
     if stim.kind not in (READ, WRITE):
         raise ProtocolError(f"unknown operation kind {stim.kind!r}")
-    if s.phase != IDLE:
-        raise ProtocolError(
-            f"process {s.pid} invoked op {stim.opid} while {s.phase} on op {s.opid}"
-        )
+    if stim.opid is None:
+        raise ProtocolError(f"process {s.pid} invoked an operation without an opid")
+    if s.opid is not None:
+        raise ProtocolError(f"process {s.pid} invoked op {stim.opid} while op {s.opid} is open")
     lt = clock_local_step(s.lt)
     rid = s.rid + 1
     reading = stim.kind == READ
     query = reading or s.v.query_writes
-    phase = QUERYING if query else UPDATING
-    nxt = State(
-        s.pid, s.n, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val, phase, stim.opid
-    )
+    nxt = State(s.pid, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val, stim.opid)
     if query:
         return StepOutput(nxt, _broadcast(s, Query, lt, rid, stim.reg))
     tsv = TimestampValuePair(Timestamp(lt, s.pid), stim.val)
@@ -192,9 +190,9 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
 
 def handle_query(s: State, m: Query) -> StepOutput:
     """Replica side: answer with the stored pair for the queried register."""
-    pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid = s
+    pid, v, lt, rid, tvps, responses, reading, reg, val, opid = s
     lt = clock_merge(lt, m.lt)
-    nxt = State(pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid)
+    nxt = State(pid, v, lt, rid, tvps, responses, reading, reg, val, opid)
     return StepOutput(nxt, (Response(pid, m.sender, lt, m.rid, s.pair(m.reg)),))
 
 
@@ -202,11 +200,11 @@ def handle_update(s: State, m: Update) -> StepOutput:
     """Replica side: install the incoming pair if its timestamp is larger
     than the stored one, then acknowledge. Installation is monotone, so
     replayed or reordered updates are harmless."""
-    pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid = s
+    pid, v, lt, rid, tvps, responses, reading, reg, val, opid = s
     lt = clock_merge(lt, m.lt)
     if s.pair(m.reg).ts < m.tsv.ts:
         tvps = {**tvps, m.reg: m.tsv}
-    nxt = State(pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid)
+    nxt = State(pid, v, lt, rid, tvps, responses, reading, reg, val, opid)
     return StepOutput(nxt, (Ack(pid, m.sender, lt, m.rid),))
 
 
@@ -220,7 +218,7 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     quorum returned. A closed update phase completes the operation: a read
     returns the value its query phase selected, a write returns OK.
     """
-    pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid = s
+    pid, v, lt, rid, tvps, responses, reading, reg, val, opid = s
     if m.rid != rid:
         # Reply to a closed phase: drop it whole, clock merge included, so
         # the discarded message leaves no trace in the state.
@@ -229,11 +227,11 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     query = type(m) is Response
     responses = responses | {(m.tsv, m.sender) if query else m.sender}
     if len(responses) != v.threshold:
-        nxt = State(pid, n, v, lt, rid, tvps, responses, reading, reg, val, phase, opid)
+        nxt = State(pid, v, lt, rid, tvps, responses, reading, reg, val, opid)
         return StepOutput(nxt, ())
     rid += 1
     if not query:
-        nxt = State(pid, n, v, lt, rid, tvps, frozenset(), reading, reg, val, IDLE, None)
+        nxt = State(pid, v, lt, rid, tvps, frozenset(), reading, reg, val, None)
         return StepOutput(nxt, (), Completion(opid, val if reading else OK))
     # Largest pair by timestamp; the responder id only makes the choice
     # deterministic, equal timestamps always carry equal values.
@@ -242,9 +240,9 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
         tsv = TimestampValuePair(Timestamp(tsv.ts.lt + 1, pid), val)
     elif not v.writeback:
         # Mutant: return the value without propagating it to a majority.
-        nxt = State(pid, n, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, IDLE, None)
+        nxt = State(pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, None)
         return StepOutput(nxt, (), Completion(opid, tsv.val, tsv.ts))
-    nxt = State(pid, n, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, UPDATING, opid)
+    nxt = State(pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, opid)
     return StepOutput(nxt, _broadcast(s, Update, lt, rid, reg, tsv))
 
 

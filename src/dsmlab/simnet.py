@@ -42,7 +42,6 @@ from .core import (
     quorum_size,
 )
 from .protocol import (
-    IDLE,
     Invoke,
     MUTANT_NONE,
     MUTANTS,
@@ -131,9 +130,7 @@ class DelayRule:
                 return False
         elif self.receiver is not None and msg.receiver != self.receiver:
             return False
-        if self.rid is not None and msg.rid != self.rid:
-            return False
-        return True
+        return self.rid is None or msg.rid == self.rid
 
     def draw(self, rng: random.Random) -> int:
         if self.hi is None or self.hi == self.lo:
@@ -146,6 +143,8 @@ class DelayRule:
         for pid in (self.sender, self.receiver):
             if isinstance(pid, int) and not 1 <= pid <= n:
                 raise ConfigError(f"delay rule pid {pid} outside 1..{n}")
+        if self.rid is not None and self.rid < 1:
+            raise ConfigError(f"delay rule rid {self.rid} must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -463,7 +462,7 @@ class _Run:
         return QUIESCENT
 
     def _crash(self, pid: ProcessId, tick: int) -> None:
-        if self.states[pid].phase == IDLE or self.cfg.mid_op_crash:
+        if self.states[pid].opid is None or self.cfg.mid_op_crash:
             self.crashed.add(pid)
             self.crash_log.append((pid, tick))
         else:  # deferred to the op boundary, so histories stay complete

@@ -102,6 +102,22 @@ def test_run_refuses_a_link_or_rule_pid_outside_1_to_n(tmp_path, capsys, text):
     assert not (tmp_path / "run.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("delay = adversarial\nschedule = query@0:1>2:50", "rid 0 must be >= 1"),
+        ("delay = adversarial\nschedule = query@-4:1>2:50", "rid -4 must be >= 1"),
+        ("delay = fixed\ndelay_links = 1>2:5, 1>2:7", "link 1>2 is listed twice"),
+    ],
+    ids=["rule-rid-0", "rule-rid-negative", "link-twice"],
+)
+def test_run_refuses_a_rule_rid_below_1_or_a_link_listed_twice(tmp_path, capsys, text, error):
+    cfg = _cfg(tmp_path, f"n = 3\n{text}\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 def test_run_horizon_exits_4_but_writes_files(tmp_path, capsys):
     cfg = _cfg(tmp_path, "n = 5\nops_per_process = 4\nmax_ticks = 10\n")
     assert main(["run", str(cfg)]) == EXIT_HORIZON
@@ -298,8 +314,7 @@ def _stub_campaign(monkeypatch, **outcome):
     fields.update(outcome)
 
     def run_campaign(runs, mutant, seed0, protocol):
-        return CampaignReport(protocol=protocol, mutant=mutant, seed0=seed0,
-                              outcomes=[RunOutcome(**fields)])
+        return CampaignReport(protocol=protocol, mutant=mutant, outcomes=[RunOutcome(**fields)])
 
     monkeypatch.setattr(cli, "run_campaign", run_campaign)
 

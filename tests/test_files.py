@@ -588,7 +588,7 @@ def test_parse_config_rejections():
             parse_config(text)
     # a mutant applies to either protocol
     cfg = parse_config("mutant = small-quorum\nprotocol = mw_abd")
-    assert _Run(cfg).states[1].v == Variant(query_writes=True, threshold=1, writeback=True)
+    assert _Run(cfg).states[1].v == Variant(query_writes=True, n=3, threshold=1, writeback=True)
     assert run_simulation(cfg).protocol == "mw_abd"
 
 

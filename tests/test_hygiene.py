@@ -103,6 +103,79 @@ def test_package_has_no_unreferenced_private_definitions():
     assert not unused, f"private definitions that src/ never uses: {unused}"
 
 
+def _reads(node: ast.AST) -> Counter:
+    """Identifiers node reads: loaded names and attributes, names imported
+    from a module, and strings that spell an identifier (getattr, patch)."""
+    reads: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            reads[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            reads.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            reads[n.value] += 1
+    return reads
+
+
+def _module_level_defs(tree: ast.Module):
+    """(name, defining statement) for each function, class and assigned
+    name at a module's top level; dunders are read by the interpreter."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names if not name.startswith("__"))
+
+
+def unread_module_names(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Module-level names of the `defining` modules that no module of
+    `readers` reads outside the statement that defines them. Reads match by
+    identifier, as in unreferenced_private_defs: a same-named local also
+    counts, so the scan can miss a dead name."""
+    used = sum((_reads(ast.parse(src)) for src in readers.values()), Counter())
+    return [
+        f"{m}: {name}"
+        for m, src in defining.items()
+        for name, stmt in _module_level_defs(ast.parse(src))
+        if used[name] == _reads(stmt)[name]
+    ]
+
+
+def test_scan_finds_unread_module_names():
+    a = (
+        "LIMIT = 3\nAlias = list\nA, B = 1, 2\n__all__ = []\n"
+        "def f(x):\n    return f(x - 1) if x else LIMIT\n"
+        "def g():\n    pass\n"
+        "class C:\n    pass\n"
+    )
+    b = "from a import f\nimport a\nf(a.A)\nsetattr(a, 'g', None)\n"
+    sources = {"a": a, "b": b}
+    assert unread_module_names({"a": a}, sources) == ["a: Alias", "a: B", "a: C"]
+    alone = unread_module_names({"a": a}, {"a": a})
+    assert alone == ["a: Alias", "a: A", "a: B", "a: f", "a: g", "a: C"]
+
+
+def test_package_module_names_are_all_read():
+    # __init__.py only re-exports; it still reads what it imports
+    readers = {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for d in ("src/dsmlab", "tests", "perfbench")
+        for p in sorted((ROOT / d).glob("*.py"))
+    }
+    defining = {
+        k: v for k, v in readers.items() if k.startswith("src/") and not k.endswith("__init__.py")
+    }
+    assert len(defining) >= 7
+    unread = unread_module_names(defining, readers)
+    assert not unread, f"module-level names that nothing reads: {unread}"
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]

@@ -18,16 +18,13 @@ from dsmlab.core import (
     Update,
 )
 from dsmlab.protocol import (
-    IDLE,
     Completion,
     Invoke,
     MUTANT_NO_WRITEBACK,
     MUTANT_SMALL_QUORUM,
     ProtocolError,
-    QUERYING,
     State,
     StepOutput,
-    UPDATING,
     Variant,
     handle_update,
     initial_state,
@@ -46,7 +43,7 @@ def drive_write(n=3, pid=1, val=7, opid=1):
 def test_sc_write_broadcasts_update_with_own_timestamp():
     s0, out = drive_write()
     s = out.state
-    assert s.phase == UPDATING and s.opid == 1 and s.lt == 1 and s.rid == 1
+    assert s.opid == 1 and s.lt == 1 and s.rid == 1
     assert len(out.outbox) == 3
     assert [m.receiver for m in out.outbox] == [1, 2, 3]  # self included
     for m in out.outbox:
@@ -61,12 +58,13 @@ def test_sc_write_completes_at_exact_ack_quorum():
     s = out.state
     # first ack: no completion yet
     out = step(s, Ack(sender=1, receiver=1, lt=2, rid=1))
-    assert out.completion is None and out.state.phase == UPDATING
+    assert out.completion is None and out.outbox == ()
+    assert out.state.opid == 1 and out.state.rid == 1  # still in the update phase
     # second ack: quorum of 2 out of 3 fires exactly
     out = step(out.state, Ack(sender=2, receiver=1, lt=3, rid=1))
     assert out.completion is not None
     assert out.completion.opid == 1 and out.completion.ret == OK
-    assert out.state.phase == IDLE and out.state.opid is None
+    assert out.state.opid is None
     assert out.state.rid == 2  # phase closed, late acks are now stale
     # third ack (late): discarded outright, state untouched
     late = step(out.state, Ack(sender=3, receiver=1, lt=9, rid=1))
@@ -94,16 +92,27 @@ def test_stale_response_discarded_without_clock_merge():
 
 
 def test_invoke_while_busy_is_an_error():
-    _, out = drive_write()
-    with pytest.raises(ProtocolError):
-        step(out.state, Invoke(2, READ, "x"))
+    for protocol in ("sc_abd", "mw_abd"):
+        for kind in (READ, WRITE):
+            busy = step(initial_state(1, 3, protocol), Invoke(1, kind, "x", 4)).state
+            assert busy.opid == 1
+            for again in (READ, WRITE):
+                with pytest.raises(ProtocolError):
+                    step(busy, Invoke(2, again, "x", 5))
+
+
+def test_invoke_without_an_opid_is_an_error():
+    for protocol in ("sc_abd", "mw_abd"):
+        for kind in (READ, WRITE):
+            with pytest.raises(ProtocolError):
+                step(initial_state(1, 3, protocol), Invoke(None, kind, "x", 4))
 
 
 def test_sc_read_two_phases_and_writeback_of_max():
     s = initial_state(2, 3)
     out = step(s, Invoke(5, READ, "x"))
     s = out.state
-    assert s.phase == QUERYING and s.reading and s.reg == "x"
+    assert s.opid == 5 and s.reading and s.reg == "x"
     assert all(isinstance(m, Query) for m in out.outbox) and len(out.outbox) == 3
     fresh = TimestampValuePair(Timestamp(4, 3), 42)
     stale = TimestampValuePair(Timestamp(2, 1), 17)
@@ -111,14 +120,14 @@ def test_sc_read_two_phases_and_writeback_of_max():
     assert out.outbox == () and out.completion is None
     out = step(out.state, Response(sender=3, receiver=2, lt=6, rid=s.rid, tsv=fresh))
     # quorum fired: write-back phase broadcasts the larger pair
-    assert out.state.phase == UPDATING and out.state.val == 42
+    assert out.state.opid == 5 and out.state.val == 42
     assert len(out.outbox) == 3
     assert all(isinstance(m, Update) and m.tsv == fresh and m.reg == "x" for m in out.outbox)
     rid2 = out.state.rid
     out = step(out.state, Ack(sender=2, receiver=2, lt=9, rid=rid2))
     out = step(out.state, Ack(sender=1, receiver=2, lt=10, rid=rid2))
     assert out.completion == (5, 42, None)
-    assert out.state.phase == IDLE
+    assert out.state.opid is None
 
 
 def test_replica_query_answers_stored_pair():
@@ -167,14 +176,14 @@ def test_mw_write_queries_then_installs_above_max():
     out = step(s, Invoke(1, WRITE, "x", 33))
     s = out.state
     assert s.v.query_writes
-    assert s.phase == QUERYING and not s.reading and s.reg == "x" and s.val == 33
-    assert all(isinstance(m, Query) for m in out.outbox)
+    assert s.opid == 1 and not s.reading and s.reg == "x" and s.val == 33
+    assert len(out.outbox) == 3 and all(isinstance(m, Query) for m in out.outbox)
     r1 = TimestampValuePair(Timestamp(6, 2), 8)
     r2 = TimestampValuePair(Timestamp(4, 3), 9)
     out = step(s, Response(sender=2, receiver=1, lt=7, rid=s.rid, tsv=r1))
     out = step(out.state, Response(sender=3, receiver=1, lt=8, rid=s.rid, tsv=r2))
     # update phase installs (max.lt + 1, own pid) with the written value
-    assert out.state.phase == UPDATING
+    assert out.state.opid == 1 and len(out.outbox) == 3
     assert all(
         isinstance(m, Update) and m.tsv == TimestampValuePair(Timestamp(7, 1), 33)
         for m in out.outbox
@@ -192,7 +201,8 @@ def test_mw_read_same_shape_as_sc_read():
     pair = TimestampValuePair(Timestamp(3, 1), 77)
     out = step(s, Response(sender=1, receiver=2, lt=4, rid=s.rid, tsv=pair))
     out = step(out.state, Response(sender=2, receiver=2, lt=5, rid=s.rid, tsv=INITIAL_PAIR))
-    assert out.state.phase == UPDATING and out.state.val == 77
+    assert out.state.opid == 9 and out.state.val == 77
+    assert len(out.outbox) == 3 and all(isinstance(m, Update) for m in out.outbox)
     assert all(m.tsv == pair and m.reg == "z" for m in out.outbox)
 
 
@@ -215,7 +225,7 @@ def test_no_writeback_mutant_skips_read_update_phase():
     assert out.outbox == ()
     assert out.completion is not None
     assert out.completion.ret == 3 and out.completion.ts == Timestamp(8, 2)
-    assert out.state.phase == IDLE
+    assert out.state.opid is None
 
 
 def test_step_rejects_unknown_mutant():
@@ -227,9 +237,9 @@ def test_step_rejects_unknown_mutant():
 
 def test_initial_state_resolves_the_variant_once():
     for protocol, qw in (("sc_abd", False), ("mw_abd", True)):
-        assert initial_state(1, 5, protocol).v == Variant(qw, 3, True)
-        assert initial_state(1, 5, protocol, MUTANT_SMALL_QUORUM).v == Variant(qw, 2, True)
-        assert initial_state(1, 5, protocol, MUTANT_NO_WRITEBACK).v == Variant(qw, 3, False)
+        assert initial_state(1, 5, protocol).v == Variant(qw, 5, 3, True)
+        assert initial_state(1, 5, protocol, MUTANT_SMALL_QUORUM).v == Variant(qw, 5, 2, True)
+        assert initial_state(1, 5, protocol, MUTANT_NO_WRITEBACK).v == Variant(qw, 5, 3, False)
     assert initial_state(1, 1, mutant=MUTANT_SMALL_QUORUM).v.threshold == 1
 
 
@@ -246,7 +256,7 @@ def test_states_are_immutable_values():
     with pytest.raises(AttributeError):
         s.lt = 5
     out = step(s, Invoke(1, WRITE, "x", 1))
-    assert s.phase == IDLE  # original untouched
+    assert s.opid is None and s.lt == 0  # original untouched
     assert out.state is not s
 
 
@@ -274,42 +284,41 @@ def test_states_and_messages_are_tuples_with_value_semantics():
 # --- positional construction --------------------------------------------------
 #
 # The handlers build states and messages positionally. Each case below starts
-# from a state whose twelve fields hold twelve distinct values and spells the
+# from a state whose ten fields hold ten distinct values and spells the
 # expected output with `_replace` and keywords, so a swapped positional
 # argument shows up as a wrong field, whatever the traces exercise.
 
-V_SC, V_MW, V_NWB = Variant(False, 3, True), Variant(True, 3, True), Variant(False, 3, False)
+V_SC, V_MW = Variant(False, 5, 3, True), Variant(True, 5, 3, True)
+V_NWB = Variant(False, 5, 3, False)
 HELD = TimestampValuePair(Timestamp(7, 4), 70)  # stored at "x", and one held reply
 NEW = TimestampValuePair(Timestamp(12, 1), 80)
 
 
-def distinct_state(v=V_SC, phase=QUERYING, reading=True, responses=None):
-    if responses is None:
-        responses = frozenset({(HELD, 4)}) if phase == QUERYING else frozenset({4})
-    s = State(2, 5, v, 11, 13, {"x": HELD}, responses, reading, "x", 17, phase, 19)
-    assert len({repr(f) for f in s}) == len(State._fields) == 12
+def distinct_state(v=V_SC, responses=frozenset({(HELD, 4)}), reading=True, opid=19):
+    s = State(2, v, 11, 13, {"x": HELD}, responses, reading, "x", 17, opid)
+    assert len({repr(f) for f in s}) == len(State._fields) == 10
     return s
 
 
 def keyword_broadcast(s, kind, **fields):
-    return tuple(kind(sender=s.pid, receiver=j, **fields) for j in range(1, s.n + 1))
+    return tuple(kind(sender=s.pid, receiver=j, **fields) for j in range(1, s.v.n + 1))
 
 
 def positional_cases():
     """(label, state, stimulus, expected StepOutput) for every handler branch."""
     cases = []
     for v in (V_SC, V_MW):
-        s = distinct_state(v, IDLE)
+        s = distinct_state(v, opid=None)
         fresh = dict(lt=12, rid=14, reg="y", responses=frozenset(), opid=23)
-        nxt = s._replace(reading=True, val=None, phase=QUERYING, **fresh)
+        nxt = s._replace(reading=True, val=None, **fresh)
         query = keyword_broadcast(s, Query, lt=12, rid=14, reg="y")
         cases.append((f"read invoke {v}", s, Invoke(23, READ, "y"), StepOutput(nxt, query)))
         if v.query_writes:
-            want = StepOutput(s._replace(reading=False, val=29, phase=QUERYING, **fresh), query)
+            want = StepOutput(s._replace(reading=False, val=29, **fresh), query)
         else:
             tsv = TimestampValuePair(Timestamp(12, 2), 29)
             update = keyword_broadcast(s, Update, lt=12, rid=14, reg="y", tsv=tsv)
-            want = StepOutput(s._replace(reading=False, val=29, phase=UPDATING, **fresh), update)
+            want = StepOutput(s._replace(reading=False, val=29, **fresh), update)
         cases.append((f"write invoke {v}", s, Invoke(23, WRITE, "y", 29), want))
 
     s = distinct_state()
@@ -330,20 +339,20 @@ def positional_cases():
     closed = dict(lt=31, rid=14, responses=frozenset())
     s = distinct_state(responses=two)
     update = keyword_broadcast(s, Update, lt=31, rid=14, reg="x", tsv=NEW)
-    want = StepOutput(s._replace(val=80, phase=UPDATING, **closed), update)
+    want = StepOutput(s._replace(val=80, **closed), update)
     cases.append(("closing query of a read", s, reply, want))
-    s = distinct_state(V_MW, reading=False, responses=two)
+    s = distinct_state(V_MW, responses=two, reading=False)
     tsv = TimestampValuePair(Timestamp(13, 2), 17)
     update = keyword_broadcast(s, Update, lt=31, rid=14, reg="x", tsv=tsv)
-    want = StepOutput(s._replace(val=17, phase=UPDATING, **closed), update)
+    want = StepOutput(s._replace(val=17, **closed), update)
     cases.append(("closing query of a write", s, reply, want))
     s = distinct_state(V_NWB, responses=two)
-    nxt = s._replace(val=80, phase=IDLE, opid=None, **closed)
+    nxt = s._replace(val=80, opid=None, **closed)
     want = StepOutput(nxt, (), Completion(opid=19, ret=80, ts=Timestamp(12, 1)))
     cases.append(("closing query without write-back", s, reply, want))
     for reading, ret in ((True, 17), (False, OK)):
-        s = distinct_state(phase=UPDATING, reading=reading, responses=frozenset({4, 1}))
-        nxt = s._replace(phase=IDLE, opid=None, **closed)
+        s = distinct_state(responses=frozenset({4, 1}), reading=reading)
+        nxt = s._replace(opid=None, **closed)
         want = StepOutput(nxt, (), Completion(opid=19, ret=ret))
         cases.append((f"closing update, ret {ret}", s, Ack(3, 2, 30, 13), want))
     return cases

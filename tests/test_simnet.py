@@ -153,12 +153,16 @@ def test_config_validation_errors():
     for rule in (DelayRule(sender=0), DelayRule(receiver=4), DelayRule(sender=4, receiver="self")):
         with pytest.raises(ConfigError, match="outside 1..3"):
             SimConfig(n=3, delay=AdversarialSchedule(rules=(rule,))).validate()
+    # rids start at 1, so a rule for rid 0 or below could never match
+    for rid in (0, -4):
+        with pytest.raises(ConfigError, match=f"rid {rid} must be >= 1"):
+            SimConfig(n=3, delay=AdversarialSchedule(rules=(DelayRule(rid=rid),))).validate()
     SimConfig(n=3, delay=FixedLinkDelay(links={(1, 3): 2, (3, 3): 1})).validate()
-    rules = (DelayRule(sender=3, receiver="other"), DelayRule(sender=1, receiver=3, lo=2))
+    rules = (DelayRule(sender=3, receiver="other"), DelayRule(sender=1, receiver=3, lo=2, rid=1))
     SimConfig(n=3, delay=AdversarialSchedule(rules=rules)).validate()
     # a mutant applies to either protocol
     cfg = SimConfig(n=3, protocol="mw_abd", mutant="small-quorum").validate()
-    assert _Run(cfg).states[1].v == Variant(query_writes=True, threshold=1, writeback=True)
+    assert _Run(cfg).states[1].v == Variant(query_writes=True, n=3, threshold=1, writeback=True)
     assert run_simulation(cfg).quiescent
 
 
