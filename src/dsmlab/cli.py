@@ -15,7 +15,7 @@ Exit codes are part of the interface:
        `fuzz` found a soundness violation, or an audit failure with no mutant
     2  verdict unavailable: a search hit its state cap, or the oracle refused
        the history
-    3  invalid run configuration
+    3  invalid run configuration, or a negative `fuzz --runs`
     4  simulation hit the tick horizon before quiescing (files still written)
     5  malformed or ill-formed history, or malformed message-log file
 """
@@ -200,13 +200,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.runs < 0:
+        _err(f"--runs must be >= 0, got {args.runs}")
+        return EXIT_CONFIG
     report = run_campaign(
         runs=args.runs, mutant=args.mutant, seed0=args.seed0, protocol=args.protocol
     )
-    print(
-        f"fuzz: {report.runs} runs, protocol {report.protocol}, "
-        f"mutant {report.mutant}, seeds {args.seed0}..{args.seed0 + max(args.runs - 1, 0)}"
-    )
+    print(f"fuzz: {report.runs} runs, protocol {report.protocol}, mutant {report.mutant}"
+          + (f", seeds {args.seed0}..{args.seed0 + args.runs - 1}" if args.runs else ""))
     if report.runs == 0:
         return EXIT_OK
     print(f"accepted: {report.accepted}/{report.runs}")

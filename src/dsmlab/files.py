@@ -22,9 +22,18 @@ per message in send order, with thirteen keys in a fixed order:
 
 Both writers format each record line directly as its canonical spelling:
 compact, keys in the order above, every string through the json encoder
-(ASCII escapes). Equal traces therefore produce byte-equal files. The
-readers also accept any other valid JSON spelling of a record (key order,
-whitespace, blank lines), and number lines as they are in the file.
+(ASCII escapes). Equal traces therefore produce byte-equal files.
+
+The readers decode a canonical line directly, through one compiled pattern
+per format, and json-decode every other line. A line is canonical when it is
+compact with its keys in the order above, each integer has no leading zero
+and at most 18 digits, each string is printable ASCII without a quote or a
+backslash, and each other value is null, true, false or a [lt, pid] pair;
+each key's value must also have a JSON type that the writer can emit there.
+Any other valid JSON spelling of a record (key order, whitespace, escapes,
+longer integers, blank lines) gives the same records and the same errors,
+since both paths feed the same checks. The sidecar header is always read
+through json. Lines are numbered as they are in the file.
 
 Run configs are flat "key = value" lines with # comments; unknown keys are
 rejected, not ignored, so a typo cannot silently fall back to a default.
@@ -33,6 +42,7 @@ rejected, not ignored, so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
@@ -76,6 +86,44 @@ class ParseError(ValueError):
 RECORD_KEYS = ("kind", "opid", "proc", "op", "reg", "val", "ret", "rt", "lt", "ts")
 _RECORD_KEYSET = frozenset(RECORD_KEYS)
 _record_fields = itemgetter(*RECORD_KEYS)
+
+# One value pattern for each key of the writers' canonical spelling: JSON
+# integers with no leading zero and at most 18 digits (far inside the digit
+# limit of int()), strings of printable ASCII without a quote or backslash,
+# and the literals null, true and false.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_STR = r'"[ !#-\[\]-~]*"'
+_TS = rf"null|\[{_INT},{_INT}\]"
+
+
+def _canonical(keys: tuple, values: dict):
+    """fullmatch of a whole record line in its writer's spelling: compact,
+    keys in the order of `keys`, one group per value."""
+    return re.compile("{" + ",".join(f'"{k}":({values[k]})' for k in keys) + "}").fullmatch
+
+
+_LITERALS = {"null": None, "true": True, "false": False}
+
+
+class _Values(dict):
+    """Canonical value spelling -> value, each distinct spelling decoded once
+    per reader call. Built on _LITERALS; any other spelling that reaches it
+    is a string without escapes, an integer, or a [lt, pid] pair, whose one
+    list the reader's lines share and only unpack."""
+
+    def __missing__(self, spelling: str):
+        head = spelling[0]
+        if head == '"':
+            value = self[spelling] = spelling[1:-1]
+        else:
+            value = self[spelling] = json.loads(spelling) if head == "[" else int(spelling)
+        return value
+
+
+_match_event_line = _canonical(RECORD_KEYS, {
+    "kind": _STR, "opid": _INT, "proc": _INT, "op": _STR, "reg": _STR,
+    "val": f"null|{_INT}", "ret": f"null|{_STR}|{_INT}", "rt": _INT, "lt": _INT, "ts": _TS,
+})
 
 # The compact JSON encoder: it spells the sidecar header, and every string in
 # a record line, so escaping is always json's ensure_ascii escaping.
@@ -138,17 +186,23 @@ def parse_history(text: str) -> list[Event]:
     responded: set[int] = set()
     events: list[Event] = []
     prev_rt: Optional[int] = None
+    value = _Values(_LITERALS).__getitem__
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        rec = _load(lineno, line)
-        if not isinstance(rec, dict):
-            _fail(lineno, "record is not an object")
-        if rec.keys() != _RECORD_KEYSET:
-            missing = sorted(_RECORD_KEYSET - rec.keys())
-            extra = sorted(rec.keys() - _RECORD_KEYSET)
-            _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
-        kind, opid, proc, opkind, reg, val, ret, rt, lt, ts = _record_fields(rec)
+        m = _match_event_line(line)
+        if m is not None:
+            fields = map(value, m.groups())
+        else:
+            if not line.strip():
+                continue
+            rec = _load(lineno, line)
+            if not isinstance(rec, dict):
+                _fail(lineno, "record is not an object")
+            if rec.keys() != _RECORD_KEYSET:
+                missing = sorted(_RECORD_KEYSET - rec.keys())
+                extra = sorted(rec.keys() - _RECORD_KEYSET)
+                _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
+            fields = _record_fields(rec)
+        kind, opid, proc, opkind, reg, val, ret, rt, lt, ts = fields
         if kind not in (INVOCATION, RESPONSE_EVENT):
             _fail(lineno, f"kind must be 'inv' or 'res', got {kind!r}")
         if opkind not in (READ, WRITE):
@@ -251,13 +305,19 @@ _MSG_KEYS = (
 _MSG_KEYSET = frozenset(_MSG_KEYS)
 _msg_fields = itemgetter(*_MSG_KEYS)
 _MSG_INT_KEYS = ("sender", "receiver", "lt", "rid", "send_rt")
+_match_message_line = _canonical(_MSG_KEYS, {
+    "kind": _STR, "sender": _INT, "receiver": _INT, "lt": _INT, "rid": _INT,
+    "reg": f"null|{_STR}", "ts": _TS, "val": f"null|{_INT}", "send_rt": _INT,
+    "recv_rt": f"null|{_INT}", "recv_lt": f"null|{_INT}",
+    "handled": "true|false", "dropped": "true|false",
+})
 
 
 def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
     """Parse a sidecar back into (header, message records). Blank lines are
     skipped but counted, so an error names the line's number in the file."""
-    lines = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-    first = next(lines, None)
+    lines = enumerate(text.splitlines(), start=1)
+    first = next(((i, ln) for i, ln in lines if ln.strip()), None)
     if first is None:
         raise ParseError("empty message log (missing header line)")
     header = _load(*first)
@@ -269,14 +329,23 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
     ):
         raise ParseError("header line must carry a protocol string, and integers n and seed")
     records: list[MessageRecord] = []
+    value = _Values(_LITERALS).__getitem__
     for lineno, line in lines:
-        rec = _load(lineno, line)
-        if not isinstance(rec, dict) or rec.keys() != _MSG_KEYSET:
-            _fail(lineno, "bad message record keys")
+        m = _match_message_line(line)
+        if m is not None:
+            fields = map(value, m.groups())
+        else:
+            if not line.strip():
+                continue
+            rec = _load(lineno, line)
+            if not isinstance(rec, dict) or rec.keys() != _MSG_KEYSET:
+                _fail(lineno, "bad message record keys")
+            fields = _msg_fields(rec)
         (kind, sender, receiver, lt, rid, reg, ts, val,
-         send_rt, recv_rt, recv_lt, handled, dropped) = _msg_fields(rec)
+         send_rt, recv_rt, recv_lt, handled, dropped) = fields
         if not (type(sender) is type(receiver) is type(lt) is type(rid) is type(send_rt) is int):
-            key = next(k for k in _MSG_INT_KEYS if type(rec[k]) is not int)
+            ints = zip(_MSG_INT_KEYS, (sender, receiver, lt, rid, send_rt))
+            key = next(k for k, v in ints if type(v) is not int)
             _fail(lineno, f"{key} must be an integer")
         if recv_rt is not None and type(recv_rt) is not int:
             _fail(lineno, "recv_rt must be null or an integer")

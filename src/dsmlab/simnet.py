@@ -102,6 +102,7 @@ class FixedLinkDelay:
 
 SELF = "self"
 OTHER = "other"
+_MATCHERS = ("kind", "sender", "receiver", "rid")  # the DelayRule fields where None is *
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,15 +119,11 @@ class DelayRule:
     hi: Optional[int] = None
 
     def matches(self, msg: Message) -> bool:
-        if self.kind is not None and msg.kind != self.kind:
+        if (self.kind is not None and msg.kind != self.kind
+                or self.sender is not None and msg.sender != self.sender):
             return False
-        if self.sender is not None and msg.sender != self.sender:
-            return False
-        if self.receiver == SELF:
-            if msg.receiver != msg.sender:
-                return False
-        elif self.receiver == OTHER:
-            if msg.receiver == msg.sender:
+        if self.receiver in (SELF, OTHER):
+            if (msg.receiver == msg.sender) != (self.receiver == SELF):
                 return False
         elif self.receiver is not None and msg.receiver != self.receiver:
             return False
@@ -164,8 +161,11 @@ class AdversarialSchedule:
     def validate(self, n: int) -> None:
         if self.default < 1:
             raise ConfigError("adversarial default delay must be >= 1")
-        for rule in self.rules:
+        for i, rule in enumerate(self.rules, start=1):
             rule.validate(n)
+            for j, prev in enumerate(self.rules[:i - 1], start=1):
+                if all(getattr(prev, f) in (None, getattr(rule, f)) for f in _MATCHERS):
+                    raise ConfigError(f"schedule rule {i} never applies: rule {j} covers it")
 
 
 DelayModel = Union[UniformDelay, FixedLinkDelay, AdversarialSchedule]

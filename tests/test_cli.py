@@ -118,6 +118,24 @@ def test_run_refuses_a_rule_rid_below_1_or_a_link_listed_twice(tmp_path, capsys,
     assert not (tmp_path / "run.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "schedule, error",
+    [
+        ("query:1>2:5; query:1>2:9", "schedule rule 2 never applies: rule 1 covers it"),
+        ("update:*>self:1; *@2:3>*:4; ack@2:3>1:9", "schedule rule 3 never applies: rule 2"),
+        ("*:*>*:2; query:1>2:5", "schedule rule 2 never applies: rule 1 covers it"),
+    ],
+    ids=["repeated", "wildcards", "catch-all-first"],
+)
+def test_run_refuses_a_schedule_rule_that_an_earlier_rule_covers(
+    tmp_path, capsys, schedule, error
+):
+    cfg = _cfg(tmp_path, f"n = 3\ndelay = adversarial\nschedule = {schedule}\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 def test_run_horizon_exits_4_but_writes_files(tmp_path, capsys):
     cfg = _cfg(tmp_path, "n = 5\nops_per_process = 4\nmax_ticks = 10\n")
     assert main(["run", str(cfg)]) == EXIT_HORIZON
@@ -259,12 +277,20 @@ def test_check_parse_error_exits_5(tmp_path, capsys):
 
 def test_fuzz_zero_runs(capsys):
     assert main(["fuzz", "--runs", "0"]) == EXIT_OK
-    assert "0 runs" in capsys.readouterr().out
+    assert capsys.readouterr().out == "fuzz: 0 runs, protocol sc_abd, mutant none\n"
+
+
+def test_fuzz_refuses_a_negative_run_count(capsys):
+    assert main(["fuzz", "--runs", "-3"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dsmlab: --runs must be >= 0, got -3\n"
 
 
 def test_fuzz_clean_campaign(capsys):
     assert main(["fuzz", "--runs", "25", "--protocol", "mw_abd"]) == EXIT_OK
     out = capsys.readouterr().out
+    assert out.startswith("fuzz: 25 runs, protocol mw_abd, mutant none, seeds 0..24\n")
     assert "accepted: 25/25" in out
     assert "clock audit failures: 0" in out
     assert "SOUNDNESS" not in out

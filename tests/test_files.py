@@ -331,9 +331,15 @@ def _reference_corpus():
 
 
 def test_writers_match_the_json_reference_on_simulated_traces():
+    """Also: every record line the writers emit matches its reader's
+    canonical pattern (the sidecar header is read through json), so a writer
+    that drifts from the pattern fails here rather than slowing every read."""
     for t in _reference_corpus():
-        assert serialize_history(t.history) == dict_serialize_history(t.history)
-        assert serialize_message_log(t) == dict_serialize_message_log(t)
+        hist, log = serialize_history(t.history), serialize_message_log(t)
+        assert hist == dict_serialize_history(t.history)
+        assert log == dict_serialize_message_log(t)
+        assert [ln for ln in hist.splitlines() if not files._match_event_line(ln)] == []
+        assert [ln for ln in log.splitlines()[1:] if not files._match_message_line(ln)] == []
 
 
 HOSTILE_REGS = (
@@ -449,6 +455,41 @@ def _mutate(rng: random.Random, line: str) -> str:
     return json.dumps(rec, separators=rng.choice(((",", ":"), (", ", ": "))))
 
 
+# Values spelled compactly but at the edge of the readers' canonical patterns:
+# a leading zero, -0, integers of 18, 19 and 4,301 digits, escaped, empty and
+# non-ASCII strings, a wrongly cased "OK", nulls where a kind needs a value,
+# an int for a bool, and a three-item ts.
+_EDGE_INTS = ("01", "-0", "9" * 18, "1" + "0" * 18, "1" * 4301)
+_EDGE_SPELLINGS = (
+    *((key, spelling) for key in (
+        "opid", "proc", "val", "ret", "rt", "lt",
+        "sender", "receiver", "rid", "send_rt", "recv_rt", "recv_lt",
+    ) for spelling in _EDGE_INTS),
+    *(("ts", f"[{a},{b}]") for a, b in (("01", "1"), ("-0", "2"), ("1", "9" * 18),
+                                         ("1" + "0" * 18, "1"))),
+    *(("reg", spelling) for spelling in ('""', r'"a\"b"', r'"a\\b"', r'"\u00e9"', '"\u00e9"')),
+    ("reg", "null"), ("ret", '"ok"'), ("ret", '"OK"'), ("ts", "null"), ("val", "null"),
+    ("handled", "1"), ("dropped", "0"), ("ts", "[1,2,3]"),
+)
+
+
+def _respell(line: str, key: str, spelling: str) -> str:
+    """A compact record line with the value of `key` spelled as given."""
+    rec = json.loads(line)
+    rec[key] = "\0"
+    return json.dumps(rec, separators=(",", ":")).replace('"\\u0000"', spelling)
+
+
+def _first_line_of_each_kind(text: str) -> list:
+    """The index of the first line of each (kind, op) in a history or of
+    each message kind in a sidecar."""
+    firsts: dict = {}
+    for i, line in enumerate(text.splitlines()):
+        rec = json.loads(line)
+        firsts.setdefault((rec.get("kind"), rec.get("op")), i)
+    return sorted(firsts.values())
+
+
 def test_parsers_match_the_dict_reference():
     pairs = [
         (serialize_history(t.history), serialize_message_log(t))
@@ -458,30 +499,54 @@ def test_parsers_match_the_dict_reference():
     for hist, log in pairs:
         assert _history_view(parse_history, hist) == _history_view(dict_parse_history, hist)
         assert _log_view(parse_message_log, log) == _log_view(dict_parse_message_log, log)
+    cases = []  # (history or sidecar text, the index of its line under test)
+    for hist, log in pairs[:12]:
+        lines = hist.splitlines()
+        for i in _first_line_of_each_kind(hist):
+            for key, spelling in _EDGE_SPELLINGS:
+                if f'"{key}":' in lines[i]:
+                    edited = _respell(lines[i], key, spelling)
+                    cases.append(("\n".join(lines[:i] + [edited] + lines[i + 1:i + 2]), i))
+        lines = log.splitlines()
+        for i in _first_line_of_each_kind(log)[1:]:  # the header is plain JSON
+            for key, spelling in _EDGE_SPELLINGS:
+                if f'"{key}":' in lines[i]:
+                    cases.append(("\n".join([lines[0], _respell(lines[i], key, spelling)]), 1))
     rng = random.Random("parser-mutations")
-    accepted = rejected = 0
-    errors = set()
     for _ in range(6000):
         hist, log = rng.choice(pairs)
         lines = hist.splitlines()
         i = rng.randrange(len(lines))
-        text = "\n".join(lines[:i] + [_mutate(rng, lines[i])] + lines[i + 1:i + 2]) + "\n"
-        got = _history_view(parse_history, text)
-        assert got == _history_view(dict_parse_history, text), text
+        cases.append(("\n".join(lines[:i] + [_mutate(rng, lines[i])] + lines[i + 1:i + 2]), i))
         lines = log.splitlines()
         i = rng.randrange(len(lines))
         window = lines[:1] + lines[i:i + 1] if i else lines[:2]
         window[1 if i else 0] = _mutate(rng, window[1 if i else 0])
-        text = "\n".join(window) + "\n"
-        got_log = _log_view(parse_message_log, text)
-        assert got_log == _log_view(dict_parse_message_log, text), text
-        for view in (got, got_log):
-            if isinstance(view, str):
-                rejected += 1
-                errors.add(re.sub(r"\d+", "N", view))
-            else:
-                accepted += 1
+        cases.append(("\n".join(window), 1 if i else 0))
+    accepted = rejected = direct = through_json = 0
+    errors = set()
+    for text, i in cases:
+        text += "\n"
+        line = text.splitlines()[i]
+        if text.startswith('{"protocol"'):
+            view = _log_view(parse_message_log, text)
+            assert view == _log_view(dict_parse_message_log, text), text
+            canonical = i and files._match_message_line(line)
+        else:
+            view = _history_view(parse_history, text)
+            assert view == _history_view(dict_parse_history, text), text
+            canonical = files._match_event_line(line)
+        if canonical:
+            direct += 1
+        else:
+            through_json += 1
+        if isinstance(view, str):
+            rejected += 1
+            errors.add(re.sub(r"\d+", "N", view))
+        else:
+            accepted += 1
     assert accepted > 500 and rejected > 10_000 and len(errors) > 80, (accepted, rejected, errors)
+    assert direct > 2000 and through_json > 5000, (direct, through_json)
 
 
 def test_message_log_errors_name_the_line_in_the_file():

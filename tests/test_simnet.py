@@ -6,7 +6,7 @@ import pytest
 
 from dsmlab.core import READ, WRITE, quorum_size
 from dsmlab.files import serialize_history, serialize_message_log
-from dsmlab.fuzz import campaign_config
+from dsmlab.fuzz import campaign_config, no_writeback_schedule, small_quorum_schedule
 from dsmlab.protocol import MUTANTS, PROTOCOLS, Variant
 from dsmlab.simnet import (
     AdversarialSchedule,
@@ -157,6 +157,32 @@ def test_config_validation_errors():
     for rid in (0, -4):
         with pytest.raises(ConfigError, match=f"rid {rid} must be >= 1"):
             SimConfig(n=3, delay=AdversarialSchedule(rules=(DelayRule(rid=rid),))).validate()
+    # a rule that an earlier one covers (each of kind, sender, receiver and
+    # rid * or equal) could never apply
+    covered = (
+        (DelayRule("query", 1, 2, lo=5), DelayRule("query", 1, 2, lo=9)),
+        (DelayRule(), DelayRule(kind="ack", rid=2, lo=3, hi=4)),
+        (DelayRule(receiver="self"), DelayRule(kind="update", sender=2, receiver="self")),
+        (DelayRule(kind="update", rid=1), DelayRule(kind="update", sender=3, receiver=1, rid=1)),
+    )
+    for earlier, later in covered:
+        with pytest.raises(ConfigError, match="^schedule rule 2 never applies: rule 1 covers it$"):
+            AdversarialSchedule(rules=(earlier, later)).validate(3)
+        first = DelayRule(sender=3, receiver=3, rid=7)  # covers neither
+        with pytest.raises(ConfigError, match="^schedule rule 3 never applies: rule 2 covers it$"):
+            AdversarialSchedule(rules=(first, earlier, later)).validate(3)
+    uncovered = (
+        (DelayRule(kind="query", sender=1), DelayRule(kind="query")),  # later is wider
+        (DelayRule(receiver="self"), DelayRule(receiver="other")),
+        (DelayRule(sender=1, receiver="self"), DelayRule(sender=1, receiver=1)),  # field by field
+        (DelayRule(rid=1), DelayRule(rid=2)),
+        (DelayRule(kind="ack", sender=2), DelayRule(kind="ack", receiver=2)),
+    )
+    for rules in uncovered:
+        AdversarialSchedule(rules=rules).validate(3)
+    for n in (1, 3, 5, 7):
+        small_quorum_schedule().validate(n)
+        no_writeback_schedule().validate(n)
     SimConfig(n=3, delay=FixedLinkDelay(links={(1, 3): 2, (3, 3): 1})).validate()
     rules = (DelayRule(sender=3, receiver="other"), DelayRule(sender=1, receiver=3, lo=2, rid=1))
     SimConfig(n=3, delay=AdversarialSchedule(rules=rules)).validate()
