@@ -475,11 +475,7 @@ def check_sc_compositional(
     them); for everything else, cross-check small rejections with
     check_sc_bruteforce.
     """
-    events = list(h)
-    if not is_well_formed(events):
-        raise HistoryError("history is not well formed")
-    if pending_operations(events):
-        raise HistoryError("history has pending operations; run complete_history first")
+    events = _complete_op_table(h).events
     hlt = build_logical_time_history(events)
     by_register: dict[RegisterId, list[Event]] = {}  # in order of first appearance
     for e in hlt:

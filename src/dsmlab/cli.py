@@ -15,14 +15,15 @@ Exit codes are part of the interface:
        `fuzz` found a soundness violation, or an audit failure with no mutant
     2  verdict unavailable: a search hit its state cap, or the oracle refused
        the history
-    3  invalid run configuration, or a negative `fuzz --runs`
+    3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; `fuzz --runs` < 0
     4  simulation hit the tick horizon before quiescing (files still written)
-    5  malformed or ill-formed history, or malformed message-log file
+    5  history or message log unreadable, not UTF-8, malformed or ill-formed
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -78,21 +79,17 @@ def _default_out(config_path: str) -> Path:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = read_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed).validate()
-    except OSError as exc:
-        _err(f"cannot read config: {exc}")
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        _err(f"invalid config: {exc}")
-        return EXIT_CONFIG
+    cfg = read_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     trace = run_simulation(cfg)
     out = Path(args.out) if args.out else _default_out(args.config)
-    write_history(out, trace.history)
     side = sidecar_path(out)
-    write_message_log(side, trace)
+    try:
+        write_history(out, trace.history)
+        write_message_log(side, trace)
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename or out}: cannot write ({exc.strerror})") from None
 
     completed = trace.completed()
     by_kind = {READ: [], WRITE: []}
@@ -142,49 +139,27 @@ def _print_verdict(label: str, v: Verdict) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        history = read_history(args.history)
-    except OSError as exc:
-        _err(f"cannot read history: {exc}")
-        return EXIT_PARSE
-    except ParseError as exc:
-        _err(f"malformed history: {exc}")
-        return EXIT_PARSE
+    history = read_history(args.history)
     pend = pending_operations(history)
-    try:
-        completed = complete_history(history)
-    except HistoryError as exc:
-        _err(f"unusable history: {exc}")
-        return EXIT_PARSE
+    completed = complete_history(history)
     if pend:
         print(f"note: {len(pend)} pending operation(s) resolved before checking")
 
     comp: Optional[Verdict] = None
     oracle: Optional[Verdict] = None
-    code = EXIT_OK
     if args.mode in ("compositional", "both"):
-        try:
-            comp = check_sc_compositional(completed, state_cap=args.state_cap)
-        except HistoryError as exc:
-            _err(f"unusable history: {exc}")
-            return EXIT_PARSE
+        comp = check_sc_compositional(completed, state_cap=args.state_cap)
         _print_verdict("compositional", comp)
-        code = _EXIT_OF[comp.outcome]
     if args.mode in ("bruteforce", "both"):
         try:
             oracle = check_sc_bruteforce(completed, op_cap=args.op_cap)
         except OracleCapError as exc:
-            _err(str(exc))
-            if args.mode == "bruteforce":
-                return EXIT_UNDECIDED
-        except HistoryError as exc:
-            _err(f"unusable history: {exc}")
-            return EXIT_PARSE
-        if oracle is not None:
+            _err(str(exc))  # under --mode both, a note: the compositional verdict stands
+        else:
             _print_verdict("bruteforce", oracle)
-            if args.mode == "bruteforce":
-                code = _EXIT_OF[oracle.outcome]
-    if args.mode == "both" and comp is not None and oracle is not None:
+    if comp is None:
+        return _EXIT_OF[oracle.outcome] if oracle is not None else EXIT_UNDECIDED
+    if oracle is not None:
         if comp.outcome == oracle.outcome:
             print("agreement: yes")
         elif comp.undecided or oracle.undecided:
@@ -196,7 +171,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"{comp.outcome}, brute force says {oracle.outcome}"
             )
             return EXIT_REJECTED
-    return code
+    return _EXIT_OF[comp.outcome]
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -240,17 +215,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        history = read_history(args.history)
-    except OSError as exc:
-        _err(f"cannot read history: {exc}")
-        return EXIT_PARSE
-    except ParseError as exc:
-        _err(f"malformed history: {exc}")
-        return EXIT_PARSE
+    history = read_history(args.history)
     if not is_well_formed(history):
-        _err("unusable history: history is not well formed")
-        return EXIT_PARSE
+        raise HistoryError("history is not well formed")
     ops = {e.op.opid: e.op for e in history}
     completed = {o: d for o, d in ops.items() if d.ret is not None}
     procs = sorted({e.proc for e in history})
@@ -271,14 +238,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(f"{kind} latency ticks: min {ls[0]}  mean {mean:.1f}  max {ls[-1]}")
 
     side = sidecar_path(args.history)
-    try:
-        header, records = read_message_log(side)
-    except OSError:
+    if not os.path.exists(side):  # unlike Path.exists, never raises
         _err(f"no message-log sidecar at {side}; skipping round and message stats")
         return EXIT_OK
-    except ParseError as exc:
-        _err(f"malformed message log: {exc}")
-        return EXIT_PARSE
+    header, records = read_message_log(side)
     print(f"protocol: {header['protocol']}  n={header['n']}  seed={header['seed']}")
     rounds = op_rounds(history, records)
     for kind in (WRITE, READ):
@@ -341,8 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the one place where a refusal becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        _err(f"invalid config: {exc}")
+        return EXIT_CONFIG
+    except ParseError as exc:
+        _err(str(exc))
+        return EXIT_PARSE
+    except HistoryError as exc:
+        _err(f"unusable history: {exc}")
+        return EXIT_PARSE
 
 
 def console_main() -> None:

@@ -46,7 +46,7 @@ import re
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .core import (
     Ack,
@@ -256,8 +256,23 @@ def parse_history(text: str) -> list[Event]:
     return events
 
 
+def _read(path: Union[str, Path], parse: Callable[[str], Any], error: type) -> Any:
+    """parse(the file's text). Raises `error`, naming the file, when it is
+    unreadable, not UTF-8 (with the line, as parse numbers it) or refused."""
+    try:
+        data = Path(path).read_bytes()
+        return parse(data.decode("utf-8"))
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise error(f"{path}: line {lineno}: not UTF-8") from None
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def read_history(path: Union[str, Path]) -> list[Event]:
-    return parse_history(Path(path).read_text(encoding="utf-8"))
+    return _read(path, parse_history, ParseError)
 
 
 # --- message-log sidecar ------------------------------------------------------
@@ -382,7 +397,7 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
 
 
 def read_message_log(path: Union[str, Path]) -> tuple[dict, list[MessageRecord]]:
-    return parse_message_log(Path(path).read_text(encoding="utf-8"))
+    return _read(path, parse_message_log, ParseError)
 
 
 # --- run configs ----------------------------------------------------------------
@@ -423,8 +438,6 @@ def _parse_rule(raw: str) -> DelayRule:
     kindspec, linkspec, delayspec = (p.strip() for p in parts)
     kind_raw, _, rid_raw = kindspec.partition("@")
     kind = None if kind_raw == "*" else kind_raw
-    if kind not in (None, "query", "response", "update", "ack"):
-        raise ConfigError(f"rule {raw!r}: unknown message kind {kind_raw!r}")
     rid = int(rid_raw) if rid_raw else None
     snd_raw, sep, rcv_raw = linkspec.partition(">")
     if not sep:
@@ -511,4 +524,4 @@ def parse_config(text: str) -> SimConfig:
 
 
 def read_config(path: Union[str, Path]) -> SimConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return _read(path, parse_config, ConfigError)

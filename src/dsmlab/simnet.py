@@ -26,7 +26,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import NamedTuple, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Sequence, Union, get_args
 
 from .core import (
     Event,
@@ -102,7 +103,7 @@ class FixedLinkDelay:
 
 SELF = "self"
 OTHER = "other"
-_MATCHERS = ("kind", "sender", "receiver", "rid")  # the DelayRule fields where None is *
+_MESSAGE_KINDS = tuple(m.kind for m in get_args(Message))
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +136,8 @@ class DelayRule:
         return rng.randint(self.lo, self.hi)
 
     def validate(self, n: int) -> None:
+        if self.kind is not None and self.kind not in _MESSAGE_KINDS:
+            raise ConfigError(f"delay rule has unknown message kind {self.kind!r}")
         if self.lo < 1 or (self.hi is not None and self.hi < self.lo):
             raise ConfigError(f"delay rule needs 1 <= lo <= hi, got {self.lo}..{self.hi}")
         for pid in (self.sender, self.receiver):
@@ -161,11 +164,24 @@ class AdversarialSchedule:
     def validate(self, n: int) -> None:
         if self.default < 1:
             raise ConfigError("adversarial default delay must be >= 1")
-        for i, rule in enumerate(self.rules, start=1):
+        for rule in self.rules:
             rule.validate(n)
-            for j, prev in enumerate(self.rules[:i - 1], start=1):
-                if all(getattr(prev, f) in (None, getattr(rule, f)) for f in _MATCHERS):
-                    raise ConfigError(f"schedule rule {i} never applies: rule {j} covers it")
+        # Each probe stands for all messages that match the same rules: pids
+        # the rules name plus two unnamed ones, rids named plus 0 for every
+        # other. A rule that matches probes but is first for none never applies.
+        named = {p for r in self.rules for p in (r.sender, r.receiver) if isinstance(p, int)}
+        pids = named | set(itertools.islice((p for p in range(1, n + 1) if p not in named), 2))
+        rids = {r.rid for r in self.rules} - {None} | {0}
+        hits = []  # per probe, the numbers of the rules it matches
+        for kind, sender, receiver, rid in itertools.product(_MESSAGE_KINDS, pids, pids, rids):
+            probe = SimpleNamespace(kind=kind, sender=sender, receiver=receiver, rid=rid)
+            hits.append([i for i, rule in enumerate(self.rules, start=1) if rule.matches(probe)])
+        for i in range(1, len(self.rules) + 1):
+            first = {h[0] for h in hits if i in h}  # the rules that take rule i's probes
+            if first and i not in first:
+                *js, j = sorted(first)
+                by = f"rules {', '.join(map(str, js))} and {j} cover" if js else f"rule {j} covers"
+                raise ConfigError(f"schedule rule {i} never applies: {by} it")
 
 
 DelayModel = Union[UniformDelay, FixedLinkDelay, AdversarialSchedule]

@@ -355,6 +355,18 @@ def test_compositional_requires_complete_history():
         check_sc_compositional(w)
 
 
+def test_every_search_refuses_an_ill_formed_or_pending_history():
+    # p1 invokes a second op before its first responds
+    w = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(1, 1), res=(4, 4))
+    r = op_events(2, 1, READ, "x", ret=1, ts=(1, 1), inv=(2, 2), res=(3, 3))
+    pending = op_events(3, 2, WRITE, "x", arg=2, ts=(2, 2), inv=(0, 1))
+    for check in (check_sc_compositional, check_linearizable, check_sc_bruteforce):
+        with pytest.raises(HistoryError, match="^history is not well formed$"):
+            check(merge_by_rt(w, r))
+        with pytest.raises(HistoryError, match="^history has pending operations; complete it"):
+            check(pending)
+
+
 def test_compositional_fallback_without_timestamps():
     rng = random.Random(901)
     fell_back = 0

@@ -124,8 +124,14 @@ def test_run_refuses_a_rule_rid_below_1_or_a_link_listed_twice(tmp_path, capsys,
         ("query:1>2:5; query:1>2:9", "schedule rule 2 never applies: rule 1 covers it"),
         ("update:*>self:1; *@2:3>*:4; ack@2:3>1:9", "schedule rule 3 never applies: rule 2"),
         ("*:*>*:2; query:1>2:5", "schedule rule 2 never applies: rule 1 covers it"),
+        ("update:1>self:5; update:1>1:9", "schedule rule 2 never applies: rule 1 covers it"),
+        ("update:*>other:1; update:1>2:9", "schedule rule 2 never applies: rule 1 covers it"),
+        (
+            "update:*>self:1; update:*>other:2; update:*>*:3",
+            "schedule rule 3 never applies: rules 1 and 2 cover it",
+        ),
     ],
-    ids=["repeated", "wildcards", "catch-all-first"],
+    ids=["repeated", "wildcards", "catch-all-first", "self-pid", "other-pair", "self-and-other"],
 )
 def test_run_refuses_a_schedule_rule_that_an_earlier_rule_covers(
     tmp_path, capsys, schedule, error
@@ -270,6 +276,76 @@ def test_check_parse_error_exits_5(tmp_path, capsys):
     bad.write_text("not json\n", encoding="utf-8")
     assert main(["check", str(bad)]) == EXIT_PARSE
     assert main(["check", str(tmp_path / "missing.jsonl")]) == EXIT_PARSE
+
+
+# --- refusals ----------------------------------------------------------------------
+
+
+def _append_line(path, data: bytes) -> int:
+    """Append one line of raw bytes to the file at path; its line number."""
+    lineno = len(path.read_bytes().splitlines()) + 1
+    with path.open("ab") as f:
+        f.write(data + b"\n")
+    return lineno
+
+
+def _history_not_utf8(tmp_path):
+    hist = tmp_path / "h.jsonl"
+    write_history(hist, write_then_stale_read())
+    lineno = _append_line(hist, b'{"kind":"inv","reg":"\xff"}')
+    return [str(hist)], f"h.jsonl: line {lineno}: not UTF-8"
+
+
+def _sidecar_not_utf8(tmp_path):
+    hist = _run_then_history(tmp_path)
+    lineno = _append_line(sidecar_path(hist), b"\x80")
+    return [str(hist)], f"run.msgs.jsonl: line {lineno}: not UTF-8"
+
+
+def _config_not_utf8(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"n = 3\n# caf\xe9\n")
+    return [str(cfg)], "run.cfg: line 2: not UTF-8"
+
+
+def _out_in_missing_directory(tmp_path):
+    out = tmp_path / "missing" / "h.jsonl"
+    return [str(_cfg(tmp_path)), "--out", str(out)], "h.jsonl: cannot write"
+
+
+def _lt_backward(tmp_path):
+    # p1's response carries a smaller lt than its invocation
+    hist = tmp_path / "h.jsonl"
+    w = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(5, 1), inv=(0, 5), res=(1, 4))
+    write_history(hist, w)
+    return [str(hist)], "logical times at process 1 not strictly increasing (5 then 4)"
+
+
+@pytest.mark.parametrize(
+    "command, make_input, code",
+    [
+        ("check", _history_not_utf8, EXIT_PARSE),
+        ("stats", _history_not_utf8, EXIT_PARSE),
+        ("stats", _sidecar_not_utf8, EXIT_PARSE),
+        ("run", _config_not_utf8, EXIT_CONFIG),
+        ("run", _out_in_missing_directory, EXIT_CONFIG),
+        ("check", _lt_backward, EXIT_PARSE),
+    ],
+    ids=[
+        "check-history-not-utf8", "stats-history-not-utf8", "stats-sidecar-not-utf8",
+        "run-config-not-utf8", "run-out-in-missing-directory", "check-lt-backward",
+    ],
+)
+def test_hostile_input_exits_with_its_documented_code(
+    tmp_path, capsys, command, make_input, code
+):
+    args, error = make_input(tmp_path)
+    capsys.readouterr()
+    assert main([command, *args]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("dsmlab: ") and error in line
 
 
 # --- fuzz -------------------------------------------------------------------------

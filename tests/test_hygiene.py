@@ -176,6 +176,37 @@ def test_package_module_names_are_all_read():
     assert not unread, f"module-level names that nothing reads: {unread}"
 
 
+REFUSALS = frozenset({"ConfigError", "ParseError", "HistoryError"})
+
+
+def refusals_caught_outside(source: str, home: str) -> list[str]:
+    """Functions other than `home` with an except clause that names one of
+    REFUSALS, alone or in a tuple."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == home:
+            continue
+        for handler in ast.walk(fn):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                names = {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+                found += [f"{fn.name}: except {name}" for name in sorted(names & REFUSALS)]
+    return found
+
+
+def test_scan_finds_refusals_caught_outside_main():
+    src = (
+        "def main():\n    try:\n        f()\n    except ParseError:\n        pass\n"
+        "def cmd():\n    try:\n        f()\n    except (OSError, HistoryError):\n        pass\n"
+        "    except OracleCapError:\n        pass\n"
+    )
+    assert refusals_caught_outside(src, "main") == ["cmd: except HistoryError"]
+
+
+def test_cli_maps_refusals_to_exit_codes_only_in_main():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert refusals_caught_outside(source, "main") == []
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]

@@ -157,13 +157,18 @@ def test_config_validation_errors():
     for rid in (0, -4):
         with pytest.raises(ConfigError, match=f"rid {rid} must be >= 1"):
             SimConfig(n=3, delay=AdversarialSchedule(rules=(DelayRule(rid=rid),))).validate()
-    # a rule that an earlier one covers (each of kind, sender, receiver and
-    # rid * or equal) could never apply
+    # a rule kind is one of the four message kinds
+    gossip = AdversarialSchedule(rules=(DelayRule(kind="gossip", lo=50),))
+    with pytest.raises(ConfigError, match="^delay rule has unknown message kind 'gossip'$"):
+        SimConfig(n=3, delay=gossip).validate()
+    # a rule that earlier ones cover could never apply
     covered = (
         (DelayRule("query", 1, 2, lo=5), DelayRule("query", 1, 2, lo=9)),
         (DelayRule(), DelayRule(kind="ack", rid=2, lo=3, hi=4)),
         (DelayRule(receiver="self"), DelayRule(kind="update", sender=2, receiver="self")),
         (DelayRule(kind="update", rid=1), DelayRule(kind="update", sender=3, receiver=1, rid=1)),
+        (DelayRule(sender=1, receiver="self"), DelayRule(sender=1, receiver=1)),
+        (DelayRule("update", receiver="other"), DelayRule("update", 1, 2, lo=9)),
     )
     for earlier, later in covered:
         with pytest.raises(ConfigError, match="^schedule rule 2 never applies: rule 1 covers it$"):
@@ -174,12 +179,22 @@ def test_config_validation_errors():
     uncovered = (
         (DelayRule(kind="query", sender=1), DelayRule(kind="query")),  # later is wider
         (DelayRule(receiver="self"), DelayRule(receiver="other")),
-        (DelayRule(sender=1, receiver="self"), DelayRule(sender=1, receiver=1)),  # field by field
         (DelayRule(rid=1), DelayRule(rid=2)),
         (DelayRule(kind="ack", sender=2), DelayRule(kind="ack", receiver=2)),
     )
     for rules in uncovered:
         AdversarialSchedule(rules=rules).validate(3)
+    by_receiver = tuple(DelayRule("update", receiver=r) for r in ("self", "other", None))
+    with pytest.raises(ConfigError, match="^schedule rule 3 never applies: rules 1 and 2 cover"):
+        AdversarialSchedule(rules=by_receiver).validate(3)
+    AdversarialSchedule(rules=by_receiver[1:]).validate(3)
+    by_sender = tuple(DelayRule(sender=s) for s in (1, 2, None))
+    with pytest.raises(ConfigError, match="^schedule rule 3 never applies: rules 1 and 2 cover"):
+        AdversarialSchedule(rules=by_sender).validate(2)
+    AdversarialSchedule(rules=by_sender).validate(3)  # a message from p3 takes rule 3
+    # at n = 1 no message goes to another process: a rule for those matches
+    # none and so is covered by no rule
+    AdversarialSchedule(rules=(DelayRule(receiver="self"), DelayRule(receiver="other"))).validate(1)
     for n in (1, 3, 5, 7):
         small_quorum_schedule().validate(n)
         no_writeback_schedule().validate(n)
