@@ -576,29 +576,22 @@ def audit_logical_clocks(trace) -> bool:
     process's handler executions lts strictly increase; every handled
     receipt's lt exceeds the lt its message was sent with. Discarded stale
     replies and dropped messages never merged, so they carry no obligation.
-    One pass records each execution's lt, then one sort orders them."""
-    lts: dict[tuple[int, int], int] = {}  # (proc, rt) -> lt
-
-    def agrees(proc: int, rt: int, lt: Optional[int]) -> bool:
-        return lt is None or lts.setdefault((proc, rt), lt) == lt
-
-    for e in trace.history:
-        if not agrees(e.proc, e.rt, e.lt):
-            return False
+    One pass collects the distinct (proc, rt, lt) triples and checks each
+    receipt; one sort then lines up each process's executions by tick."""
+    triples = {(e.proc, e.rt, e.lt) for e in trace.history if e.lt is not None}
+    add = triples.add
     for rec in trace.message_log:
         m = rec.msg
-        if not agrees(m.sender, rec.send_rt, m.lt):
+        add((m.sender, rec.send_rt, m.lt))
+        if rec.handled:
+            if rec.recv_lt <= m.lt:
+                return False
+            add((m.receiver, rec.recv_rt, rec.recv_lt))
+    prev_proc = prev_rt = prev_lt = None
+    for proc, rt, lt in sorted(triples):
+        if proc == prev_proc and (rt == prev_rt or lt <= prev_lt):
             return False
-        if rec.handled and (
-            not agrees(m.receiver, rec.recv_rt, rec.recv_lt) or rec.recv_lt <= m.lt
-        ):
-            return False
-    prev_proc, prev_lt = None, None
-    for key in sorted(lts):
-        lt = lts[key]
-        if key[0] == prev_proc and lt <= prev_lt:
-            return False
-        prev_proc, prev_lt = key[0], lt
+        prev_proc, prev_rt, prev_lt = proc, rt, lt
     return True
 
 

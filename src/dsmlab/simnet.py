@@ -10,13 +10,13 @@ the same `op_rounds` that `dsmlab stats` runs on a recorded sidecar.
 All nondeterminism flows from the one seeded generator, consumed in event-pop
 order, so two runs of the same config produce identical traces byte for byte.
 Time is an integer tick counter. Each message is delayed independently by the
-configured delay model (at least one tick), which is also what produces
-reorderings: the network is not FIFO. Pending events sit in one FIFO list
-per tick, and a heap holds each pending tick once. One loop, `_Run._drain`,
-runs each tick's events in push order: it steps the protocol and applies
-the step in place (records, delay draws, pushes). A process executes at most
-one handler per tick: an event for a process that is busy this tick moves
-to the end of the next tick's list through `_defer`, deterministically.
+configured delay model (at least one tick; uniform draws run randint's own
+rejection loop over getrandbits), which is also what reorders messages. Each
+tick has one FIFO list of (pid, kind, payload) entries, and a heap holds each
+pending tick once. One loop, `_Run._drain`, runs each tick's entries in push
+order, stepping the protocol and applying each step in place. A process runs
+at most one handler per tick: a busy process's entry is re-appended to the
+next tick's list through `_defer`, once for each tick that it waits.
 """
 
 from __future__ import annotations
@@ -68,13 +68,19 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class UniformDelay:
-    """Independent uniform delay on every message."""
+    """Independent uniform delay on every message, drawn by randint's own
+    rejection loop minus its checks: the same draws, the same rng state."""
 
     lo: int = 1
     hi: int = 10
 
     def delay(self, msg: Message, rng: random.Random) -> int:
-        return rng.randint(self.lo, self.hi)
+        n = self.hi - self.lo + 1
+        k = n.bit_length()  # a width of 1 still uses up one bit, as in randint
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return self.lo + r
 
     def validate(self, n: int) -> None:
         if self.lo < 1 or self.hi < self.lo:
@@ -133,7 +139,12 @@ class DelayRule:
     def draw(self, rng: random.Random) -> int:
         if self.hi is None or self.hi == self.lo:
             return self.lo
-        return rng.randint(self.lo, self.hi)
+        n = self.hi - self.lo + 1  # as UniformDelay.delay
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return self.lo + r
 
     def validate(self, n: int) -> None:
         if self.kind is not None and self.kind not in _MESSAGE_KINDS:
@@ -375,7 +386,7 @@ class _Run:
         # profiler that rebinds either one tell the protocols apart.
         self.step = sc_abd_step if cfg.protocol == SC_ABD else mw_abd_step
         self.heap: list[int] = []  # each tick with pending events, once
-        self.queues: dict[int, list] = {}  # tick -> [(kind, payload)], push order
+        self.queues: dict[int, list] = {}  # tick -> [(pid, kind, payload)], push order
         self.last_exec: dict[ProcessId, int] = {p: -1 for p in self.states}
         self.crashed: set[ProcessId] = set()
         self.crash_pending: set[ProcessId] = set()
@@ -387,17 +398,18 @@ class _Run:
         self.ops: dict[OpId, OperationDescriptor] = {}
         self.crash_log: list[tuple[ProcessId, int]] = []
 
-    def _push(self, due: int, kind: str, payload) -> bool:
+    def _push(self, due: int, kind: str, pid: ProcessId) -> None:
         queue = self.queues.setdefault(due, [])
         if not queue:  # the tick's first event
             heappush(self.heap, due)
-        queue.append((kind, payload))
-        return True
+        queue.append((pid, kind, None))
 
-    # One handler per process per tick: the loop pushes a busy process's
-    # event to the end of the next tick through this name of its own, which
-    # returns True, so that a profiler can count deferrals.
-    _defer = _push
+    # One handler per process per tick: the loop re-appends a busy process's
+    # entry to the next tick's list through this method, which returns True,
+    # so that a profiler can count deferrals.
+    def _defer(self, queue: list, entry: tuple) -> bool:
+        queue.append(entry)
+        return True
 
     def run(self) -> Trace:
         for pid, tick in self.cfg.crashes:
@@ -421,8 +433,9 @@ class _Run:
             tick = heappop(heap)
             if tick > cfg.max_ticks:
                 return HORIZON
-            for kind, payload in queues[tick]:
-                pid = payload.msg.receiver if kind == _DELIVER else payload
+            later = queues.setdefault(tick + 1, [])  # where busy processes' entries go
+            for entry in queues[tick]:
+                pid, kind, payload = entry
                 if pid in crashed:
                     if kind == _DELIVER:
                         payload.dropped = True
@@ -431,7 +444,9 @@ class _Run:
                     self._crash(pid, tick)
                     continue
                 if last_exec[pid] >= tick:
-                    defer(tick + 1, kind, payload)
+                    if not later:
+                        heappush(heap, tick + 1)
+                    defer(later, entry)
                     continue
                 if kind == _INVOKE:
                     spec = workload[pid][next_op[pid]]
@@ -462,7 +477,7 @@ class _Run:
                         queue = queues.setdefault(due, [])
                         if not queue:
                             heappush(heap, due)
-                        queue.append((_DELIVER, rec))
+                        queue.append((msg.receiver, _DELIVER, rec))
                 if completion is not None:
                     desc = ops[completion.opid]
                     desc.ret = completion.ret
@@ -475,6 +490,8 @@ class _Run:
                     elif next_op[pid] < len(workload[pid]):
                         self._push(tick + cfg.workload.think_time, _INVOKE, pid)
             del queues[tick]
+            if not later:
+                del queues[tick + 1]
         return QUIESCENT
 
     def _crash(self, pid: ProcessId, tick: int) -> None:

@@ -5,8 +5,10 @@ no cleverness, the dense round counter scans the whole message log once per
 operation, the dense composer adds an edge from every response to every
 later invocation, the dense well-formedness test projects the history once
 per process, the dense clock audit groups every lt by process and tick
-before comparing, the heap scheduler pushes every event, deferrals
-included, onto one (due, seq) heap, and the dict writers and parsers build
+before comparing, the dict clock audit keeps each execution's first lt in
+a (process, tick) dict and sorts its keys, the heap scheduler pushes every
+event, deferrals included, onto one (due, seq) heap, and the dict writers
+and parsers build
 or validate one dict per file record through the json module; they exist so
 the real code has something independent to disagree with.
 """
@@ -371,16 +373,47 @@ def dense_audit_logical_clocks(trace) -> bool:
     return True
 
 
+def dict_audit_logical_clocks(trace) -> bool:
+    """checker.audit_logical_clocks through a dict: every recorded lt is
+    checked against the first lt of its (process, tick) execution as it is
+    met, then the executions are walked in sorted (process, tick) order."""
+    lts: dict[tuple[int, int], int] = {}  # (proc, rt) -> lt
+
+    def agrees(proc: int, rt: int, lt: Optional[int]) -> bool:
+        return lt is None or lts.setdefault((proc, rt), lt) == lt
+
+    for e in trace.history:
+        if not agrees(e.proc, e.rt, e.lt):
+            return False
+    for rec in trace.message_log:
+        m = rec.msg
+        if not agrees(m.sender, rec.send_rt, m.lt):
+            return False
+        if rec.handled and (
+            not agrees(m.receiver, rec.recv_rt, rec.recv_lt) or rec.recv_lt <= m.lt
+        ):
+            return False
+    prev_proc, prev_lt = None, None
+    for key in sorted(lts):
+        lt = lts[key]
+        if key[0] == prev_proc and lt <= prev_lt:
+            return False
+        prev_proc, prev_lt = key[0], lt
+    return True
+
+
 class HeapRun(_Run):
     """The simulator on its earlier scheduler: one heap entry per event,
     ordered by (due tick, push counter), with the crash and busy checks made
     as each event is popped and a busy process's event pushed again at its
     next free tick, and each event handled by its own methods. The reference
-    for _Run's one event loop over per-tick FIFO lists."""
+    for _Run's one event loop over per-tick FIFO lists; `deferrals` counts
+    the busy re-pushes."""
 
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
         self.seq = itertools.count()
+        self.deferrals = 0
 
     def _push(self, due: int, kind: str, payload) -> None:
         heappush(self.heap, (due, next(self.seq), kind, payload))
@@ -397,6 +430,7 @@ class HeapRun(_Run):
             elif kind == _CRASH:
                 self._crash(pid, due)
             elif self.last_exec[pid] >= due:
+                self.deferrals += 1
                 self._push(self.last_exec[pid] + 1, kind, payload)
             elif kind == _INVOKE:
                 self._invoke(pid, due)

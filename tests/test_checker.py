@@ -39,6 +39,7 @@ from dsmlab.simnet import SimConfig, UniformDelay, Workload, run_simulation
 
 from helpers import (
     dense_audit_logical_clocks,
+    dict_audit_logical_clocks,
     merge_by_rt,
     naive_linearizable,
     naive_sc,
@@ -48,6 +49,7 @@ from helpers import (
     strip_ts,
     write_then_stale_read,
 )
+from test_simnet import scheduler_corpus
 from test_trace_pins import corpus as trace_pin_corpus
 
 
@@ -618,6 +620,63 @@ def test_clock_audit_matches_dense_reference():
         verdicts.append(audit_logical_clocks(m))
         assert verdicts[-1] == dense_audit_logical_clocks(m)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 1000  # both sides compared
+
+
+def _clock_corruption(t, rng: random.Random) -> tuple:
+    """(kind, expected verdict, corrupted copy of t) for one seeded
+    corruption of a kind drawn from four; t itself is left untouched."""
+    history, log = t.history, t.message_log
+    kind = rng.choice(("receipt at most its send", "two lts at one tick",
+                       "lt lowered at a later tick", "event lt None"))
+    if kind == "receipt at most its send":
+        i = rng.choice([i for i, r in enumerate(log) if r.handled])
+        log = list(log)
+        log[i] = replace(log[i], recv_lt=log[i].msg.lt - rng.randrange(2))
+    elif kind == "two lts at one tick":
+        e = rng.choice(history)
+        history = [*history, Event(e.kind, e.op, e.rt, e.lt + rng.choice((-1, 1)), e.proc)]
+    elif kind == "lt lowered at a later tick":
+        # Every lt of one execution after a process's first, lowered together
+        # to the lt of the execution before it.
+        ticks: dict = {}  # proc -> {rt: lt}
+        for x in history:
+            ticks.setdefault(x.proc, {})[x.rt] = x.lt
+        for r in log:
+            ticks.setdefault(r.msg.sender, {})[r.send_rt] = r.msg.lt
+            if r.handled:
+                ticks.setdefault(r.msg.receiver, {})[r.recv_rt] = r.recv_lt
+        proc = rng.choice(sorted(p for p, lts in ticks.items() if len(lts) > 1))
+        rts = sorted(ticks[proc])
+        j = rng.randrange(1, len(rts))
+        at, lt = (proc, rts[j]), ticks[proc][rts[j - 1]]
+        history = [Event(x.kind, x.op, x.rt, lt, x.proc) if (x.proc, x.rt) == at else x
+                   for x in history]
+        log = list(log)
+        for i, r in enumerate(log):
+            if (r.msg.sender, r.send_rt) == at:
+                log[i] = r = replace(r, msg=r.msg._replace(lt=lt))
+            if r.handled and (r.msg.receiver, r.recv_rt) == at:
+                log[i] = replace(r, recv_lt=lt)
+    else:
+        i = rng.randrange(len(history))
+        x = history[i]
+        history = [*history[:i], Event(x.kind, x.op, x.rt, None, x.proc), *history[i + 1:]]
+    return kind, kind == "event lt None", SimpleNamespace(history=history, message_log=log)
+
+
+def test_clock_audit_matches_dict_reference_on_scheduler_corpus():
+    kinds = set()
+    for label, cfg in scheduler_corpus():
+        t = run_simulation(cfg)
+        assert audit_logical_clocks(t) and dict_audit_logical_clocks(t), label
+        if not any(r.handled for r in t.message_log):
+            continue
+        kind, expected, bad = _clock_corruption(t, random.Random(label))
+        assert audit_logical_clocks(bad) == dict_audit_logical_clocks(bad) == expected, (
+            label, kind,
+        )
+        kinds.add(kind)
+    assert len(kinds) == 4
 
 
 def test_visibility_audit_passes_on_simulated_traces():

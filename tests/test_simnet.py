@@ -307,7 +307,7 @@ def test_single_process_cluster_runs():
         assert t.rounds[opid] == (1 if d.kind == WRITE else 2)
 
 
-def _scheduler_corpus():
+def scheduler_corpus():
     """Criterion-3 campaign configs on both protocols, both mutant schedules
     on both protocols, and the trace-pin corpus."""
     for protocol in PROTOCOLS:
@@ -319,10 +319,23 @@ def _scheduler_corpus():
     yield from trace_pin_corpus()
 
 
-def test_tick_queues_match_the_heap_scheduler():
+def test_tick_queues_match_the_heap_scheduler(monkeypatch):
+    # _defer is patched to count its calls that return True, as a profiler
+    # counts deferrals, so there must be exactly one per busy re-push.
+    defer, calls = _Run._defer, [0]
+
+    def counted(self, queue, entry):
+        deferred = defer(self, queue, entry)
+        calls[0] += bool(deferred)
+        return deferred
+
+    monkeypatch.setattr(_Run, "_defer", counted)
     covered = set()
-    for label, cfg in _scheduler_corpus():
-        fast, ref = run_simulation(cfg), HeapRun(cfg.validate()).run()
+    for label, cfg in scheduler_corpus():
+        calls[0] = 0
+        heap_run = HeapRun(cfg.validate())
+        fast, ref = run_simulation(cfg), heap_run.run()
+        assert calls[0] == heap_run.deferrals, label
         assert serialize_history(fast.history) == serialize_history(ref.history), label
         assert serialize_message_log(fast) == serialize_message_log(ref), label
         assert (fast.crash_log, fast.outcome) == (ref.crash_log, ref.outcome), label
@@ -335,3 +348,24 @@ def test_tick_queues_match_the_heap_scheduler():
         )
         covered |= {case for case, hit in cases if hit}
     assert covered == {"think time 0", "crash at tick 0", "mid-op crash", "horizon cut"}
+
+
+def test_delay_draws_match_randint():
+    # The delay models run randint's rejection loop themselves; this pins
+    # that they consume the generator exactly as randint does on the Python
+    # that runs the suite. A DelayRule of width 1 takes its shortcut and
+    # draws nothing.
+    draws = 10_000
+    for width in (1, 2, 3, 4, 7, 8, 9, 10, 31, 60):
+        for seed in (0, 1, 2**40 + 17):
+            lo = 1 + seed % 5
+            hi = lo + width - 1
+            ref, uniform, rule = (random.Random(seed) for _ in range(3))
+            expected = [ref.randint(lo, hi) for _ in range(draws)]
+            model = UniformDelay(lo, hi)
+            assert [model.delay(None, uniform) for _ in range(draws)] == expected
+            assert uniform.getstate() == ref.getstate()
+            clause = DelayRule(lo=lo, hi=hi)
+            assert [clause.draw(rule) for _ in range(draws)] == expected
+            untouched = random.Random(seed).getstate()
+            assert rule.getstate() == (untouched if width == 1 else ref.getstate())
