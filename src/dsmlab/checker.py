@@ -176,7 +176,8 @@ class _OpTable(NamedTuple):
         return [self.events[i] for o in opids for i in (self.inv[o], self.res[o])]
 
 
-def _op_table(h: Sequence[Event]) -> _OpTable:
+def _complete_op_table(h: Sequence[Event]) -> _OpTable:
+    """The op table of a well-formed complete history; HistoryError otherwise."""
     events = list(h)
     inv, res, descs = {}, {}, {}
     for i, e in enumerate(events):
@@ -185,17 +186,11 @@ def _op_table(h: Sequence[Event]) -> _OpTable:
             descs[e.op.opid] = e.op
         else:
             res[e.op.opid] = i
-    return _OpTable(events, inv, res, descs)
-
-
-def _complete_op_table(h: Sequence[Event]) -> _OpTable:
-    """The op table of a well-formed complete history; HistoryError otherwise."""
-    t = _op_table(h)
-    if not is_well_formed(t.events):
+    if not is_well_formed(events):
         raise HistoryError("history is not well formed")
-    if len(t.res) != len(t.inv):
+    if len(res) != len(inv):
         raise HistoryError("history has pending operations; complete it first")
-    return t
+    return _OpTable(events, inv, res, descs)
 
 
 def _search(
@@ -391,64 +386,55 @@ def _check_register(hx: list[Event], x: RegisterId, state_cap: int) -> Verdict:
 
 def _compose_witnesses(hlt: Sequence[Event], per_register: dict) -> list[Event]:
     """Merge per-register witness orders into one total order that also
-    respects logical-time precedence across registers, then emit the
-    corresponding sequential history. Ties among order-free operations are
-    broken by (timestamp, invocation lt, process, opid) so the composed
-    witness is canonical for a given input.
+    respects logical-time precedence across registers, and emit it as a
+    sequential history. An operation may go once its register predecessor,
+    and every operation that responded before its invocation, are placed;
+    the least (timestamp, invocation lt, process, opid) that may go goes
+    first, so the composed witness is canonical.
 
-    Precedence is linear in size: each maximal run of consecutive responses
-    in hlt feeds one barrier, which also waits for the previous barrier, and
-    each invocation waits for the latest barrier. Barriers skip the heap and
-    are released, cascading, with their last predecessor, so every pop sees
-    the ready set of edges from each response to each later invocation."""
-    t = _op_table(hlt)
-    events, inv_idx, descs = t.events, t.inv, t.descs
-    succs: dict = {}  # node -> successors; a barrier is a bare object()
-    indeg = dict.fromkeys(descs, 0)
-
-    def link(a, b) -> None:
-        succs.setdefault(a, []).append(b)
-        indeg[b] += 1
-
-    for vx in per_register.values():
-        chain = [e.op.opid for e in vx.witness if e.kind == INVOCATION]
-        for a, b in zip(chain, chain[1:]):
-            link(a, b)
-    barrier, prev_kind = None, INVOCATION
+    A pointer over hlt's responses tracks the longest placed prefix, and a
+    second one the prefix of invocations it covers, so the merge is linear:
+    an operation enters the heap once covered with its predecessor placed."""
+    slot: dict = {}  # opid -> index in invocation order
+    before: list[int] = []  # per op: how many responses precede its invocation
+    keys: list = []  # per op: its heap key
+    events: list = []  # per op: [invocation, response]
+    responded: list[int] = []  # op indices in response order
     for e in hlt:
-        if e.kind == RESPONSE_EVENT:
-            if prev_kind == INVOCATION:
-                prev, barrier = barrier, object()
-                indeg[barrier] = 0
-                if prev is not None:
-                    link(prev, barrier)
-            link(e.op.opid, barrier)
-        elif barrier is not None:
-            link(barrier, e.op.opid)
-        prev_kind = e.kind
-
-    def key(o: OpId):
-        inv = events[inv_idx[o]]
-        ts = descs[o].ts if descs[o].ts is not None else INITIAL_TS
-        return (ts, inv.lt, inv.proc, o)
-
-    heap = sorted(key(o) for o in descs if not indeg[o])
-    out: list[OpId] = []
-    while heap:
-        *_, o = heappop(heap)
-        out.append(o)
-        released = [o]
-        while released:
-            for b in succs.get(released.pop(), ()):
-                indeg[b] -= 1
-                if not indeg[b]:
-                    if b in descs:
-                        heappush(heap, key(b))
-                    else:
-                        released.append(b)
-    if len(out) != len(descs):
+        op = e.op
+        if e.kind == INVOCATION:
+            slot[op.opid] = len(keys)
+            before.append(len(responded))
+            keys.append((op.ts if op.ts is not None else INITIAL_TS, e.lt, e.proc, op.opid))
+            events.append([e])
+        else:
+            responded.append(slot[op.opid])
+            events[slot[op.opid]].append(e)
+    pred, succ = [None] * len(keys), [None] * len(keys)  # neighbours in a register witness
+    for vx in per_register.values():
+        chain = [slot[e.op.opid] for e in vx.witness if e.kind == INVOCATION]
+        for a, b in zip(chain, chain[1:]):
+            pred[b], succ[a] = a, b
+    placed = [False] * len(keys)
+    heap, out = [], []
+    k = j = 0  # responded[:k] are placed; ops [0, j) have before <= k
+    while True:
+        while k < len(responded) and placed[responded[k]]:
+            k += 1
+        while j < len(keys) and before[j] <= k:
+            if pred[j] is None or placed[pred[j]]:
+                heappush(heap, (keys[j], j))
+            j += 1
+        if not heap:
+            break
+        _, i = heappop(heap)
+        placed[i] = True
+        out.append(i)
+        if succ[i] is not None and succ[i] < j:
+            heappush(heap, (keys[succ[i]], succ[i]))
+    if len(out) != len(keys):
         raise CheckerInternalError("witness composition found an order cycle")
-    return t.witness(out)
+    return [e for i in out for e in events[i]]
 
 
 def check_sc_compositional(

@@ -15,7 +15,8 @@ Exit codes are part of the interface:
        `fuzz` found a soundness violation, or an audit failure with no mutant
     2  verdict unavailable: a search hit its state cap, or the oracle refused
        the history
-    3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; `fuzz --runs` < 0
+    3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; `fuzz --runs` < 0;
+       any command: a usage error (unknown option, bad value, missing argument)
     4  simulation hit the tick horizon before quiescing (files still written)
     5  history or message log unreadable, not UTF-8, malformed or ill-formed
 """
@@ -27,7 +28,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .checker import (
     ACCEPTED,
@@ -263,8 +264,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_CONFIG, subparsers' too: 2 means "verdict unavailable"."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dsmlab",
         description="Quorum-replicated shared-memory lab: simulate, check, fuzz.",
     )

@@ -87,29 +87,23 @@ def no_writeback_schedule() -> AdversarialSchedule:
     )
 
 
+_MUTANT_SETUPS = {  # mutant -> (schedule factory, workload) of its campaign, at n = 3
+    MUTANT_SMALL_QUORUM: (small_quorum_schedule, Workload(
+        ops_per_process=3, read_fraction=0.5, register_count=1, think_time=1)),
+    MUTANT_NO_WRITEBACK: (no_writeback_schedule, Workload(
+        ops_per_process=4, read_fraction=0.7, register_count=1, think_time=0)),
+}
+
+
 def campaign_config(mutant: str, seed: int, protocol: str = SC_ABD) -> SimConfig:
     """The config run at one campaign seed, on either protocol. Mutant
     campaigns use the fixed adversarial setup above; the plain campaign
     varies topology, workload, delays, and crashes from a generator derived
     from the seed. Raises ValueError for an unknown mutant."""
-    if mutant == MUTANT_SMALL_QUORUM:
-        return SimConfig(
-            n=3,
-            seed=seed,
-            delay=small_quorum_schedule(),
-            workload=Workload(ops_per_process=3, read_fraction=0.5, register_count=1, think_time=1),
-            protocol=protocol,
-            mutant=mutant,
-        )
-    if mutant == MUTANT_NO_WRITEBACK:
-        return SimConfig(
-            n=3,
-            seed=seed,
-            delay=no_writeback_schedule(),
-            workload=Workload(ops_per_process=4, read_fraction=0.7, register_count=1, think_time=0),
-            protocol=protocol,
-            mutant=mutant,
-        )
+    if mutant in _MUTANT_SETUPS:
+        schedule, workload = _MUTANT_SETUPS[mutant]
+        return SimConfig(n=3, seed=seed, delay=schedule(), workload=workload,
+                         protocol=protocol, mutant=mutant)
     if mutant != MUTANT_NONE:
         raise ValueError(f"unknown mutant {mutant!r}")
     rng = random.Random(f"campaign:{protocol}:{seed}")

@@ -66,21 +66,25 @@ class ConfigError(Exception):
 # of the deterministic replay.
 
 
+def _uniform(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) by randint's rejection loop minus its checks: same draws and state."""
+    n = hi - lo + 1
+    k = n.bit_length()  # a width of 1 still uses up one bit, as in randint
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 @dataclass(frozen=True, slots=True)
 class UniformDelay:
-    """Independent uniform delay on every message, drawn by randint's own
-    rejection loop minus its checks: the same draws, the same rng state."""
+    """Independent uniform delay on every message."""
 
     lo: int = 1
     hi: int = 10
 
     def delay(self, msg: Message, rng: random.Random) -> int:
-        n = self.hi - self.lo + 1
-        k = n.bit_length()  # a width of 1 still uses up one bit, as in randint
-        r = rng.getrandbits(k)
-        while r >= n:
-            r = rng.getrandbits(k)
-        return self.lo + r
+        return _uniform(rng, self.lo, self.hi)
 
     def validate(self, n: int) -> None:
         if self.lo < 1 or self.hi < self.lo:
@@ -139,12 +143,7 @@ class DelayRule:
     def draw(self, rng: random.Random) -> int:
         if self.hi is None or self.hi == self.lo:
             return self.lo
-        n = self.hi - self.lo + 1  # as UniformDelay.delay
-        k = n.bit_length()
-        r = rng.getrandbits(k)
-        while r >= n:
-            r = rng.getrandbits(k)
-        return self.lo + r
+        return _uniform(rng, self.lo, self.hi)
 
     def validate(self, n: int) -> None:
         if self.kind is not None and self.kind not in _MESSAGE_KINDS:

@@ -257,7 +257,8 @@ def dense_compose_witnesses(hlt: Sequence[Event], per_register: dict) -> list[Ev
     precedence: an edge from every earlier response to every later
     invocation in hlt, plus each register witness's chain, then a heap
     ordered by (timestamp, invocation lt, process, opid). O(ops^2) edges:
-    the reference for the barrier construction."""
+    the reference for the response-prefix pointer, which gives the same
+    ready set at every pop without building them."""
     inv: dict[int, Event] = {}
     res: dict[int, Event] = {}
     for e in hlt:

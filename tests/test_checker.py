@@ -411,8 +411,8 @@ def test_compositional_soundness_against_oracle_on_mutant_histories():
 
 
 def test_composition_detects_order_cycle_through_barrier():
-    # a responds before b is invoked, so a barrier orders a before b; the
-    # register witness claims b before a
+    # a responds before b is invoked, so b may go only once a is placed; the
+    # register witness puts b before a, so neither may go
     a = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(1, 1), res=(2, 2))
     b = op_events(2, 2, WRITE, "x", arg=2, ret=OK, ts=(3, 2), inv=(3, 3), res=(4, 4))
     hlt = build_logical_time_history(merge_by_rt(a, b))

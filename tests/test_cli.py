@@ -545,6 +545,36 @@ def test_stats_deeply_nested_line_exits_5(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
-def test_entry_point_requires_subcommand():
-    with pytest.raises(SystemExit):
+def test_entry_point_requires_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == EXIT_CONFIG
+    assert "required: command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["run", "x.cfg", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["check", "h.jsonl", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+        (["fuzz", "--mutant", "bogus"], "argument --mutant: invalid choice: 'bogus'"),
+        (["stats", "h.jsonl", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["run", "check", "fuzz", "stats"],
+)
+def test_usage_error_exits_3_not_the_undecided_code(capsys, argv, error):
+    # exit 2 means "verdict unavailable"; a typo must not read as one
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("usage: dsmlab") and error in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: dsmlab check")

@@ -6,8 +6,10 @@ when it accepts, the sha256 of the composed witness's (kind, opid) sequence.
 The pins in compose_pins.json were produced by an earlier version of the
 witness composition; a rewrite of it must reproduce every one of them, so
 the tie-breaking among order-free operations cannot drift unnoticed. On the
-same corpus and on criterion 4's acceptance corpus, the witness must also
-equal the one composed from dense precedence edges (the test-only reference
+same corpus, on criterion 4's acceptance corpus and on the timestamp-free
+random histories of the search pins (whose register witnesses come from the
+search, not the fast path), the witness must also equal the one composed
+from dense precedence edges (the test-only reference
 helpers.dense_compose_witnesses).
 
 Regenerate (only when a change of witness order is intended) with
@@ -18,6 +20,7 @@ Regenerate (only when a change of witness order is intended) with
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from dsmlab.simnet import run_simulation
 
 from helpers import dense_compose_witnesses
 from test_search_pins import _oracle_campaign_histories
+from test_search_pins import corpus as search_corpus
 from test_trace_pins import corpus
 
 PINS = Path(__file__).with_name("compose_pins.json")
@@ -66,8 +70,9 @@ def test_pin_corpus_is_mostly_accepted_with_both_protocols():
 
 def test_witness_equals_dense_reference():
     traces = ((label, complete_history(run_simulation(cfg).history)) for label, cfg in corpus())
-    compared = 0
-    for label, h in (*traces, *_oracle_campaign_histories(1000)):
+    searched = ((label, h) for label, h, _, _ in itertools.islice(search_corpus(), 300))
+    compared = two_register_searched = 0
+    for label, h in (*traces, *_oracle_campaign_histories(1000), *searched):
         v = check_sc_compositional(h)
         if not v.accepted:
             continue
@@ -75,7 +80,11 @@ def test_witness_equals_dense_reference():
         dense = dense_compose_witnesses(hlt, v.per_register)
         assert _compose_witnesses(hlt, v.per_register) == dense == v.witness, label
         compared += 1
+        if label.startswith("random/") and len(v.per_register) == 2:
+            assert all(e.op.ts is None for e in h), label
+            two_register_searched += 1
     assert compared >= 900
+    assert two_register_searched >= 80
 
 
 if __name__ == "__main__":
