@@ -13,17 +13,20 @@ Exit codes are part of the interface:
     0  success; for `check`, the history was accepted
     1  `check` rejected the history (or the two checking routes disagreed);
        `fuzz` found a soundness violation, or an audit failure with no mutant
-    2  verdict unavailable: a search hit its state cap, or the oracle refused
-       the history
+    2  verdict unavailable: a search hit its state cap, or the oracle refused the history
     3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; `fuzz --runs` < 0;
-       any command: a usage error (unknown option, bad value, missing argument)
+       any command: a usage error (unknown option, bad value or a cap < 0, missing argument)
     4  simulation hit the tick horizon before quiescing (files still written)
     5  history or message log unreadable, not UTF-8, malformed or ill-formed
+
+Each command runs with the cyclic GC paused, and main restores the caller's setting; library calls
+leave it alone. What a command builds is acyclic, freed by refcounts: only the parser's cycles wait.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -273,6 +276,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def cap(text: str) -> int:  # --state-cap, --op-cap; 0 is valid: the fast path alone
+        if (n := int(text)) < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+        return n
     parser = _Parser(
         prog="dsmlab",
         description="Quorum-replicated shared-memory lab: simulate, check, fuzz.",
@@ -292,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("compositional", "bruteforce", "both"),
         default="compositional",
     )
-    p_check.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
-    p_check.add_argument("--op-cap", type=int, default=ORACLE_OP_CAP)
+    p_check.add_argument("--state-cap", type=cap, default=DEFAULT_STATE_CAP)
+    p_check.add_argument("--op-cap", type=cap, default=ORACLE_OP_CAP)
     p_check.set_defaults(fn=cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded checking campaign")
@@ -315,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; the one place where a refusal becomes an exit code."""
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -326,6 +335,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HistoryError as exc:
         _err(f"unusable history: {exc}")
         return EXIT_PARSE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def console_main() -> None:

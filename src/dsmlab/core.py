@@ -134,7 +134,7 @@ class OperationDescriptor:
     ts: Optional[Timestamp] = None
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Event:
     kind: str  # INVOCATION | RESPONSE_EVENT
     op: OperationDescriptor

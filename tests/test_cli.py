@@ -225,6 +225,16 @@ def test_check_state_cap_can_force_undecided(tmp_path, capsys):
     assert "undecided" in capsys.readouterr().out
 
 
+def test_check_state_cap_0_leaves_the_fast_path_alone(tmp_path, capsys):
+    hist = _run_then_history(tmp_path)
+    capsys.readouterr()
+    assert main(["check", str(hist), "--state-cap", "0"]) == EXIT_OK
+    assert "compositional: accepted" in capsys.readouterr().out
+    write_history(hist, strip_ts(read_history(hist)))
+    assert main(["check", str(hist), "--state-cap", "0"]) == EXIT_UNDECIDED
+    assert "search cap hit after 0 states" in capsys.readouterr().out
+
+
 def _untimestamped_register_file(tmp_path, ops_per_process):
     cfg = SimConfig(n=5, seed=0, workload=Workload(
         ops_per_process=ops_per_process, read_fraction=0.5, register_count=1, think_time=0))
@@ -559,8 +569,11 @@ def test_entry_point_requires_subcommand(capsys):
         (["check", "h.jsonl", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
         (["fuzz", "--mutant", "bogus"], "argument --mutant: invalid choice: 'bogus'"),
         (["stats", "h.jsonl", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check", "h.jsonl", "--state-cap", "-3"], "argument --state-cap: must be >= 0, got -3"),
+        (["check", "h.jsonl", "--op-cap", "-1", "--mode", "both"],
+         "argument --op-cap: must be >= 0, got -1"),
     ],
-    ids=["run", "check", "fuzz", "stats"],
+    ids=["run", "check", "fuzz", "stats", "check-state-cap", "check-op-cap"],
 )
 def test_usage_error_exits_3_not_the_undecided_code(capsys, argv, error):
     # exit 2 means "verdict unavailable"; a typo must not read as one

@@ -207,6 +207,49 @@ def test_cli_maps_refusals_to_exit_codes_only_in_main():
     assert refusals_caught_outside(source, "main") == []
 
 
+GC_POLICY = frozenset({"disable", "enable", "set_threshold", "freeze"})
+
+
+def gc_policy_calls(source: str) -> list[str]:
+    """Calls that change the cyclic collector's policy: `gc.NAME(...)` for a
+    NAME in GC_POLICY, under any alias of the gc module, or such a NAME
+    imported from gc."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names if a.name == "gc"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found += [f"line {node.lineno}: from gc import {a.name}"
+                      for a in node.names if a.name in GC_POLICY]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in aliases
+              and node.func.attr in GC_POLICY):
+            found.append(f"line {node.lineno}: gc.{node.func.attr}")
+    return found
+
+
+def test_scan_finds_gc_policy_calls():
+    src = (
+        "import gc\nimport gc as g\nfrom gc import freeze, collect\n"
+        "gc.disable()\ngc.isenabled()\ng.set_threshold(0)\ngc.collect()\n"
+    )
+    assert gc_policy_calls(src) == [
+        "line 3: from gc import freeze", "line 4: gc.disable", "line 6: gc.set_threshold"
+    ]
+    assert gc_policy_calls("disable()\nx.gc.enable()\n") == []
+
+
+def test_collector_policy_lives_only_in_cli():
+    found = {
+        p.name: calls
+        for p in sorted(SRC.glob("*.py"))
+        if (calls := gc_policy_calls(p.read_text(encoding="utf-8"))) and p.name != "cli.py"
+    }
+    assert not found, f"collector policy set outside cli.py: {found}"
+    assert gc_policy_calls((SRC / "cli.py").read_text(encoding="utf-8"))
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
