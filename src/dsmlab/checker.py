@@ -11,9 +11,9 @@ so acceptance here implies the original history is sequentially consistent.
 Per-register checking itself has a fast path and a fallback:
 
 * fast path: when every operation carries the timestamp it installed or wrote
-  back, the witness order can be constructed directly (writes sorted by
-  timestamp, each read right after the write it observed) and certified in
-  linear time. Certification is real: legality, equivalence, and precedence
+  back, the witness order can be constructed directly (one sort by
+  timestamp puts each read right after the write it observed) and certified
+  in linear time. Certification is real: legality, equivalence, and precedence
   are checked, never assumed.
 * fallback: an exact search for a legal order that respects precedence.
 
@@ -287,56 +287,43 @@ def check_linearizable(h: Sequence[Event], *, state_cap: int = DEFAULT_STATE_CAP
 
 def construct_timestamp_witness(hx: Sequence[Event]) -> list[Event]:
     """Build the candidate witness order for one register's complete history
-    from operation timestamps: writes sorted by their unique timestamps, each
-    read placed right after the write whose pair it returned (initial-
-    timestamp reads first), reads on the same write ordered by invocation lt
-    then process id.
+    from operation timestamps: one sort by (timestamp, read after write,
+    invocation lt, process id, opid) puts each write at its timestamp and
+    each read right after the write whose pair it returned (initial-
+    timestamp reads first).
 
     Pure construction; whether the result is legal and order-preserving is
     for the caller to certify. Raises InstrumentationError when timestamps
-    cannot have come from a run: a duplicated write timestamp, a missing
-    one, or a read timestamp matching no write and not the initial one.
+    cannot have come from a run: a missing one, a write not stamped above
+    the write before it (the first one above the initial timestamp), or a
+    read stamped with neither the latest write's timestamp nor, before any
+    write, the initial one.
     """
     t = _complete_op_table(hx)
-    descs = t.descs
-    regs = {op.reg for op in descs.values()}
+    regs = {op.reg for op in t.descs.values()}
     if len(regs) > 1:
         raise HistoryError(f"single-register history expected, got registers {sorted(regs)}")
-
-    def ts_of(o: OpId) -> Timestamp:
-        ts = descs[o].ts
-        if ts is None:
-            raise InstrumentationError(f"operation {o} carries no timestamp")
-        return Timestamp(*ts)
-
-    writes = sorted((ts_of(o), o) for o, op in descs.items() if op.kind == WRITE)
-    for (ts1, o1), (ts2, o2) in zip(writes, writes[1:]):
-        if ts1 == ts2:
-            raise InstrumentationError(f"writes {o1} and {o2} share timestamp {ts1}")
-    write_ts = {ts for ts, _ in writes}
-
-    def read_key(o: OpId):
-        inv = t.events[t.inv[o]]
-        return (inv.lt if inv.lt is not None else 0, inv.proc, o)
-
-    reads_at: dict[Timestamp, list[OpId]] = {}
-    for o, op in descs.items():
-        if op.kind != READ:
-            continue
-        ts = ts_of(o)
-        if ts not in write_ts and ts != INITIAL_TS:
+    # () sorts below every timestamp, so an op without one is refused first
+    invs = sorted(
+        (e for e in t.events if e.kind == INVOCATION),
+        key=lambda e: (e.op.ts or (), e.op.kind == READ, e.lt or 0, e.proc, e.op.opid),
+    )
+    last = INITIAL_TS  # the latest write's timestamp
+    for e in invs:
+        op = e.op
+        if op.ts is None:
+            raise InstrumentationError(f"operation {op.opid} carries no timestamp")
+        if op.kind == WRITE:
+            if op.ts <= last:
+                raise InstrumentationError(
+                    f"write {op.opid} carries timestamp {op.ts}, not above {last}"
+                )
+            last = op.ts
+        elif op.ts != last:
             raise InstrumentationError(
-                f"read {o} carries timestamp {ts} matching no write on {op.reg!r}"
+                f"read {op.opid} carries timestamp {op.ts} matching no write on {op.reg!r}"
             )
-        reads_at.setdefault(ts, []).append(o)
-    for group in reads_at.values():
-        group.sort(key=read_key)
-
-    ordered: list[OpId] = list(reads_at.get(INITIAL_TS, []))
-    for ts, o in writes:
-        ordered.append(o)
-        ordered.extend(reads_at.get(ts, []))
-    return t.witness(ordered)
+    return t.witness(e.op.opid for e in invs)
 
 
 def _precedence_violation(
@@ -363,24 +350,20 @@ def _witness_positions(witness: Sequence[Event]) -> dict[OpId, int]:
 # --- compositional SC check ----------------------------------------------------
 
 
-def _check_register(hx: list[Event], x: RegisterId, state_cap: int) -> Verdict:
+def _check_register(hx: list[Event], state_cap: int) -> Verdict:
     fast_pair: Optional[tuple[OpId, OpId]] = None
     if all(e.op.ts is not None for e in hx):
         try:
             w = construct_timestamp_witness(hx)
         except InstrumentationError:
-            w = None
-        if w is not None:
-            pos = _witness_positions(w)
-            prec = _precedence_violation(hx, pos)
-            if prec is None and is_legal_sequential(w) and histories_equivalent(w, hx):
+            pass
+        else:
+            fast_pair = _precedence_violation(hx, _witness_positions(w))
+            if fast_pair is None and is_legal_sequential(w) and histories_equivalent(w, hx):
                 return Verdict(ACCEPTED, witness=w)
-            fast_pair = prec
     v = check_linearizable(hx, state_cap=state_cap)
     if v.rejected:
-        v.violation.register = x
-        if v.violation.ops is None:
-            v.violation.ops = fast_pair
+        v.violation.ops = fast_pair
     return v
 
 
@@ -466,7 +449,7 @@ def check_sc_compositional(
     by_register: dict[RegisterId, list[Event]] = {}  # in order of first appearance
     for e in hlt:
         by_register.setdefault(e.op.reg, []).append(e)
-    per_register = {x: _check_register(hx, x, state_cap) for x, hx in by_register.items()}
+    per_register = {x: _check_register(hx, state_cap) for x, hx in by_register.items()}
     explored = sum(vx.states_explored for vx in per_register.values())
     for vx in per_register.values():
         if vx.rejected:
@@ -581,35 +564,25 @@ def audit_logical_clocks(trace) -> bool:
     return True
 
 
-def _visibility_scan(history: Sequence[Event], protocol: str) -> tuple[bool, int]:
-    # Under both protocols' contracts every read and every write has an
-    # update phase; reads always query first, writes only where QUERY_WRITES.
-    queriers = {READ, WRITE} if QUERY_WRITES[protocol] else {READ}
-    hlt = build_logical_time_history(history)
-    ok = True
-    pairs = 0
-    state: dict[RegisterId, tuple[Timestamp, int]] = {}  # reg -> (max ts, updaters done)
-    for e in hlt:
-        op = e.op
-        if e.kind == RESPONSE_EVENT:
-            if op.ts is not None:
-                cur, cnt = state.get(op.reg, (INITIAL_TS, 0))
-                state[op.reg] = (max(cur, op.ts), cnt + 1)
-        else:
-            if op.kind in queriers and op.ts is not None:
-                cur, cnt = state.get(op.reg, (INITIAL_TS, 0))
-                pairs += cnt
-                if op.ts < cur:
-                    ok = False
-    return ok, pairs
-
-
 def audit_timestamp_visibility(trace) -> bool:
     """Check the timestamp-visibility contract on a trace: in logical time,
     an operation that ran a query phase carries a timestamp at least as
     large as that of every same-register operation whose update phase
     completed before its invocation. The real protocols guarantee this by
     quorum intersection; mutants that skip propagation break it here even
-    when the resulting history happens to be consistent."""
-    ok, _ = _visibility_scan(trace.history, trace.protocol)
-    return ok
+    when the resulting history happens to be consistent.
+
+    Under both protocols' contracts every read and every write has an update
+    phase; reads always query first, writes only where QUERY_WRITES. One pass
+    keeps each register's largest completed update timestamp."""
+    query_writes = QUERY_WRITES[trace.protocol]
+    done: dict[RegisterId, Timestamp] = {}  # reg -> largest ts of a completed update
+    for e in build_logical_time_history(trace.history):
+        op = e.op
+        if op.ts is None:
+            continue
+        if e.kind == RESPONSE_EVENT:
+            done[op.reg] = max(done.get(op.reg, INITIAL_TS), op.ts)
+        elif (op.kind == READ or query_writes) and op.ts < done.get(op.reg, INITIAL_TS):
+            return False
+    return True

@@ -14,8 +14,8 @@ Exit codes are part of the interface:
     1  `check` rejected the history (or the two checking routes disagreed);
        `fuzz` found a soundness violation, or an audit failure with no mutant
     2  verdict unavailable: a search hit its state cap, or the oracle refused the history
-    3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; `fuzz --runs` < 0;
-       any command: a usage error (unknown option, bad value or a cap < 0, missing argument)
+    3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; any command: a usage
+       error (unknown option, bad value, a count or cap < 0, missing argument)
     4  simulation hit the tick horizon before quiescing (files still written)
     5  history or message log unreadable, not UTF-8, malformed or ill-formed
 
@@ -179,9 +179,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.runs < 0:
-        _err(f"--runs must be >= 0, got {args.runs}")
-        return EXIT_CONFIG
     report = run_campaign(
         runs=args.runs, mutant=args.mutant, seed0=args.seed0, protocol=args.protocol
     )
@@ -276,7 +273,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def cap(text: str) -> int:  # --state-cap, --op-cap; 0 is valid: the fast path alone
+    def count(text: str) -> int:  # --runs and the caps; --state-cap 0: the fast path alone
         if (n := int(text)) < 0:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
         return n
@@ -299,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("compositional", "bruteforce", "both"),
         default="compositional",
     )
-    p_check.add_argument("--state-cap", type=cap, default=DEFAULT_STATE_CAP)
-    p_check.add_argument("--op-cap", type=cap, default=ORACLE_OP_CAP)
+    p_check.add_argument("--state-cap", type=count, default=DEFAULT_STATE_CAP)
+    p_check.add_argument("--op-cap", type=count, default=ORACLE_OP_CAP)
     p_check.set_defaults(fn=cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded checking campaign")
-    p_fuzz.add_argument("--runs", type=int, default=100)
+    p_fuzz.add_argument("--runs", type=count, default=100)
     p_fuzz.add_argument("--mutant", choices=MUTANTS, default=MUTANT_NONE)
     p_fuzz.add_argument("--seed0", type=int, default=0)
     p_fuzz.add_argument(

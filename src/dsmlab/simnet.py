@@ -148,7 +148,9 @@ class DelayRule:
     def validate(self, n: int) -> None:
         if self.kind is not None and self.kind not in _MESSAGE_KINDS:
             raise ConfigError(f"delay rule has unknown message kind {self.kind!r}")
-        if self.lo < 1 or (self.hi is not None and self.hi < self.lo):
+        if self.hi is None and self.lo < 1:
+            raise ConfigError(f"delay rule needs lo >= 1, got {self.lo}")
+        if self.hi is not None and not 1 <= self.lo <= self.hi:
             raise ConfigError(f"delay rule needs 1 <= lo <= hi, got {self.lo}..{self.hi}")
         for pid in (self.sender, self.receiver):
             if isinstance(pid, int) and not 1 <= pid <= n:

@@ -1,6 +1,7 @@
 """Checker behavior: reordering, legality, searches, witnesses, audits."""
 
 import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from dsmlab.core import (
     OK,
     READ,
     RESPONSE_EVENT,
+    Timestamp,
     WRITE,
     histories_equivalent,
     pending_operations,
@@ -297,6 +299,21 @@ def test_witness_construction_instrumentation_errors():
                                               ts=(9, 1), inv=(10, 10), res=(11, 11)))
 
 
+@pytest.mark.parametrize("ts", [(0, 0), (0, -1)], ids=["initial", "below-initial"])
+def test_witness_refuses_a_write_stamped_at_or_below_the_initial_timestamp(ts):
+    # no run stamps a write that low: the fast path refuses it, and the
+    # search still decides the register
+    w = op_events(1, 1, WRITE, "x", arg=3, ret=OK, ts=ts, inv=(0, 1), res=(1, 2))
+    r = op_events(2, 2, READ, "x", ret=3, ts=ts, inv=(2, 3), res=(3, 4))
+    h = merge_by_rt(w, r)
+    error = f"write 1 carries timestamp {Timestamp(*ts)}, not above Timestamp(lt=0, pid=0)"
+    with pytest.raises(InstrumentationError, match=f"^{re.escape(error)}$"):
+        construct_timestamp_witness(h)
+    v = check_sc_compositional(h)
+    assert v.accepted and v.states_explored > 0  # the fast path explores no state
+    assert [e.op.opid for e in v.witness] == [1, 1, 2, 2]
+
+
 # --- compositional SC check ----------------------------------------------------------
 
 
@@ -507,6 +524,16 @@ def test_complete_history_drops_writes_without_timestamps():
     pend_w = op_events(2, 2, WRITE, "x", arg=9, inv=(2, 1))  # query phase crash
     out = complete_history(pend_w)
     assert out == []
+
+
+def test_complete_history_needs_lts_to_close_a_pending_write():
+    done = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(0, None), res=(1, 2))
+    pend_w = op_events(2, 2, WRITE, "x", arg=9, ts=(1, 2), inv=(2, 1))
+    with pytest.raises(
+        HistoryError,
+        match="^event for op 1 has no lt annotation; cannot place synthetic responses$",
+    ):
+        complete_history(merge_by_rt(done, pend_w))
 
 
 def test_complete_history_identity_on_complete_input():

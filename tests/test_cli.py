@@ -1,11 +1,15 @@
 """End-to-end command-line behavior via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dsmlab import checker, cli, fuzz
-from dsmlab.checker import ACCEPTED, REJECTED
+from dsmlab.checker import ACCEPTED, REJECTED, UNDECIDED, Verdict
 from dsmlab.cli import (
     EXIT_CONFIG,
     EXIT_HORIZON,
@@ -70,6 +74,17 @@ def test_run_seed_override_and_out_path(tmp_path):
     assert out1.read_text() != out2.read_text()
     assert main(["run", str(cfg), "--seed", "4", "--out", str(out2)]) == EXIT_OK
     assert out1.read_text() == out2.read_text()
+
+
+def test_run_on_a_jsonl_config_keeps_the_config(tmp_path, capsys):
+    # the default --out swaps the suffix for .jsonl; a .jsonl config gets one appended
+    cfg = _cfg(tmp_path, name="cfg.jsonl")
+    before = cfg.read_bytes()
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert cfg.read_bytes() == before
+    assert f"history -> {tmp_path / 'cfg.jsonl.jsonl'}\n" in capsys.readouterr().out
+    assert read_history(tmp_path / "cfg.jsonl.jsonl")
+    assert (tmp_path / "cfg.jsonl.msgs.jsonl").exists()
 
 
 def test_run_round_shapes_in_summary(tmp_path, capsys):
@@ -196,6 +211,22 @@ def test_check_mode_both_agreement(tmp_path, capsys):
     write_history(hist, write_then_stale_read())
     assert main(["check", str(hist), "--mode", "both"]) == EXIT_REJECTED
     assert "agreement: yes" in capsys.readouterr().out
+
+
+def test_check_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    hist = tmp_path / "h.jsonl"
+    write_history(hist, sc_not_lin())
+
+    def flipped(h, op_cap):
+        return Verdict(REJECTED)
+
+    monkeypatch.setattr(cli, "check_sc_bruteforce", flipped)
+    assert main(["check", str(hist), "--mode", "both"]) == EXIT_REJECTED
+    captured = capsys.readouterr()
+    assert captured.out == "compositional: accepted\n  register x: accepted\nbruteforce: rejected\n"
+    assert captured.err == (
+        "dsmlab: checker disagreement: compositional says accepted, brute force says rejected\n"
+    )
 
 
 def test_check_bruteforce_cap_exits_2(tmp_path, capsys):
@@ -366,13 +397,6 @@ def test_fuzz_zero_runs(capsys):
     assert capsys.readouterr().out == "fuzz: 0 runs, protocol sc_abd, mutant none\n"
 
 
-def test_fuzz_refuses_a_negative_run_count(capsys):
-    assert main(["fuzz", "--runs", "-3"]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "dsmlab: --runs must be >= 0, got -3\n"
-
-
 def test_fuzz_clean_campaign(capsys):
     assert main(["fuzz", "--runs", "25", "--protocol", "mw_abd"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -436,6 +460,18 @@ def test_fuzz_soundness_violation_exits_1(capsys, monkeypatch):
     assert main(["fuzz", "--runs", "1"]) == EXIT_REJECTED
     assert "SOUNDNESS VIOLATIONS at seeds [0]" in capsys.readouterr().out
     assert main(["fuzz", "--runs", "1", "--mutant", "small-quorum"]) == EXIT_REJECTED
+
+
+def test_fuzz_counts_undecided_runs(capsys, monkeypatch):
+    _stub_campaign(monkeypatch, verdict=UNDECIDED)
+    assert main(["fuzz", "--runs", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "accepted: 0/1\nundecided: 1\nclock audit failures: 0\n" in out
+
+
+def test_campaign_config_refuses_an_unknown_mutant():
+    with pytest.raises(ValueError, match="^unknown mutant 'bogus'$"):
+        fuzz.campaign_config("bogus", 0)
 
 
 def test_fuzz_audit_failure_exits_1_only_without_mutant(capsys, monkeypatch):
@@ -572,8 +608,9 @@ def test_entry_point_requires_subcommand(capsys):
         (["check", "h.jsonl", "--state-cap", "-3"], "argument --state-cap: must be >= 0, got -3"),
         (["check", "h.jsonl", "--op-cap", "-1", "--mode", "both"],
          "argument --op-cap: must be >= 0, got -1"),
+        (["fuzz", "--runs", "-3"], "dsmlab fuzz: error: argument --runs: must be >= 0, got -3"),
     ],
-    ids=["run", "check", "fuzz", "stats", "check-state-cap", "check-op-cap"],
+    ids=["run", "check", "fuzz", "stats", "check-state-cap", "check-op-cap", "fuzz-runs"],
 )
 def test_usage_error_exits_3_not_the_undecided_code(capsys, argv, error):
     # exit 2 means "verdict unavailable"; a typo must not read as one
@@ -591,3 +628,27 @@ def test_help_still_exits_0(capsys):
         main(["check", "--help"])
     assert exc.value.code == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: dsmlab check")
+
+
+def test_python_m_dsmlab_exits_with_mains_code(tmp_path):
+    # `python -m dsmlab` runs __main__, which hands main's code to sys.exit via console_main
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def dsmlab(*argv):
+        return subprocess.run([sys.executable, "-m", "dsmlab", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = dsmlab("fuzz", "--runs", "0")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_OK, "fuzz: 0 runs, protocol sc_abd, mutant none\n", ""
+    )
+    for argv, code, error in (
+        (["check", "h.jsonl", "--mode", "bogus"], EXIT_CONFIG,
+         "dsmlab check: error: argument --mode: invalid choice: 'bogus'"),
+        (["check", "missing.jsonl"], EXIT_PARSE, "dsmlab: missing.jsonl: "),
+    ):
+        refused = dsmlab(*argv)
+        assert (refused.returncode, refused.stdout) == (code, "")
+        assert "Traceback" not in refused.stderr
+        (line,) = [ln for ln in refused.stderr.splitlines() if ln.startswith("dsmlab")]
+        assert line.startswith(error)

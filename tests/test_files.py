@@ -657,6 +657,36 @@ def test_parse_config_rejections():
     assert run_simulation(cfg).protocol == "mw_abd"
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("delay = fixed\ndelay_fixed = 0", "fixed delay default must be >= 1"),
+        ("delay = fixed\ndelay_links = 1>2:0", "fixed delay for link (1, 2) must be >= 1, got 0"),
+        ("delay = adversarial\nschedule = query:1>2:0", "delay rule needs lo >= 1, got 0"),
+        (
+            "delay = adversarial\nschedule = query:1>2:5-3",
+            "delay rule needs 1 <= lo <= hi, got 5..3",
+        ),
+        (
+            "delay = adversarial\nschedule = query:12:5",
+            "rule 'query:12:5': link must look like sender>receiver",
+        ),
+        ("ops_per_process = -1", "ops_per_process must be >= 0"),
+        ("register_count = 0", "register_count must be >= 1"),
+        ("think_time = -1", "think_time must be >= 0"),
+        ("crashes = 2@-5", "crash tick must be >= 0, got -5"),
+    ],
+    ids=[
+        "delay-fixed-0", "delay-links-0", "rule-delay-0", "rule-range-reversed",
+        "rule-link-without-arrow", "ops-negative", "registers-0", "think-negative",
+        "crash-tick-negative",
+    ],
+)
+def test_parse_config_refusal_texts(text, error):
+    with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+        parse_config(text)
+
+
 # key -> (value text, the config it gives with every other key left out).
 # A delay model's own keys come with the "delay" line that selects it.
 CONFIG_KEY_CASES = {

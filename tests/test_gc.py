@@ -131,7 +131,6 @@ def _exits(tmp_path):
         (["check", str(bad)], EXIT_REJECTED),
         (["check", str(hist), "--state-cap", "0"], EXIT_UNDECIDED),
         (["run", str(cfg)], EXIT_CONFIG),
-        (["fuzz", "--runs", "-1"], EXIT_CONFIG),
         (["stats", str(tmp_path / "missing.jsonl")], EXIT_PARSE),
     ]
 

@@ -146,6 +146,8 @@ def test_config_validation_errors():
         SimConfig(n=3, crashes=((7, 0),)).validate()  # pid out of range
     with pytest.raises(ConfigError):
         SimConfig(n=3, max_ticks=0).validate()
+    with pytest.raises(ConfigError, match="^adversarial default delay must be >= 1$"):
+        AdversarialSchedule(default=0).validate(3)
     # link and rule pids lie in 1..n; a rule may also say "self" or "other"
     for links in ({(0, 1): 2}, {(1, 4): 2}):
         with pytest.raises(ConfigError, match="outside 1..3"):
