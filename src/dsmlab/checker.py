@@ -8,6 +8,10 @@ in logical time composes (unlike sequential consistency in general), and the
 logical-time history is indistinguishable from the original to every process,
 so acceptance here implies the original history is sequentially consistent.
 
+A history is validated once, by complete_history or else by the first check
+it reaches, into an immutable op table that later checks take as it is; each
+register's check receives a sub-table, well formed and complete by construction.
+
 Per-register checking itself has a fast path and a fallback:
 
 * fast path: when every operation carries the timestamp it installed or wrote
@@ -36,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     Event,
@@ -51,7 +55,6 @@ from .core import (
     WRITE,
     histories_equivalent,
     is_well_formed,
-    pending_operations,
 )
 from .protocol import QUERY_WRITES
 
@@ -165,32 +168,40 @@ def is_legal_sequential(s: Sequence[Event]) -> bool:
 # --- exact search -----------------------------------------------------------------
 
 
-class _OpTable(NamedTuple):
-    events: list  # the history
-    inv: dict  # opid -> index of its invocation in events
-    res: dict  # opid -> index of its response in events
-    descs: dict  # opid -> descriptor, in invocation order
+class _OpTable(tuple):
+    """A well-formed complete history that cannot change, indexed by opid:
+    inv and res give an op's event positions, descs its descriptor, in
+    invocation order. A list, slice or sum made of a table is no table."""
+
+    def __new__(cls, events: Iterable[Event]) -> _OpTable:
+        t = super().__new__(cls, events)
+        inv, res, descs = {}, {}, {}
+        for i, e in enumerate(t):
+            if e.kind == INVOCATION:
+                inv[e.op.opid] = i
+                descs[e.op.opid] = e.op
+            else:
+                res[e.op.opid] = i
+        vars(t).update(inv=inv, res=res, descs=descs)  # never mutated
+        return t
+
+    __setattr__ = __delattr__ = None  # no attribute may be set or removed
 
     def witness(self, opids: Iterable[OpId]) -> list[Event]:
         """The sequential history running the given operations in order."""
-        return [self.events[i] for o in opids for i in (self.inv[o], self.res[o])]
+        return [self[i] for o in opids for i in (self.inv[o], self.res[o])]
 
 
 def _complete_op_table(h: Sequence[Event]) -> _OpTable:
-    """The op table of a well-formed complete history; HistoryError otherwise."""
-    events = list(h)
-    inv, res, descs = {}, {}, {}
-    for i, e in enumerate(events):
-        if e.kind == INVOCATION:
-            inv[e.op.opid] = i
-            descs[e.op.opid] = e.op
-        else:
-            res[e.op.opid] = i
-    if not is_well_formed(events):
+    """h if a table, else h's table once proved well formed and complete."""
+    if isinstance(h, _OpTable):
+        return h
+    t = _OpTable(h)
+    if not is_well_formed(t):
         raise HistoryError("history is not well formed")
-    if len(res) != len(inv):
+    if len(t.res) != len(t.inv):
         raise HistoryError("history has pending operations; complete it first")
-    return _OpTable(events, inv, res, descs)
+    return t
 
 
 def _search(
@@ -305,7 +316,7 @@ def construct_timestamp_witness(hx: Sequence[Event]) -> list[Event]:
         raise HistoryError(f"single-register history expected, got registers {sorted(regs)}")
     # () sorts below every timestamp, so an op without one is refused first
     invs = sorted(
-        (e for e in t.events if e.kind == INVOCATION),
+        (e for e in t if e.kind == INVOCATION),
         key=lambda e: (e.op.ts or (), e.op.kind == READ, e.lt or 0, e.proc, e.op.opid),
     )
     last = INITIAL_TS  # the latest write's timestamp
@@ -350,7 +361,7 @@ def _witness_positions(witness: Sequence[Event]) -> dict[OpId, int]:
 # --- compositional SC check ----------------------------------------------------
 
 
-def _check_register(hx: list[Event], state_cap: int) -> Verdict:
+def _check_register(hx: _OpTable, state_cap: int) -> Verdict:
     fast_pair: Optional[tuple[OpId, OpId]] = None
     if all(e.op.ts is not None for e in hx):
         try:
@@ -444,12 +455,13 @@ def check_sc_compositional(
     them); for everything else, cross-check small rejections with
     check_sc_bruteforce.
     """
-    events = _complete_op_table(h).events
-    hlt = build_logical_time_history(events)
+    t = _complete_op_table(h)
+    hlt = build_logical_time_history(t)
     by_register: dict[RegisterId, list[Event]] = {}  # in order of first appearance
     for e in hlt:
         by_register.setdefault(e.op.reg, []).append(e)
-    per_register = {x: _check_register(hx, state_cap) for x, hx in by_register.items()}
+    # a register's logical-time sub-history is well formed and complete as t is
+    per_register = {x: _check_register(_OpTable(hx), state_cap) for x, hx in by_register.items()}
     explored = sum(vx.states_explored for vx in per_register.values())
     for vx in per_register.values():
         if vx.rejected:
@@ -460,7 +472,7 @@ def check_sc_compositional(
     if any(vx.undecided for vx in per_register.values()):
         return Verdict(UNDECIDED, states_explored=explored, per_register=per_register)
     witness = _compose_witnesses(hlt, per_register)
-    if not is_legal_sequential(witness) or not histories_equivalent(witness, events):
+    if not is_legal_sequential(witness) or not histories_equivalent(witness, t):
         raise CheckerInternalError("composed witness failed certification")
     return Verdict(
         ACCEPTED, witness=witness, states_explored=explored, per_register=per_register
@@ -483,7 +495,7 @@ def check_sc_bruteforce(h: Sequence[Event], *, op_cap: int = ORACLE_OP_CAP) -> V
         )
     seqs: dict[int, list[int]] = {}  # process -> its ops' indices, in order
     for i, o in enumerate(t.descs):
-        seqs.setdefault(t.events[t.inv[o]].proc, []).append(i)
+        seqs.setdefault(t[t.inv[o]].proc, []).append(i)
     procs = sorted(seqs)
 
     def heads(done: int) -> Iterable[int]:
@@ -500,8 +512,9 @@ def check_sc_bruteforce(h: Sequence[Event], *, op_cap: int = ORACLE_OP_CAP) -> V
 # --- completion of crashed-run histories ----------------------------------------
 
 
-def complete_history(h: Sequence[Event]) -> list[Event]:
-    """Resolve pending operations left by mid-operation crashes.
+def complete_history(h: Sequence[Event]) -> _OpTable:
+    """Resolve pending operations left by mid-operation crashes, and return
+    the completed history as the op table that every check takes as it is.
 
     A pending write that already broadcast its timestamped update may have
     taken effect at any replica, so it is retained and closed with a
@@ -509,10 +522,10 @@ def complete_history(h: Sequence[Event]) -> list[Event]:
     a pending write that never reached its update phase (no timestamp),
     cannot have influenced anyone and is dropped. Descriptors of retained
     ops are copied, never mutated, so the input history stays intact."""
-    events = list(h)
+    events = _OpTable(h)  # pending ops included, so it never leaves here unless complete
     if not is_well_formed(events):
         raise HistoryError("history is not well formed")
-    pend = pending_operations(events)
+    pend = [op for o, op in events.descs.items() if o not in events.res]
     if not pend:
         return events
     for e in events:
@@ -533,7 +546,7 @@ def complete_history(h: Sequence[Event]) -> list[Event]:
     for i, o in enumerate(sorted(fresh)):
         d = fresh[o]
         out.append(Event(RESPONSE_EVENT, d, base_rt + 1 + i, base_lt + 1 + i, d.proc))
-    return out
+    return _OpTable(out)
 
 
 # --- trace audits ----------------------------------------------------------------

@@ -12,7 +12,7 @@ Exit codes are part of the interface:
 
     0  success; for `check`, the history was accepted
     1  `check` rejected the history (or the two checking routes disagreed);
-       `fuzz` found a soundness violation, or an audit failure with no mutant
+       `fuzz` found a soundness violation, or with no mutant a rejection or an audit failure
     2  verdict unavailable: a search hit its state cap, or the oracle refused the history
     3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; any command: a usage
        error (unknown option, bad value, a count or cap < 0, missing argument)
@@ -209,8 +209,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if report.soundness_violation_seeds:
         print(f"SOUNDNESS VIOLATIONS at seeds {report.soundness_violation_seeds}")
         return EXIT_REJECTED
-    # mutants are there to trip the audits; the intact protocol never may
-    if report.mutant == MUTANT_NONE and (clock_bad or vis_bad):
+    # mutants are there to trip the checker and the audits; the intact protocols never may
+    if report.mutant == MUTANT_NONE and (report.rejected_seeds or clock_bad or vis_bad):
         return EXIT_REJECTED
     return EXIT_OK
 

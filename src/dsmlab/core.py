@@ -176,12 +176,7 @@ def is_well_formed(h: Sequence[Event]) -> bool:
     return True
 
 
-def operations(h: Sequence[Event]) -> list[OperationDescriptor]:
-    """Descriptors in invocation order."""
-    return [e.op for e in h if e.kind == INVOCATION]
-
-
 def pending_operations(h: Sequence[Event]) -> list[OperationDescriptor]:
     """Descriptors invoked but never responded to, in invocation order."""
     responded = {e.op.opid for e in h if e.kind == RESPONSE_EVENT}
-    return [op for op in operations(h) if op.opid not in responded]
+    return [e.op for e in h if e.kind == INVOCATION and e.op.opid not in responded]

@@ -386,6 +386,32 @@ def test_every_search_refuses_an_ill_formed_or_pending_history():
             check(pending)
 
 
+def test_a_table_cannot_change_and_what_is_made_of_one_is_validated_again():
+    h = _instrumented_register_history()
+    t = complete_history(h)
+    inv = t[0]
+    assert inv.kind == INVOCATION
+    # a second invocation of one op: a plain list or tuple, so checked again
+    for changed in (list(t) + [inv], t + (inv,), (*t, inv)):
+        for check in (check_sc_compositional, check_linearizable, check_sc_bruteforce):
+            with pytest.raises(HistoryError, match="^history is not well formed$"):
+                check(changed)
+    edits = (
+        lambda: t.append(inv),
+        lambda: t.extend([inv]),
+        lambda: t.__setitem__(0, inv),
+        lambda: t.__delitem__(0),
+        lambda: setattr(t, "descs", {}),
+        lambda: setattr(t, "extra", 1),
+        lambda: delattr(t, "inv"),
+    )
+    for edit in edits:
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
+    assert list(t) == h and len(t.descs) == 4
+    assert check_sc_bruteforce(t).accepted
+
+
 def test_compositional_fallback_without_timestamps():
     rng = random.Random(901)
     fell_back = 0
@@ -523,7 +549,7 @@ def test_complete_history_drops_pending_reads_keeps_timestamped_writes():
 def test_complete_history_drops_writes_without_timestamps():
     pend_w = op_events(2, 2, WRITE, "x", arg=9, inv=(2, 1))  # query phase crash
     out = complete_history(pend_w)
-    assert out == []
+    assert list(out) == []
 
 
 def test_complete_history_needs_lts_to_close_a_pending_write():
@@ -538,7 +564,7 @@ def test_complete_history_needs_lts_to_close_a_pending_write():
 
 def test_complete_history_identity_on_complete_input():
     h = _instrumented_register_history()
-    assert complete_history(h) == h
+    assert list(complete_history(h)) == h
 
 
 def test_completed_mid_op_crash_traces_check_clean():

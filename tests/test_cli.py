@@ -312,6 +312,44 @@ def test_check_pending_note(tmp_path, capsys):
         assert "resolved before checking" in out
 
 
+@pytest.fixture
+def wellformed_passes(monkeypatch):
+    """One entry per well-formedness pass, counted as the benchmark's tracer
+    counts them: by wrapping is_well_formed where checker and cli look it up."""
+    passes = []
+    for module in (checker, cli):
+        def counted(h, original=module.is_well_formed):
+            passes.append(len(h))
+            return original(h)
+        monkeypatch.setattr(module, "is_well_formed", counted)
+    return passes
+
+
+def test_each_command_and_campaign_run_validates_its_history_once(
+    tmp_path, capsys, wellformed_passes
+):
+    # two registers, a pending write to resolve, few enough ops for the oracle
+    cfg = _cfg(tmp_path, "n = 3\nseed = 4\ncrashes = 2@3\nmid_op_crash = true\n"
+                         "think_time = 0\nops_per_process = 3\nregister_count = 2\n")
+    assert main(["run", str(cfg)]) == EXIT_OK
+    hist = str(tmp_path / "run.jsonl")
+    assert {e.op.reg for e in read_history(hist)} == {"r0", "r1"}
+    capsys.readouterr()
+    for argv in (["check", hist], ["check", hist, "--mode", "both"],
+                 ["check", hist, "--mode", "bruteforce"], ["stats", hist]):
+        wellformed_passes.clear()
+        assert main(argv) == EXIT_OK, argv
+        assert len(wellformed_passes) == 1, argv
+        out = capsys.readouterr().out
+        assert argv[0] == "stats" or "note: 1 pending operation(s) resolved" in out
+    # the four shapes of the benchmark's campaign cycle, at its seeds
+    for seed, protocol, mutant in ((0, "sc_abd", "none"), (4, "mw_abd", "none"),
+                                   (6, "sc_abd", "small-quorum"), (7, "sc_abd", "no-writeback")):
+        wellformed_passes.clear()
+        assert fuzz.run_campaign(1, mutant, seed, protocol).runs == 1
+        assert len(wellformed_passes) == 1, (protocol, mutant)
+
+
 def test_check_parse_error_exits_5(tmp_path, capsys):
     bad = tmp_path / "junk.jsonl"
     bad.write_text("not json\n", encoding="utf-8")
@@ -460,6 +498,15 @@ def test_fuzz_soundness_violation_exits_1(capsys, monkeypatch):
     assert main(["fuzz", "--runs", "1"]) == EXIT_REJECTED
     assert "SOUNDNESS VIOLATIONS at seeds [0]" in capsys.readouterr().out
     assert main(["fuzz", "--runs", "1", "--mutant", "small-quorum"]) == EXIT_REJECTED
+
+
+def test_fuzz_rejection_exits_1_only_without_mutant(capsys, monkeypatch):
+    # confirmed by the oracle, overturned by it, or beyond its op cap
+    for oracle in (REJECTED, ACCEPTED, None):
+        _stub_campaign(monkeypatch, verdict=REJECTED, oracle=oracle)
+        assert main(["fuzz", "--runs", "1"]) == EXIT_REJECTED
+        assert "rejected: 1 (first seed 0;" in capsys.readouterr().out
+        assert main(["fuzz", "--runs", "1", "--mutant", "small-quorum"]) == EXIT_OK
 
 
 def test_fuzz_counts_undecided_runs(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from dsmlab.core import (
     clock_merge,
     histories_equivalent,
     is_well_formed,
-    operations,
     pending_operations,
     quorum_size,
 )
@@ -154,7 +153,6 @@ def test_sequential_and_complete_predicates():
     pending = seq + op_events(3, 1, READ, "x", inv=(5, 3))
     assert is_well_formed(pending)  # one trailing invocation allowed
     assert [o.opid for o in pending_operations(pending)] == [3]
-    assert [o.opid for o in operations(pending)] == [1, 2, 3]
 
 
 def test_well_formedness_rejections():

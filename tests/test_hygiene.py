@@ -250,6 +250,50 @@ def test_collector_policy_lives_only_in_cli():
     assert gc_policy_calls((SRC / "cli.py").read_text(encoding="utf-8"))
 
 
+def well_formedness_checks(module: str, source: str) -> list[str]:
+    """Where a module reads the name is_well_formed, a call or any other
+    read (an alias passes the pass along): module.function, dotted through
+    enclosing classes and functions, or the module alone at top level.
+    Imports and the definition itself do not count."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name == "is_well_formed" and isinstance(getattr(child, "ctx", None), ast.Load):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_scan_finds_well_formedness_checks():
+    src = (
+        "from .core import is_well_formed\nimport dsmlab.core as core\n"
+        "OK = is_well_formed([])\n"
+        "def f(h):\n    return core.is_well_formed(h)\n"
+        "class C:\n    def m(self, h):\n        check = is_well_formed\n        return check(h)\n"
+        "def g(h):\n    def inner():\n        return is_well_formed(h)\n    return inner()\n"
+        "def is_well_formed(h):\n    is_well_formed = None\n    return True\n"
+    )
+    assert well_formedness_checks("m", src) == ["m", "m.f", "m.C.m", "m.g.inner"]
+
+
+def test_histories_are_validated_only_where_they_enter_a_check():
+    # complete_history and _complete_op_table hand on a table that every
+    # later check takes as it is; stats makes no table
+    found = sorted(
+        where
+        for p in sorted(SRC.glob("*.py"))
+        for where in well_formedness_checks(p.stem, p.read_text(encoding="utf-8"))
+    )
+    assert found == ["checker._complete_op_table", "checker.complete_history", "cli.cmd_stats"]
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
