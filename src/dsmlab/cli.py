@@ -29,6 +29,7 @@ import argparse
 import gc
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
@@ -46,7 +47,7 @@ from .checker import (
     check_sc_compositional,
     complete_history,
 )
-from .core import READ, WRITE, is_well_formed, pending_operations
+from .core import INVOCATION, READ, WRITE, Event, OpId, is_well_formed
 from .files import (
     ParseError,
     read_config,
@@ -82,6 +83,20 @@ def _default_out(config_path: str) -> Path:
     return out
 
 
+def _completed_ops(history: Sequence[Event]) -> tuple[int, dict[str, dict[OpId, int]]]:
+    """One pass over a history whose responses follow their invocations:
+    (ops invoked, kind -> {opid: latency in ticks} of its completed ops),
+    writes first. Every report of run, check and stats prints from it."""
+    invoked: dict[OpId, int] = {}
+    completed: dict[str, dict[OpId, int]] = {WRITE: {}, READ: {}}
+    for e in history:
+        if e.kind == INVOCATION:
+            invoked[e.op.opid] = e.rt
+        else:
+            completed[e.op.kind][e.op.opid] = e.rt - invoked[e.op.opid]
+    return len(invoked), completed
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = read_config(args.config)
     if args.seed is not None:
@@ -95,23 +110,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"{exc.filename or out}: cannot write ({exc.strerror})") from None
 
-    completed = trace.completed()
-    by_kind = {READ: [], WRITE: []}
-    for opid, desc in sorted(completed.items()):
-        by_kind[desc.kind].append(trace.rounds.get(opid, 0))
+    invoked, completed = _completed_ops(trace.history)
     print(f"protocol {cfg.protocol}  n={cfg.n}  seed={cfg.seed}  mutant={cfg.mutant}")
     print(f"history -> {out}")
     print(f"messages -> {side}")
-    for kind in (WRITE, READ):
-        rounds = by_kind[kind]
+    for kind, latency in completed.items():
+        rounds = [trace.rounds[opid] for opid in latency]
         if rounds:
             lo, hi = min(rounds), max(rounds)
             shape = str(lo) if lo == hi else f"{lo}..{hi}"
             print(f"{kind}s completed: {len(rounds)} (rounds: {shape})")
         else:
             print(f"{kind}s completed: 0")
-    pending = len(trace.ops) - len(completed)
-    if pending:
+    if pending := invoked - sum(map(len, completed.values())):
         print(f"pending operations: {pending}")
     delivered = sum(1 for r in trace.message_log if r.recv_rt is not None)
     dropped = sum(1 for r in trace.message_log if r.dropped)
@@ -144,10 +155,10 @@ def _print_verdict(label: str, v: Verdict) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     history = read_history(args.history)
-    pend = pending_operations(history)
     completed = complete_history(history)
-    if pend:
-        print(f"note: {len(pend)} pending operation(s) resolved before checking")
+    invoked, done = _completed_ops(history)
+    if pending := invoked - sum(map(len, done.values())):
+        print(f"note: {pending} pending operation(s) resolved before checking")
 
     comp: Optional[Verdict] = None
     oracle: Optional[Verdict] = None
@@ -187,14 +198,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if report.runs == 0:
         return EXIT_OK
     print(f"accepted: {report.accepted}/{report.runs}")
-    if report.rejected_seeds:
+    if rejected := report.rejected_seeds:
         confirmed = report.confirmed_rejection_seeds
         conservative = report.conservative_rejection_seeds
-        unchecked = len(report.rejected_seeds) - len(confirmed) - len(conservative)
+        unchecked = len(rejected) - len(confirmed) - len(conservative)
         print(
-            f"rejected: {len(report.rejected_seeds)} "
-            f"(first seed {report.first_rejected_seed}; oracle confirmed {len(confirmed)}"
-            + (f", first {report.first_confirmed_rejection_seed}" if confirmed else "")
+            f"rejected: {len(rejected)} "
+            f"(first seed {rejected[0]}; oracle confirmed {len(confirmed)}"
+            + (f", first {confirmed[0]}" if confirmed else "")
             + f", conservative {len(conservative)}, beyond oracle cap {unchecked})"
         )
     if report.undecided_seeds:
@@ -204,13 +215,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"clock audit failures: {len(clock_bad)}")
     print(
         f"visibility audit failures: {len(vis_bad)}"
-        + (f" (first seed {report.first_visibility_failure_seed})" if vis_bad else "")
+        + (f" (first seed {vis_bad[0]})" if vis_bad else "")
     )
     if report.soundness_violation_seeds:
         print(f"SOUNDNESS VIOLATIONS at seeds {report.soundness_violation_seeds}")
         return EXIT_REJECTED
     # mutants are there to trip the checker and the audits; the intact protocols never may
-    if report.mutant == MUTANT_NONE and (report.rejected_seeds or clock_bad or vis_bad):
+    if report.mutant == MUTANT_NONE and (rejected or clock_bad or vis_bad):
         return EXIT_REJECTED
     return EXIT_OK
 
@@ -219,24 +230,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     history = read_history(args.history)
     if not is_well_formed(history):
         raise HistoryError("history is not well formed")
-    ops = {e.op.opid: e.op for e in history}
-    completed = {o: d for o, d in ops.items() if d.ret is not None}
-    procs = sorted({e.proc for e in history})
-    print(f"events: {len(history)}  operations: {len(ops)} "
-          f"({len(completed)} completed)  processes: {len(procs)}")
-    for kind in (WRITE, READ):
-        ks = [d for d in completed.values() if d.kind == kind]
-        print(f"{kind}s: {len(ks)}")
-    lat: dict[int, int] = {}
-    inv_rt = {e.op.opid: e.rt for e in history if e.kind == "inv"}
-    for e in history:
-        if e.kind == "res":
-            lat[e.op.opid] = e.rt - inv_rt[e.op.opid]
-    for kind in (WRITE, READ):
-        ls = sorted(lat[o] for o, d in completed.items() if d.kind == kind)
-        if ls:
-            mean = sum(ls) / len(ls)
-            print(f"{kind} latency ticks: min {ls[0]}  mean {mean:.1f}  max {ls[-1]}")
+    invoked, completed = _completed_ops(history)
+    procs = len({e.proc for e in history})
+    print(f"events: {len(history)}  operations: {invoked} "
+          f"({sum(map(len, completed.values()))} completed)  processes: {procs}")
+    for kind, latency in completed.items():
+        print(f"{kind}s: {len(latency)}")
+    for kind, latency in completed.items():
+        if latency:
+            ticks = latency.values()
+            mean = sum(ticks) / len(ticks)
+            print(f"{kind} latency ticks: min {min(ticks)}  mean {mean:.1f}  max {max(ticks)}")
 
     side = sidecar_path(args.history)
     if not os.path.exists(side):  # unlike Path.exists, never raises
@@ -245,20 +249,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     header, records = read_message_log(side)
     print(f"protocol: {header['protocol']}  n={header['n']}  seed={header['seed']}")
     rounds = op_rounds(history, records)
-    for kind in (WRITE, READ):
-        hist: dict[int, int] = {}
-        for opid, d in completed.items():
-            if d.kind == kind:
-                hist[rounds[opid]] = hist.get(rounds[opid], 0) + 1
+    for kind, latency in completed.items():
+        hist = Counter(rounds[opid] for opid in latency)
         shape = "  ".join(f"{r} round(s) x{c}" for r, c in sorted(hist.items())) or "none"
         print(f"{kind} rounds: {shape}")
-    by_kind: dict[str, int] = {}
-    for r in records:
-        by_kind[r.msg.kind] = by_kind.get(r.msg.kind, 0) + 1
+    by_kind = Counter(r.msg.kind for r in records)
     total = len(records)
     dropped = sum(1 for r in records if r.dropped)
     stale = sum(1 for r in records if r.recv_rt is not None and not r.handled)
-    mix = "  ".join(f"{k}:{by_kind[k]}" for k in sorted(by_kind))
+    mix = "  ".join(f"{k}:{c}" for k, c in sorted(by_kind.items()))
     print(f"messages: {total} ({mix})")
     print(f"dropped: {dropped}  delivered-but-stale: {stale}")
     return EXIT_OK

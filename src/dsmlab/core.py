@@ -175,8 +175,3 @@ def is_well_formed(h: Sequence[Event]) -> bool:
             return False
     return True
 
-
-def pending_operations(h: Sequence[Event]) -> list[OperationDescriptor]:
-    """Descriptors invoked but never responded to, in invocation order."""
-    responded = {e.op.opid for e in h if e.kind == RESPONSE_EVENT}
-    return [e.op for e in h if e.kind == INVOCATION and e.op.opid not in responded]

@@ -183,7 +183,6 @@ def parse_history(text: str) -> list[Event]:
     (invocation without response) are allowed.
     """
     descs: dict[int, OperationDescriptor] = {}
-    responded: set[int] = set()
     events: list[Event] = []
     prev_rt: Optional[int] = None
     value = _Values(_LITERALS).__getitem__
@@ -237,7 +236,7 @@ def parse_history(text: str) -> list[Event]:
             d = descs.get(opid)
             if d is None:
                 _fail(lineno, f"response for op {opid} before its invocation")
-            if opid in responded:
+            if d.ret is not None:
                 _fail(lineno, f"op {opid} responded to twice")
             if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, reg, val):
                 _fail(lineno, f"response for op {opid} disagrees with its invocation")
@@ -250,7 +249,6 @@ def parse_history(text: str) -> list[Event]:
                 if d.ts is not None and d.ts != ts:
                     _fail(lineno, f"op {opid} carries two different timestamps")
                 d.ts = ts
-            responded.add(opid)
             d.ret = ret
         events.append(Event(kind, d, rt, lt, proc))
     return events
@@ -378,15 +376,17 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
         msg: Message
         if kind in ("query", "update") and reg is None:
             _fail(lineno, f"{kind} record needs a reg")
+        if kind in ("response", "ack") and reg is not None:
+            _fail(lineno, f"{kind} record must have reg null")
+        if kind in ("response", "update") and tsv is None:
+            _fail(lineno, f"{kind} record needs ts and val")
+        if kind in ("query", "ack") and tsv is not None:
+            _fail(lineno, f"{kind} record must have ts and val null")
         if kind == "query":
             msg = Query(sender, receiver, lt, rid, reg)
         elif kind == "response":
-            if tsv is None:
-                _fail(lineno, "response record needs ts and val")
             msg = Response(sender, receiver, lt, rid, tsv)
         elif kind == "update":
-            if tsv is None:
-                _fail(lineno, "update record needs ts and val")
             msg = Update(sender, receiver, lt, rid, reg, tsv)
         elif kind == "ack":
             msg = Ack(sender, receiver, lt, rid)

@@ -171,16 +171,6 @@ class CampaignReport:
     def visibility_failure_seeds(self) -> list:
         return [o.seed for o in self.outcomes if not o.visibility_ok]
 
-    @property
-    def first_rejected_seed(self) -> Optional[int]:
-        seeds = self.rejected_seeds
-        return seeds[0] if seeds else None
-
-    @property
-    def first_visibility_failure_seed(self) -> Optional[int]:
-        seeds = self.visibility_failure_seeds
-        return seeds[0] if seeds else None
-
     # Oracle cross-check classes. Rejections the oracle confirms are genuine
     # consistency violations; rejections it overturns are conservatism of the
     # logical-time route (it checks a sufficient condition, so on mutant
@@ -204,11 +194,6 @@ class CampaignReport:
         return [
             o.seed for o in self.outcomes if o.verdict == ACCEPTED and o.oracle == REJECTED
         ]
-
-    @property
-    def first_confirmed_rejection_seed(self) -> Optional[int]:
-        seeds = self.confirmed_rejection_seeds
-        return seeds[0] if seeds else None
 
 
 def run_campaign(

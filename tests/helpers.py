@@ -678,7 +678,11 @@ def dict_parse_message_log(text: str) -> tuple:
         tsv = TimestampValuePair(Timestamp(*ts), val) if ts is not None else None
         if kind in ("query", "update") and rec["reg"] is None:
             _fail(lineno, f"{kind} record needs a reg")
+        if kind in ("response", "ack") and rec["reg"] is not None:
+            _fail(lineno, f"{kind} record must have reg null")
         if kind == "query":
+            if tsv is not None:
+                _fail(lineno, "query record must have ts and val null")
             msg = Query(reg=rec["reg"], **common)
         elif kind == "response":
             if tsv is None:
@@ -689,6 +693,8 @@ def dict_parse_message_log(text: str) -> tuple:
                 _fail(lineno, "update record needs ts and val")
             msg = Update(reg=rec["reg"], tsv=tsv, **common)
         elif kind == "ack":
+            if tsv is not None:
+                _fail(lineno, "ack record must have ts and val null")
             msg = Ack(**common)
         else:
             _fail(lineno, f"unknown message kind {kind!r}")

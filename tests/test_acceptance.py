@@ -180,10 +180,10 @@ def test_criterion_6_mutants_are_detected():
     nw = run_campaign(300, mutant="no-writeback")
     assert nw.visibility_failure_seeds, "skipped write-backs never tripped the audit"
     print(f"\ncriterion 6 PASS: small-quorum rejected on {len(sq.rejected_seeds)}"
-          f"/1000 seeds (first {sq.first_rejected_seed}, "
+          f"/1000 seeds (first {sq.rejected_seeds[0]}, "
           f"{len(sq.confirmed_rejection_seeds)} oracle-confirmed); no-writeback "
           f"visibility failures on {len(nw.visibility_failure_seeds)}/300 seeds "
-          f"(first {nw.first_visibility_failure_seed})")
+          f"(first {nw.visibility_failure_seeds[0]})")
 
 
 def test_criterion_7_clock_audit():

@@ -35,7 +35,6 @@ from dsmlab.core import (
     Timestamp,
     WRITE,
     histories_equivalent,
-    pending_operations,
 )
 from dsmlab.simnet import SimConfig, UniformDelay, Workload, run_simulation
 
@@ -534,7 +533,7 @@ def test_complete_history_drops_pending_reads_keeps_timestamped_writes():
     pend_r = op_events(3, 3, READ, "x", inv=(3, 1))
     h = merge_by_rt(done, pend_w, pend_r)
     out = complete_history(h)
-    assert not pending_operations(out)
+    assert out.inv.keys() == out.res.keys()  # every invocation has its response
     opids = {e.op.opid for e in out}
     assert opids == {1, 2}  # read dropped, write retained
     closed = [e for e in out if e.op.opid == 2 and e.kind == RESPONSE_EVENT]
@@ -573,7 +572,7 @@ def test_completed_mid_op_crash_traces_check_clean():
                         workload=Workload(ops_per_process=3, think_time=0))
         t = run_simulation(cfg)
         h = complete_history(t.history)
-        assert not pending_operations(h)
+        assert h.inv.keys() == h.res.keys()
         assert check_sc_compositional(h).accepted
 
 

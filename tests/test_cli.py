@@ -482,6 +482,49 @@ def test_fuzz_mutant_campaign_simulates_the_chosen_protocol(capsys, monkeypatch)
         assert writes and all(t.rounds[o] == 2 for o in writes)
 
 
+FUZZ_PINS = {  # argv after `fuzz --runs 60` -> stdout; every one exits 0
+    "--mutant small-quorum": (
+        "fuzz: 60 runs, protocol sc_abd, mutant small-quorum, seeds 0..59\n"
+        "accepted: 18/60\n"
+        "rejected: 42 (first seed 1; oracle confirmed 25, first 5, conservative 17,"
+        " beyond oracle cap 0)\n"
+        "clock audit failures: 0\n"
+        "visibility audit failures: 45 (first seed 0)\n"
+    ),
+    "--mutant small-quorum --protocol mw_abd": (
+        "fuzz: 60 runs, protocol mw_abd, mutant small-quorum, seeds 0..59\n"
+        "accepted: 9/60\n"
+        "rejected: 51 (first seed 0; oracle confirmed 37, first 1, conservative 14,"
+        " beyond oracle cap 0)\n"
+        "clock audit failures: 0\n"
+        "visibility audit failures: 51 (first seed 0)\n"
+    ),
+    "--mutant no-writeback": (
+        "fuzz: 60 runs, protocol sc_abd, mutant no-writeback, seeds 0..59\n"
+        "accepted: 36/60\n"
+        "rejected: 24 (first seed 0; oracle confirmed 0, conservative 0,"
+        " beyond oracle cap 24)\n"
+        "clock audit failures: 0\n"
+        "visibility audit failures: 24 (first seed 0)\n"
+    ),
+    "--protocol mw_abd": (
+        "fuzz: 60 runs, protocol mw_abd, mutant none, seeds 0..59\n"
+        "accepted: 60/60\n"
+        "clock audit failures: 0\n"
+        "visibility audit failures: 0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", FUZZ_PINS)
+def test_fuzz_stdout_is_pinned(capsys, flags):
+    # together: every clause of the rejected: line, and the visibility line's first seed
+    assert main(["fuzz", "--runs", "60", *flags.split()]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == FUZZ_PINS[flags]
+    assert captured.err == ""
+
+
 def _stub_campaign(monkeypatch, **outcome):
     fields = dict(seed=0, verdict=ACCEPTED, clock_ok=True, visibility_ok=True,
                   quiescent=True, ops=4)
@@ -543,6 +586,18 @@ def test_stats_with_sidecar(tmp_path, capsys):
     assert "read rounds: 2 round(s)" in out
     assert "latency ticks" in out
     assert "dropped:" in out
+
+
+def test_stats_refuses_a_sidecar_field_that_the_kind_cannot_carry(tmp_path, capsys):
+    hist = _run_then_history(tmp_path)
+    side = tmp_path / "run.msgs.jsonl"
+    lines = side.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith('{"kind":"ack"'))
+    lines[i] = lines[i].replace('"reg":null,"ts":null,"val":null', '"reg":"r0","ts":[1,1],"val":5')
+    side.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", str(hist)]) == EXIT_PARSE
+    assert f"line {i + 1}: ack record must have reg null" in capsys.readouterr().err
 
 
 def test_stats_without_sidecar(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dsmlab.checker import _OpTable
 from dsmlab.core import (
     INITIAL_PAIR,
     INITIAL_TS,
@@ -16,7 +17,6 @@ from dsmlab.core import (
     clock_merge,
     histories_equivalent,
     is_well_formed,
-    pending_operations,
     quorum_size,
 )
 
@@ -145,14 +145,15 @@ def test_histories_equivalent_is_equivalence_relation():
 def test_sequential_and_complete_predicates():
     h = _tiny_history()
     assert is_well_formed(h)  # p2's read overlaps p1's write: allowed across processes
-    assert pending_operations(h) == []
+    assert _OpTable(h).inv.keys() == _OpTable(h).res.keys()  # nothing pending
     seq = merge_by_rt(
         op_events(1, 1, WRITE, "x", arg=5, ret=OK, inv=(1, 1), res=(2, 2)),
         op_events(2, 2, READ, "x", ret=5, inv=(3, 1), res=(4, 2)),
     )
     pending = seq + op_events(3, 1, READ, "x", inv=(5, 3))
     assert is_well_formed(pending)  # one trailing invocation allowed
-    assert [o.opid for o in pending_operations(pending)] == [3]
+    table = _OpTable(pending)
+    assert table.inv.keys() - table.res.keys() == {3}
 
 
 def test_well_formedness_rejections():

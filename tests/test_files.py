@@ -222,6 +222,26 @@ def test_parse_message_log_rejects_bad_input():
         parse_message_log(lines[0] + "\n" + json.dumps(rec) + "\n")
 
 
+@pytest.mark.parametrize("kind, fields, error", [
+    ("response", {"reg": "r0"}, "response record must have reg null"),
+    ("ack", {"reg": "r0", "ts": [1, 1], "val": 5}, "ack record must have reg null"),
+    ("query", {"ts": [1, 1], "val": 5}, "query record must have ts and val null"),
+    ("ack", {"ts": [1, 1], "val": 5}, "ack record must have ts and val null"),
+])
+def test_parse_message_log_refuses_fields_that_the_kind_cannot_carry(kind, fields, error):
+    # accepted, they would be dropped: the record would not round-trip
+    lines = serialize_message_log(_trace()).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f'{{"kind":"{kind}"'))
+    rec = json.loads(lines[i])
+    rec.update(fields)
+    for compact in (True, False):  # the canonical path and the json path
+        line = json.dumps(rec, separators=(",", ":") if compact else None)
+        text = "\n".join(lines[:i] + [line]) + "\n"
+        for parse in (parse_message_log, dict_parse_message_log):
+            with pytest.raises(ParseError, match=f"^line {i + 1}: {error}$"):
+                parse(text)
+
+
 # --- hostile field types: ParseError, and exit 5 from the CLI ----------------------
 
 
