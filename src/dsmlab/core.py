@@ -10,7 +10,7 @@ desk scale, so nothing wraps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union, get_args
 
 ProcessId = int  # 1..n
 RegisterId = str  # non-empty name, e.g. "x", "r0"
@@ -107,6 +107,7 @@ class Ack(NamedTuple):
 
 
 Message = Union[Query, Response, Update, Ack]
+MESSAGE_TYPES = {m.kind: m for m in get_args(Message)}  # kind -> message type
 
 
 # --- histories ------------------------------------------------------------

@@ -24,16 +24,19 @@ Both writers format each record line directly as its canonical spelling:
 compact, keys in the order above, every string through the json encoder
 (ASCII escapes). Equal traces therefore produce byte-equal files.
 
-The readers decode a canonical line directly, through one compiled pattern
-per format, and json-decode every other line. A line is canonical when it is
-compact with its keys in the order above, each integer has no leading zero
-and at most 18 digits, each string is printable ASCII without a quote or a
-backslash, and each other value is null, true, false or a [lt, pid] pair;
-each key's value must also have a JSON type that the writer can emit there.
+Each record format is declared once, as an ordered map from key to the
+values the writer spells there, and both readers share one record-line loop.
+A line ends at "\n" only, as in JSON Lines: a raw U+2028 in a string stays
+in its line, and a CR is JSON whitespace. The loop decodes a canonical line
+through its format's compiled pattern, and any other line through json. A
+line is canonical when it is compact with its keys in the order above, each
+integer has no leading zero and at most 18 digits, each string is printable
+ASCII without a quote or a backslash, and each other value is null, true,
+false or a [lt, pid] pair, of a JSON type that the writer can emit there.
 Any other valid JSON spelling of a record (key order, whitespace, escapes,
 longer integers, blank lines) gives the same records and the same errors,
 since both paths feed the same checks. The sidecar header is always read
-through json. Lines are numbered as they are in the file.
+through json. Lines are numbered as in the file, counting "\n".
 
 Run configs are flat "key = value" lines with # comments; unknown keys are
 rejected, not ignored, so a typo cannot silently fall back to a default.
@@ -46,22 +49,18 @@ import re
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
-    Ack,
     Event,
     INVOCATION,
-    Message,
+    MESSAGE_TYPES,
     OK,
     OperationDescriptor,
-    Query,
     READ,
     RESPONSE_EVENT,
-    Response,
     Timestamp,
     TimestampValuePair,
-    Update,
     WRITE,
 )
 from .simnet import (
@@ -83,10 +82,6 @@ class ParseError(ValueError):
     """A history or message-log file that violates its format."""
 
 
-RECORD_KEYS = ("kind", "opid", "proc", "op", "reg", "val", "ret", "rt", "lt", "ts")
-_RECORD_KEYSET = frozenset(RECORD_KEYS)
-_record_fields = itemgetter(*RECORD_KEYS)
-
 # One value pattern for each key of the writers' canonical spelling: JSON
 # integers with no leading zero and at most 18 digits (far inside the digit
 # limit of int()), strings of printable ASCII without a quote or backslash,
@@ -95,21 +90,32 @@ _INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _STR = r'"[ !#-\[\]-~]*"'
 _TS = rf"null|\[{_INT},{_INT}\]"
 
+# Each record format, declared once: its keys in the writer's order, each
+# with the pattern of the values the writer spells there.
+_EVENT_VALUES = {
+    "kind": _STR, "opid": _INT, "proc": _INT, "op": _STR, "reg": _STR,
+    "val": f"null|{_INT}", "ret": f"null|{_STR}|{_INT}", "rt": _INT, "lt": _INT, "ts": _TS,
+}
+_MSG_VALUES = {
+    "kind": _STR, "sender": _INT, "receiver": _INT, "lt": _INT, "rid": _INT,
+    "reg": f"null|{_STR}", "ts": _TS, "val": f"null|{_INT}", "send_rt": _INT,
+    "recv_rt": f"null|{_INT}", "recv_lt": f"null|{_INT}",
+    "handled": "true|false", "dropped": "true|false",
+}
 
-def _canonical(keys: tuple, values: dict):
-    """fullmatch of a whole record line in its writer's spelling: compact,
-    keys in the order of `keys`, one group per value."""
-    return re.compile("{" + ",".join(f'"{k}":({values[k]})' for k in keys) + "}").fullmatch
-
-
-_LITERALS = {"null": None, "true": True, "false": False}
+# fullmatch of a whole record line in its writer's spelling: compact, keys in
+# the format's order, one group per value
+_match_event_line, _match_message_line = (
+    re.compile("{" + ",".join(f'"{k}":({v})' for k, v in values.items()) + "}").fullmatch
+    for values in (_EVENT_VALUES, _MSG_VALUES)
+)
 
 
 class _Values(dict):
     """Canonical value spelling -> value, each distinct spelling decoded once
-    per reader call. Built on _LITERALS; any other spelling that reaches it
-    is a string without escapes, an integer, or a [lt, pid] pair, whose one
-    list the reader's lines share and only unpack."""
+    per reader call. Built on the literals null, true and false; any other
+    spelling that reaches it is a string without escapes, an integer, or a
+    [lt, pid] pair, whose one list the reader's lines share and only unpack."""
 
     def __missing__(self, spelling: str):
         head = spelling[0]
@@ -119,11 +125,6 @@ class _Values(dict):
             value = self[spelling] = json.loads(spelling) if head == "[" else int(spelling)
         return value
 
-
-_match_event_line = _canonical(RECORD_KEYS, {
-    "kind": _STR, "opid": _INT, "proc": _INT, "op": _STR, "reg": _STR,
-    "val": f"null|{_INT}", "ret": f"null|{_STR}|{_INT}", "rt": _INT, "lt": _INT, "ts": _TS,
-})
 
 # The compact JSON encoder: it spells the sidecar header, and every string in
 # a record line, so escaping is always json's ensure_ascii escaping.
@@ -174,6 +175,27 @@ def _load(lineno: int, line: str):
         _fail(lineno, "not valid JSON (number too long)")
 
 
+def _records(lines: Iterator[tuple[int, str]], values: dict, match: Callable) -> Iterator:
+    """(lineno, the values in key order) for each non-blank numbered line of
+    one format: decoded from `match`'s groups if canonical, else through json
+    as an object with exactly the keys of `values`."""
+    value = _Values(null=None, true=True, false=False).__getitem__
+    fields = itemgetter(*values)
+    for lineno, line in lines:
+        m = match(line)
+        if m is not None:
+            yield lineno, map(value, m.groups())
+        elif line.strip():
+            rec = _load(lineno, line)
+            if not isinstance(rec, dict):
+                _fail(lineno, "record is not an object")
+            if rec.keys() != values.keys():
+                missing = sorted(values.keys() - rec.keys())
+                extra = sorted(rec.keys() - values.keys())
+                _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
+            yield lineno, fields(rec)
+
+
 def parse_history(text: str) -> list[Event]:
     """Parse and validate a history file's content.
 
@@ -185,22 +207,8 @@ def parse_history(text: str) -> list[Event]:
     descs: dict[int, OperationDescriptor] = {}
     events: list[Event] = []
     prev_rt: Optional[int] = None
-    value = _Values(_LITERALS).__getitem__
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _match_event_line(line)
-        if m is not None:
-            fields = map(value, m.groups())
-        else:
-            if not line.strip():
-                continue
-            rec = _load(lineno, line)
-            if not isinstance(rec, dict):
-                _fail(lineno, "record is not an object")
-            if rec.keys() != _RECORD_KEYSET:
-                missing = sorted(_RECORD_KEYSET - rec.keys())
-                extra = sorted(rec.keys() - _RECORD_KEYSET)
-                _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
-            fields = _record_fields(rec)
+    lines = enumerate(text.split("\n"), start=1)
+    for lineno, fields in _records(lines, _EVENT_VALUES, _match_event_line):
         kind, opid, proc, opkind, reg, val, ret, rt, lt, ts = fields
         if kind not in (INVOCATION, RESPONSE_EVENT):
             _fail(lineno, f"kind must be 'inv' or 'res', got {kind!r}")
@@ -263,7 +271,7 @@ def _read(path: Union[str, Path], parse: Callable[[str], Any], error: type) -> A
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
-        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {lineno}: not UTF-8") from None
     except error as exc:
         raise error(f"{path}: {exc}") from None
@@ -311,25 +319,15 @@ def write_message_log(path: Union[str, Path], trace: Trace) -> None:
     Path(path).write_text(serialize_message_log(trace), encoding="utf-8")
 
 
-_MSG_KEYS = (
-    "kind", "sender", "receiver", "lt", "rid", "reg", "ts", "val",
-    "send_rt", "recv_rt", "recv_lt", "handled", "dropped",
-)
-_MSG_KEYSET = frozenset(_MSG_KEYS)
-_msg_fields = itemgetter(*_MSG_KEYS)
-_MSG_INT_KEYS = ("sender", "receiver", "lt", "rid", "send_rt")
-_match_message_line = _canonical(_MSG_KEYS, {
-    "kind": _STR, "sender": _INT, "receiver": _INT, "lt": _INT, "rid": _INT,
-    "reg": f"null|{_STR}", "ts": _TS, "val": f"null|{_INT}", "send_rt": _INT,
-    "recv_rt": f"null|{_INT}", "recv_lt": f"null|{_INT}",
-    "handled": "true|false", "dropped": "true|false",
-})
+_MSG_INT_KEYS = tuple(k for k, v in _MSG_VALUES.items() if v == _INT)
+# kind -> (message type, whether it carries a reg, whether it carries ts and val)
+_MSG_SHAPES = {k: (t, "reg" in t._fields, "tsv" in t._fields) for k, t in MESSAGE_TYPES.items()}
 
 
 def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
     """Parse a sidecar back into (header, message records). Blank lines are
     skipped but counted, so an error names the line's number in the file."""
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(text.split("\n"), start=1)
     first = next(((i, ln) for i, ln in lines if ln.strip()), None)
     if first is None:
         raise ParseError("empty message log (missing header line)")
@@ -342,24 +340,12 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
     ):
         raise ParseError("header line must carry a protocol string, and integers n and seed")
     records: list[MessageRecord] = []
-    value = _Values(_LITERALS).__getitem__
-    for lineno, line in lines:
-        m = _match_message_line(line)
-        if m is not None:
-            fields = map(value, m.groups())
-        else:
-            if not line.strip():
-                continue
-            rec = _load(lineno, line)
-            if not isinstance(rec, dict) or rec.keys() != _MSG_KEYSET:
-                _fail(lineno, "bad message record keys")
-            fields = _msg_fields(rec)
+    for lineno, fields in _records(lines, _MSG_VALUES, _match_message_line):
         (kind, sender, receiver, lt, rid, reg, ts, val,
          send_rt, recv_rt, recv_lt, handled, dropped) = fields
         if not (type(sender) is type(receiver) is type(lt) is type(rid) is type(send_rt) is int):
             ints = zip(_MSG_INT_KEYS, (sender, receiver, lt, rid, send_rt))
-            key = next(k for k, v in ints if type(v) is not int)
-            _fail(lineno, f"{key} must be an integer")
+            _fail(lineno, f"{next(k for k, v in ints if type(v) is not int)} must be an integer")
         if recv_rt is not None and type(recv_rt) is not int:
             _fail(lineno, "recv_rt must be null or an integer")
         if recv_lt is not None and type(recv_lt) is not int:
@@ -373,25 +359,17 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
         if not (ts is None and val is None or _is_ts(ts) and type(val) is int):
             _fail(lineno, "ts and val must both be null, or a [lt, pid] pair and an integer")
         tsv = TimestampValuePair(Timestamp(*ts), val) if ts is not None else None
-        msg: Message
-        if kind in ("query", "update") and reg is None:
-            _fail(lineno, f"{kind} record needs a reg")
-        if kind in ("response", "ack") and reg is not None:
-            _fail(lineno, f"{kind} record must have reg null")
-        if kind in ("response", "update") and tsv is None:
-            _fail(lineno, f"{kind} record needs ts and val")
-        if kind in ("query", "ack") and tsv is not None:
-            _fail(lineno, f"{kind} record must have ts and val null")
-        if kind == "query":
-            msg = Query(sender, receiver, lt, rid, reg)
-        elif kind == "response":
-            msg = Response(sender, receiver, lt, rid, tsv)
-        elif kind == "update":
-            msg = Update(sender, receiver, lt, rid, reg, tsv)
-        elif kind == "ack":
-            msg = Ack(sender, receiver, lt, rid)
-        else:
+        try:
+            cls, has_reg, has_tsv = _MSG_SHAPES[kind]
+        except (KeyError, TypeError):  # TypeError: a kind that is a list or an object
             _fail(lineno, f"unknown message kind {kind!r}")
+        if (reg is not None) != has_reg:
+            _fail(lineno, f"{kind} record {'needs a reg' if has_reg else 'must have reg null'}")
+        if (tsv is not None) != has_tsv:
+            need = "needs ts and val" if has_tsv else "must have ts and val null"
+            _fail(lineno, f"{kind} record {need}")
+        args = (sender, receiver, lt, rid, reg) if has_reg else (sender, receiver, lt, rid)
+        msg = cls(*args, tsv) if has_tsv else cls(*args)
         records.append(MessageRecord(msg, send_rt, recv_rt, recv_lt, handled, dropped))
     return header, records
 
@@ -492,7 +470,7 @@ def parse_config(text: str) -> SimConfig:
     the keys the text gives are converted; every other field keeps its
     dataclass default."""
     given: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -27,11 +27,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Sequence, Union, get_args
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .core import (
     Event,
     INVOCATION,
+    MESSAGE_TYPES,
     Message,
     OperationDescriptor,
     OpId,
@@ -113,7 +114,6 @@ class FixedLinkDelay:
 
 SELF = "self"
 OTHER = "other"
-_MESSAGE_KINDS = tuple(m.kind for m in get_args(Message))
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +146,7 @@ class DelayRule:
         return _uniform(rng, self.lo, self.hi)
 
     def validate(self, n: int) -> None:
-        if self.kind is not None and self.kind not in _MESSAGE_KINDS:
+        if self.kind is not None and self.kind not in MESSAGE_TYPES:
             raise ConfigError(f"delay rule has unknown message kind {self.kind!r}")
         if self.hi is None and self.lo < 1:
             raise ConfigError(f"delay rule needs lo >= 1, got {self.lo}")
@@ -185,7 +185,7 @@ class AdversarialSchedule:
         pids = named | set(itertools.islice((p for p in range(1, n + 1) if p not in named), 2))
         rids = {r.rid for r in self.rules} - {None} | {0}
         hits = []  # per probe, the numbers of the rules it matches
-        for kind, sender, receiver, rid in itertools.product(_MESSAGE_KINDS, pids, pids, rids):
+        for kind, sender, receiver, rid in itertools.product(MESSAGE_TYPES, pids, pids, rids):
             probe = SimpleNamespace(kind=kind, sender=sender, receiver=receiver, rid=rid)
             hits.append([i for i, rule in enumerate(self.rules, start=1) if rule.matches(probe)])
         for i in range(1, len(self.rules) + 1):

@@ -39,7 +39,7 @@ from dsmlab.core import (
     Update,
     WRITE,
 )
-from dsmlab.files import RECORD_KEYS, ParseError, _fail, _load
+from dsmlab.files import ParseError, _fail, _load
 from dsmlab.protocol import Invoke, StepOutput
 from dsmlab.simnet import (
     _CRASH, _DELIVER, _INVOKE, HORIZON, QUIESCENT, MessageRecord, SimConfig, _Run
@@ -554,6 +554,18 @@ def _is_ts(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(_is_int(c) for c in v)
 
 
+_RECORD_KEYS = ("kind", "opid", "proc", "op", "reg", "val", "ret", "rt", "lt", "ts")
+
+
+def _check_keys(lineno: int, rec, keys: tuple) -> None:
+    if not isinstance(rec, dict):
+        _fail(lineno, "record is not an object")
+    if set(rec) != set(keys):
+        missing = sorted(set(keys) - set(rec))
+        extra = sorted(set(rec) - set(keys))
+        _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
+
+
 def dict_parse_history(text: str) -> list[Event]:
     """files.parse_history with a set of keys built per line, one helper
     call per type test, and keyword construction."""
@@ -561,16 +573,11 @@ def dict_parse_history(text: str) -> list[Event]:
     responded: set[int] = set()
     events: list[Event] = []
     prev_rt: Optional[int] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         rec = _load(lineno, line)
-        if not isinstance(rec, dict):
-            _fail(lineno, "record is not an object")
-        if set(rec) != set(RECORD_KEYS):
-            missing = sorted(set(RECORD_KEYS) - set(rec))
-            extra = sorted(set(rec) - set(RECORD_KEYS))
-            _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
+        _check_keys(lineno, rec, _RECORD_KEYS)
         kind, opid, proc, opkind = rec["kind"], rec["opid"], rec["proc"], rec["op"]
         if kind not in (INVOCATION, RESPONSE_EVENT):
             _fail(lineno, f"kind must be 'inv' or 'res', got {rec['kind']!r}")
@@ -641,7 +648,7 @@ _MSG_KEYS = (
 def dict_parse_message_log(text: str) -> tuple:
     """files.parse_message_log with the same dict-per-line validation as
     dict_parse_history. Blank lines are dropped before lines are numbered."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ParseError("empty message log (missing header line)")
     header = _load(1, lines[0])
@@ -655,8 +662,7 @@ def dict_parse_message_log(text: str) -> tuple:
     records: list[MessageRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
         rec = _load(lineno, line)
-        if not isinstance(rec, dict) or set(rec) != set(_MSG_KEYS):
-            _fail(lineno, "bad message record keys")
+        _check_keys(lineno, rec, _MSG_KEYS)
         for key in ("sender", "receiver", "lt", "rid", "send_rt"):
             if not _is_int(rec[key]):
                 _fail(lineno, f"{key} must be an integer")

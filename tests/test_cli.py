@@ -600,6 +600,28 @@ def test_stats_refuses_a_sidecar_field_that_the_kind_cannot_carry(tmp_path, caps
     assert f"line {i + 1}: ack record must have reg null" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        (lambda line: line.replace('"ts":', '"ts ":'),
+         "bad keys (missing ['ts'], unexpected ['ts '])"),
+        (lambda line: "[]", "record is not an object"),
+    ],
+    ids=["renamed-key", "not-an-object"],
+)
+def test_stats_refuses_a_sidecar_record_without_the_format_keys(
+    tmp_path, capsys, record, error
+):
+    # the history's two refusal texts, from the one record-line loop
+    hist = _run_then_history(tmp_path)
+    side = sidecar_path(hist)
+    header, first = side.read_text(encoding="utf-8").splitlines()[:2]
+    side.write_text(f"{header}\n{record(first)}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", str(hist)]) == EXIT_PARSE
+    assert capsys.readouterr().err.splitlines() == [f"dsmlab: {side}: line 2: {error}"]
+
+
 def test_stats_without_sidecar(tmp_path, capsys):
     hist = _run_then_history(tmp_path)
     (tmp_path / "run.msgs.jsonl").unlink()

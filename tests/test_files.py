@@ -477,8 +477,9 @@ def _mutate(rng: random.Random, line: str) -> str:
 
 # Values spelled compactly but at the edge of the readers' canonical patterns:
 # a leading zero, -0, integers of 18, 19 and 4,301 digits, escaped, empty and
-# non-ASCII strings, a wrongly cased "OK", nulls where a kind needs a value,
-# an int for a bool, and a three-item ts.
+# non-ASCII strings (one with a raw U+2028, which JSON Lines does not take as
+# a line end), a wrongly cased "OK", nulls where a kind needs a value, an int
+# for a bool, and a three-item ts.
 _EDGE_INTS = ("01", "-0", "9" * 18, "1" + "0" * 18, "1" * 4301)
 _EDGE_SPELLINGS = (
     *((key, spelling) for key in (
@@ -487,7 +488,9 @@ _EDGE_SPELLINGS = (
     ) for spelling in _EDGE_INTS),
     *(("ts", f"[{a},{b}]") for a, b in (("01", "1"), ("-0", "2"), ("1", "9" * 18),
                                          ("1" + "0" * 18, "1"))),
-    *(("reg", spelling) for spelling in ('""', r'"a\"b"', r'"a\\b"', r'"\u00e9"', '"\u00e9"')),
+    *(("reg", spelling) for spelling in (
+        '""', r'"a\"b"', r'"a\\b"', r'"\u00e9"', '"\u00e9"', '"a\u2028b"',
+    )),
     ("reg", "null"), ("ret", '"ok"'), ("ret", '"OK"'), ("ts", "null"), ("val", "null"),
     ("handled", "1"), ("dropped", "0"), ("ts", "[1,2,3]"),
 )
@@ -547,7 +550,7 @@ def test_parsers_match_the_dict_reference():
     errors = set()
     for text, i in cases:
         text += "\n"
-        line = text.splitlines()[i]
+        line = text.split("\n")[i]
         if text.startswith('{"protocol"'):
             view = _log_view(parse_message_log, text)
             assert view == _log_view(dict_parse_message_log, text), text
@@ -580,6 +583,70 @@ def test_message_log_errors_name_the_line_in_the_file():
         parse_message_log("\n\njunk\n")
     header, records = parse_message_log("\n" + "\n\n".join(lines[:3]) + "\n\n")
     assert header["n"] == 3 and len(records) == 2
+
+
+# --- line ends: a line ends at "\n" only, as in JSON Lines -------------------------
+
+LS = "\u2028"  # LINE SEPARATOR: str.splitlines breaks at it, JSON allows it in a string
+
+
+def _raw_ls_files():
+    """(history, sidecar) texts with a register named "x<U+2028>y", spelled
+    with json's escape, and the same texts with the character raw."""
+    h = op_events(1, 1, WRITE, f"x{LS}y", arg=1, ret=OK, ts=(1, 1), inv=(0, 1), res=(1, 2))
+    log = [MessageRecord(Query(1, 2, 3, 4, f"x{LS}y"), 5, 6, 7, True, False)]
+    trace = SimpleNamespace(config=SimpleNamespace(protocol="sc_abd", n=3, seed=0), message_log=log)
+    escaped = (serialize_history(h), serialize_message_log(trace))
+    assert all("\\u2028" in text and LS not in text for text in escaped)
+    return escaped, tuple(text.replace("\\u2028", LS) for text in escaped)
+
+
+def test_a_raw_line_separator_in_a_string_parses_as_its_escape():
+    (hist, log), (raw_hist, raw_log) = _raw_ls_files()
+    for parse in (parse_history, dict_parse_history):
+        assert _history_view(parse, raw_hist) == _history_view(parse, hist)
+    for parse in (parse_message_log, dict_parse_message_log):
+        assert _log_view(parse, raw_log) == _log_view(parse, log)
+    assert parse_history(raw_hist)[0].op.reg == f"x{LS}y"
+    assert parse_message_log(raw_log)[1][0].msg.reg == f"x{LS}y"
+
+
+def test_an_error_after_a_raw_line_separator_names_the_line_in_the_file(tmp_path):
+    (_, _), (raw_hist, raw_log) = _raw_ls_files()
+    inv = raw_hist.split("\n")[0]
+    for parse in (parse_history, dict_parse_history):
+        with pytest.raises(ParseError, match=r"^line 2: not valid JSON"):
+            parse(f"{inv}\njunk\n")
+    with pytest.raises(ParseError, match=r"^line 3: not valid JSON"):
+        parse_message_log(raw_log + "junk\n")
+    p = tmp_path / "h.jsonl"
+    p.write_bytes(f"{inv}\n".encode() + b'{"reg":"\xff"}\n')
+    with pytest.raises(ParseError, match=r"h\.jsonl: line 2: not UTF-8$"):
+        read_history(p)
+
+
+def test_a_bare_carriage_return_between_tokens_is_whitespace():
+    t = _trace()
+    hist, log = serialize_history(t.history), serialize_message_log(t)
+    cr_hist = hist.replace(',"opid":', ',\r"opid":')
+    cr_log = log.replace(',"sender":', ',\r"sender":')
+    assert cr_hist != hist and cr_log != log
+    assert _history_view(parse_history, cr_hist) == _history_view(parse_history, hist)
+    assert _log_view(parse_message_log, cr_log) == _log_view(parse_message_log, log)
+
+
+def test_crlf_files_give_the_same_records_and_line_numbers():
+    t = _trace()
+    hist, log = serialize_history(t.history), serialize_message_log(t)
+    crlf = {text: text.replace("\n", "\r\n") for text in (hist, log)}
+    assert _history_view(parse_history, crlf[hist]) == _history_view(parse_history, hist)
+    assert _log_view(parse_message_log, crlf[log]) == _log_view(parse_message_log, log)
+    for parse, text in ((parse_history, hist), (parse_message_log, log)):
+        lines = crlf[text].split("\r\n")
+        lines[3] = "junk"
+        with pytest.raises(ParseError, match=r"^line 4: not valid JSON"):
+            parse("\r\n".join(lines))
+    assert parse_config("n = 5\r\nseed = 2\r\n") == parse_config("n = 5\nseed = 2\n")
 
 
 # --- run config files ---------------------------------------------------------------

@@ -161,9 +161,48 @@ def test_scan_finds_unread_module_names():
     assert alone == ["a: Alias", "a: A", "a: B", "a: f", "a: g", "a: C"]
 
 
-def _package_names_unread_by(*dirs: str) -> list[str]:
-    """unread_module_names of src/ with the modules of `dirs` as readers;
-    __init__.py only re-exports, but still reads what it imports."""
+def _class_members(tree: ast.Module):
+    """(class name, member name, defining statement) for each method and
+    property of each class; dunders are called by the interpreter."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not stmt.name.startswith("__")):
+                    yield cls.name, stmt.name, stmt
+
+
+def unread_class_members(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Methods and properties of the `defining` modules' classes that no
+    module of `readers` reads outside their own definition. Reads match by
+    identifier, as in unread_module_names."""
+    used = sum((_reads(ast.parse(src)) for src in readers.values()), Counter())
+    return [
+        f"{m}: {cls}.{name}"
+        for m, src in defining.items()
+        for cls, name, stmt in _class_members(ast.parse(src))
+        if used[name] == _reads(stmt)[name]
+    ]
+
+
+def test_scan_finds_unread_class_members():
+    a = (
+        "class C:\n"
+        "    def __init__(self):\n        self.n = self.size\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def again(self):\n        return self.again()\n"  # only itself
+        "    def hook(self):\n        pass\n"
+        "class D(C):\n    def run(self):\n        return 0\n"
+    )
+    b = "from a import D\nD().run()\ngetattr(D(), 'hook')\n"
+    assert unread_class_members({"a": a}, {"a": a, "b": b}) == ["a: C.again"]
+    assert unread_class_members({"a": a}, {"a": a}) == ["a: C.again", "a: C.hook", "a: D.run"]
+
+
+def _package_names_unread_by(*dirs: str, scan=unread_module_names) -> list[str]:
+    """scan (unread_module_names by default) of src/ with the modules of
+    `dirs` as readers; __init__.py only re-exports, but still reads what it
+    imports."""
     readers = {
         str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
         for d in dirs
@@ -173,7 +212,7 @@ def _package_names_unread_by(*dirs: str) -> list[str]:
         k: v for k, v in readers.items() if k.startswith("src/") and not k.endswith("__init__.py")
     }
     assert len(defining) >= 7
-    return unread_module_names(defining, readers)
+    return scan(defining, readers)
 
 
 def test_package_module_names_are_all_read():
@@ -185,6 +224,12 @@ def test_package_module_names_are_read_outside_the_tests():
     # a name of src/ that only tests/ reads is an export kept for the tests alone
     unread = _package_names_unread_by("src/dsmlab", "perfbench")
     assert not unread, f"module-level names that only the tests read: {unread}"
+
+
+def test_package_methods_and_properties_are_read_outside_the_tests():
+    # a method is the blind spot of the module-level scan
+    unread = _package_names_unread_by("src/dsmlab", "perfbench", scan=unread_class_members)
+    assert not unread, f"methods and properties that only the tests read: {unread}"
 
 
 REFUSALS = frozenset({"ConfigError", "ParseError", "HistoryError"})
