@@ -27,16 +27,18 @@ compact, keys in the order above, every string through the json encoder
 Each record format is declared once, as an ordered map from key to the
 values the writer spells there, and both readers share one record-line loop.
 A line ends at "\n" only, as in JSON Lines: a raw U+2028 in a string stays
-in its line, and a CR is JSON whitespace. The loop decodes a canonical line
-through its format's compiled pattern, and any other line through json. A
-line is canonical when it is compact with its keys in the order above, each
-integer has no leading zero and at most 18 digits, each string is printable
-ASCII without a quote or a backslash, and each other value is null, true,
-false or a [lt, pid] pair, of a JSON type that the writer can emit there.
-Any other valid JSON spelling of a record (key order, whitespace, escapes,
-longer integers, blank lines) gives the same records and the same errors,
-since both paths feed the same checks. The sidecar header is always read
-through json. Lines are numbered as in the file, counting "\n".
+in its line. A line of spaces, tabs and CRs (JSON whitespace) is blank. The
+loop holds one compiled pattern per record variant (each event kind and op,
+each message kind); a line that its variant's pattern matches is canonical,
+a valid record in the writer's spelling: compact, keys in order, each
+integer with no leading zero and at most 18 digits, each string printable
+ASCII without a quote or a backslash, and every value of the type that the
+variant puts there. Its values are converted by position, and only what one
+line cannot show is checked: rt order, response-invocation pairing and
+agreement, and one timestamp per operation. Any other line goes through
+json and every check, so any valid JSON spelling of a record gives the same
+records and the same errors. The sidecar header is always read through
+json. Lines are numbered as in the file, counting "\n".
 
 Run configs are flat "key = value" lines with # comments; unknown keys are
 rejected, not ignored, so a typo cannot silently fall back to a default.
@@ -47,6 +49,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
@@ -82,47 +85,83 @@ class ParseError(ValueError):
     """A history or message-log file that violates its format."""
 
 
-# One value pattern for each key of the writers' canonical spelling: JSON
-# integers with no leading zero and at most 18 digits (far inside the digit
-# limit of int()), strings of printable ASCII without a quote or backslash,
-# and the literals null, true and false.
-_INT = r"-?(?:0|[1-9][0-9]{0,17})"
-_STR = r'"[ !#-\[\]-~]*"'
-_TS = rf"null|\[{_INT},{_INT}\]"
+# The writer's spelling of a value: a JSON integer with no leading zero and at
+# most 18 digits (far inside the digit limit of int()), a non-empty string of
+# printable ASCII without a quote or backslash, or a [lt, pid] pair.
+_INT = r"(?:-?[1-9][0-9]{0,17}|-?0)"
+_STR = r'"[ !#-\[\]-~]+"'
+_TS = rf"\[{_INT},{_INT}\]"
 
 # Each record format, declared once: its keys in the writer's order, each
 # with the pattern of the values the writer spells there.
 _EVENT_VALUES = {
-    "kind": _STR, "opid": _INT, "proc": _INT, "op": _STR, "reg": _STR,
-    "val": f"null|{_INT}", "ret": f"null|{_STR}|{_INT}", "rt": _INT, "lt": _INT, "ts": _TS,
+    "kind": '"inv"|"res"', "opid": _INT, "proc": "[1-9][0-9]{0,17}", "op": '"read"|"write"',
+    "reg": _STR, "val": f"null|{_INT}", "ret": f'null|"OK"|{_INT}', "rt": _INT, "lt": _INT,
+    "ts": f"null|{_TS}",
 }
 _MSG_VALUES = {
     "kind": _STR, "sender": _INT, "receiver": _INT, "lt": _INT, "rid": _INT,
-    "reg": f"null|{_STR}", "ts": _TS, "val": f"null|{_INT}", "send_rt": _INT,
+    "reg": f"null|{_STR}", "ts": f"null|{_TS}", "val": f"null|{_INT}", "send_rt": _INT,
     "recv_rt": f"null|{_INT}", "recv_lt": f"null|{_INT}",
     "handled": "true|false", "dropped": "true|false",
 }
 
-# fullmatch of a whole record line in its writer's spelling: compact, keys in
-# the format's order, one group per value
-_match_event_line, _match_message_line = (
-    re.compile("{" + ",".join(f'"{k}":({v})' for k, v in values.items()) + "}").fullmatch
-    for values in (_EVENT_VALUES, _MSG_VALUES)
-)
+
+def _variants(values: dict, variants: list) -> dict:
+    """A format's variant lookup: the first letter of a kind -> (fullmatch,
+    build) of each variant of that kind. A variant is (build, key -> the
+    spelling of its value), and spells its kind; each other key captures one
+    value of its pattern in `values`."""
+    lookup: dict = {}
+    for build, spelled in variants:
+        line = "{" + ",".join(f'"{k}":' + spelled.get(k, f"({p})") for k, p in values.items()) + "}"
+        first = spelled["kind"].strip('("')[0]
+        lookup.setdefault(first, []).append((re.compile(line).fullmatch, build))
+    return lookup
+
+
+def _message_variant(cls: type) -> tuple:
+    """A message kind's variant: each key that its type lacks is spelled null,
+    and a tsv's ts and val are one group, so that the build gets the message's
+    fields, then the record's."""
+    k, tsv = len(cls._fields), "tsv" in cls._fields
+    return (
+        lambda values: MessageRecord(tuple.__new__(cls, islice(values, k)), *values),
+        {"kind": f'"{cls.kind}"', "reg": f"({_STR})" if "reg" in cls._fields else "null",
+         "ts": f"({_TS}" if tsv else "null", "val": f"{_INT})" if tsv else "null"},
+    )
+
+
+# One variant per event kind and op, and per message kind, so that a line that
+# matches one is a valid record. An event variant captures all ten values.
+_EVENT_VARIANTS = _variants(_EVENT_VALUES, [
+    (tuple, {"kind": '("inv")', "op": '("read")', "val": "(null)", "ret": "(null)"}),
+    (tuple, {"kind": '("inv")', "op": '("write")', "val": f"({_INT})", "ret": "(null)"}),
+    (tuple, {"kind": '("res")', "op": '("read")', "val": "(null)", "ret": f"({_INT})"}),
+    (tuple, {"kind": '("res")', "op": '("write")', "val": f"({_INT})", "ret": '("OK")'}),
+])
+_MESSAGE_VARIANTS = _variants(_MSG_VALUES, [_message_variant(c) for c in MESSAGE_TYPES.values()])
 
 
 class _Values(dict):
     """Canonical value spelling -> value, each distinct spelling decoded once
     per reader call. Built on the literals null, true and false; any other
-    spelling that reaches it is a string without escapes, an integer, or a
-    [lt, pid] pair, whose one list the reader's lines share and only unpack."""
+    spelling that reaches it is a string without escapes, an integer, or a ts
+    pair (in a sidecar, with its val), whose Timestamp (TimestampValuePair)
+    the reader's lines share."""
 
     def __missing__(self, spelling: str):
         head = spelling[0]
         if head == '"':
-            value = self[spelling] = spelling[1:-1]
+            value = spelling[1:-1]
+        elif head == "[":
+            ts, _, val = spelling.partition(',"val":')
+            value = Timestamp(*map(int, ts[1:-1].split(",")))
+            if val:
+                value = TimestampValuePair(value, int(val))
         else:
-            value = self[spelling] = json.loads(spelling) if head == "[" else int(spelling)
+            value = int(spelling)
+        self[spelling] = value
         return value
 
 
@@ -175,17 +214,23 @@ def _load(lineno: int, line: str):
         _fail(lineno, "not valid JSON (number too long)")
 
 
-def _records(lines: Iterator[tuple[int, str]], values: dict, match: Callable) -> Iterator:
-    """(lineno, the values in key order) for each non-blank numbered line of
-    one format: decoded from `match`'s groups if canonical, else through json
+def _records(lines: Iterator[tuple[int, str]], values: dict, variants: dict) -> Iterator:
+    """(lineno, True, its variant's build of its groups' values) for each
+    numbered line that one of `variants` matches, and (lineno, False, the
+    values in key order) for each other non-blank one, decoded through json
     as an object with exactly the keys of `values`."""
     value = _Values(null=None, true=True, false=False).__getitem__
     fields = itemgetter(*values)
     for lineno, line in lines:
-        m = match(line)
-        if m is not None:
-            yield lineno, map(value, m.groups())
-        elif line.strip():
+        # a canonical line starts {"kind":" (9 characters), then its kind
+        for match, build in variants.get(line[9:10], ()):
+            m = match(line)
+            if m is not None:
+                yield lineno, True, build(map(value, m.groups()))
+                break
+        else:
+            if not line.strip(" \t\r"):
+                continue
             rec = _load(lineno, line)
             if not isinstance(rec, dict):
                 _fail(lineno, "record is not an object")
@@ -193,7 +238,7 @@ def _records(lines: Iterator[tuple[int, str]], values: dict, match: Callable) ->
                 missing = sorted(values.keys() - rec.keys())
                 extra = sorted(rec.keys() - values.keys())
                 _fail(lineno, f"bad keys (missing {missing}, unexpected {extra})")
-            yield lineno, fields(rec)
+            yield lineno, False, fields(rec)
 
 
 def parse_history(text: str) -> list[Event]:
@@ -208,34 +253,36 @@ def parse_history(text: str) -> list[Event]:
     events: list[Event] = []
     prev_rt: Optional[int] = None
     lines = enumerate(text.split("\n"), start=1)
-    for lineno, fields in _records(lines, _EVENT_VALUES, _match_event_line):
+    for lineno, valid, fields in _records(lines, _EVENT_VALUES, _EVENT_VARIANTS):
         kind, opid, proc, opkind, reg, val, ret, rt, lt, ts = fields
-        if kind not in (INVOCATION, RESPONSE_EVENT):
-            _fail(lineno, f"kind must be 'inv' or 'res', got {kind!r}")
-        if opkind not in (READ, WRITE):
-            _fail(lineno, f"op must be 'read' or 'write', got {opkind!r}")
-        if type(opid) is not int:
-            _fail(lineno, "opid must be an integer")
-        if type(proc) is not int or proc < 1:
-            _fail(lineno, "proc must be a positive integer")
-        if not isinstance(reg, str) or not reg:
-            _fail(lineno, "reg must be a non-empty string")
-        if type(rt) is not int or type(lt) is not int:
-            _fail(lineno, "rt and lt must be integers")
+        if not valid:
+            if kind not in (INVOCATION, RESPONSE_EVENT):
+                _fail(lineno, f"kind must be 'inv' or 'res', got {kind!r}")
+            if opkind not in (READ, WRITE):
+                _fail(lineno, f"op must be 'read' or 'write', got {opkind!r}")
+            if type(opid) is not int:
+                _fail(lineno, "opid must be an integer")
+            if type(proc) is not int or proc < 1:
+                _fail(lineno, "proc must be a positive integer")
+            if not isinstance(reg, str) or not reg:
+                _fail(lineno, "reg must be a non-empty string")
+            if type(rt) is not int or type(lt) is not int:
+                _fail(lineno, "rt and lt must be integers")
         if prev_rt is not None and rt < prev_rt:
             _fail(lineno, f"lines out of rt order ({prev_rt} then {rt})")
         prev_rt = rt
-        if opkind == WRITE:
-            if type(val) is not int:
-                _fail(lineno, "a write record needs an integer val")
-        elif val is not None:
-            _fail(lineno, "a read record must have val null")
-        if ts is not None:
-            if not _is_ts(ts):
-                _fail(lineno, "ts must be null or a [lt, pid] pair of integers")
-            ts = Timestamp(*ts)
+        if not valid:
+            if opkind == WRITE:
+                if type(val) is not int:
+                    _fail(lineno, "a write record needs an integer val")
+            elif val is not None:
+                _fail(lineno, "a read record must have val null")
+            if ts is not None:
+                if not _is_ts(ts):
+                    _fail(lineno, "ts must be null or a [lt, pid] pair of integers")
+                ts = Timestamp(*ts)
         if kind == INVOCATION:
-            if ret is not None:
+            if not valid and ret is not None:
                 _fail(lineno, "an invocation record must have ret null")
             if opid in descs:
                 _fail(lineno, f"op {opid} invoked twice")
@@ -249,9 +296,9 @@ def parse_history(text: str) -> list[Event]:
             if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, reg, val):
                 _fail(lineno, f"response for op {opid} disagrees with its invocation")
             if opkind == READ:
-                if type(ret) is not int:
+                if not valid and type(ret) is not int:
                     _fail(lineno, "a completed read needs an integer ret")
-            elif ret != OK:
+            elif not valid and ret != OK:
                 _fail(lineno, f"a completed write needs ret {OK!r}")
             if ts is not None:
                 if d.ts is not None and d.ts != ts:
@@ -328,7 +375,7 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
     """Parse a sidecar back into (header, message records). Blank lines are
     skipped but counted, so an error names the line's number in the file."""
     lines = enumerate(text.split("\n"), start=1)
-    first = next(((i, ln) for i, ln in lines if ln.strip()), None)
+    first = next(((i, ln) for i, ln in lines if ln.strip(" \t\r")), None)
     if first is None:
         raise ParseError("empty message log (missing header line)")
     header = _load(*first)
@@ -340,9 +387,12 @@ def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
     ):
         raise ParseError("header line must carry a protocol string, and integers n and seed")
     records: list[MessageRecord] = []
-    for lineno, fields in _records(lines, _MSG_VALUES, _match_message_line):
+    for lineno, valid, rec in _records(lines, _MSG_VALUES, _MESSAGE_VARIANTS):
+        if valid:
+            records.append(rec)
+            continue
         (kind, sender, receiver, lt, rid, reg, ts, val,
-         send_rt, recv_rt, recv_lt, handled, dropped) = fields
+         send_rt, recv_rt, recv_lt, handled, dropped) = rec
         if not (type(sender) is type(receiver) is type(lt) is type(rid) is type(send_rt) is int):
             ints = zip(_MSG_INT_KEYS, (sender, receiver, lt, rid, send_rt))
             _fail(lineno, f"{next(k for k, v in ints if type(v) is not int)} must be an integer")

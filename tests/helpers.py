@@ -574,7 +574,7 @@ def dict_parse_history(text: str) -> list[Event]:
     events: list[Event] = []
     prev_rt: Optional[int] = None
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         rec = _load(lineno, line)
         _check_keys(lineno, rec, _RECORD_KEYS)
@@ -648,7 +648,7 @@ _MSG_KEYS = (
 def dict_parse_message_log(text: str) -> tuple:
     """files.parse_message_log with the same dict-per-line validation as
     dict_parse_history. Blank lines are dropped before lines are numbered."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip(" \t\r")]
     if not lines:
         raise ParseError("empty message log (missing header line)")
     header = _load(1, lines[0])
