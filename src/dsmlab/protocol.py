@@ -4,7 +4,9 @@ Each step consumes one stimulus (an operation invocation or a received
 message) and returns the successor state, the messages to send, and, when a
 quorum fires, the completed operation's result. Steps are pure functions of
 (state, stimulus): the input state is never mutated and identical inputs give
-identical outputs, which is what makes simulation runs replayable.
+identical outputs, which is what makes simulation runs replayable. States,
+outputs and messages are value NamedTuples that ``tuple.__new__`` builds from
+all their fields, minus the class call's arity check, which the tests make.
 
 One state machine serves two protocols that share the replica side (query and
 update handlers), the message vocabulary and the read path; they differ only
@@ -23,11 +25,9 @@ in how a write obtains its timestamp:
   still maintained on every step, but timestamps are derived from the query
   round, not from the clock.
 
-``QUERY_WRITES`` is the one place where the two protocols differ. A run's
-protocol and mutant are resolved once, by ``initial_state``, into the frozen
-``Variant`` that every state carries: whether writes query first, how many
-processes there are and how many replies close a phase, and whether reads
-write back.
+``QUERY_WRITES`` is the one place where the two protocols differ.
+``initial_state`` resolves a run's protocol and mutant once, into the frozen
+``Variant`` that every state carries.
 
 Every initiator phase carries a fresh request id; responses and acks echo the
 rid they answer. A reply whose rid is not the currently open one is discarded
@@ -61,6 +61,7 @@ from .core import (
     quorum_size,
 )
 
+_new = tuple.__new__  # a value tuple from all of its fields: see the module docstring
 SC_ABD = "sc_abd"
 MW_ABD = "mw_abd"
 # Whether a write queries a majority before its update round.
@@ -163,7 +164,7 @@ def _broadcast(s: State, kind: type, *fields) -> tuple:
     """One message of the given kind to every process, self included; the
     fields after sender and receiver are given in order."""
     pid = s.pid
-    return tuple([kind(pid, j, *fields) for j in range(1, s.v.n + 1)])
+    return tuple([_new(kind, (pid, j, *fields)) for j in range(1, s.v.n + 1)])
 
 
 def invoke(s: State, stim: Invoke) -> StepOutput:
@@ -180,20 +181,21 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
     lt = clock_local_step(s.lt)
     rid = s.rid + 1
     reading = stim.kind == READ
-    query = reading or s.v.query_writes
-    nxt = State(s.pid, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val, stim.opid)
-    if query:
-        return StepOutput(nxt, _broadcast(s, Query, lt, rid, stim.reg))
-    tsv = TimestampValuePair(Timestamp(lt, s.pid), stim.val)
-    return StepOutput(nxt, _broadcast(s, Update, lt, rid, stim.reg, tsv))
+    nxt = _new(State, (s.pid, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val,
+                       stim.opid))
+    if reading or s.v.query_writes:
+        return _new(StepOutput, (nxt, _broadcast(s, Query, lt, rid, stim.reg), None))
+    tsv = _new(TimestampValuePair, (_new(Timestamp, (lt, s.pid)), stim.val))
+    return _new(StepOutput, (nxt, _broadcast(s, Update, lt, rid, stim.reg, tsv), None))
 
 
 def handle_query(s: State, m: Query) -> StepOutput:
     """Replica side: answer with the stored pair for the queried register."""
     pid, v, lt, rid, tvps, responses, reading, reg, val, opid = s
     lt = clock_merge(lt, m.lt)
-    nxt = State(pid, v, lt, rid, tvps, responses, reading, reg, val, opid)
-    return StepOutput(nxt, (Response(pid, m.sender, lt, m.rid, s.pair(m.reg)),))
+    nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val, opid))
+    reply = _new(Response, (pid, m.sender, lt, m.rid, s.pair(m.reg)))
+    return _new(StepOutput, (nxt, (reply,), None))
 
 
 def handle_update(s: State, m: Update) -> StepOutput:
@@ -204,8 +206,8 @@ def handle_update(s: State, m: Update) -> StepOutput:
     lt = clock_merge(lt, m.lt)
     if s.pair(m.reg).ts < m.tsv.ts:
         tvps = {**tvps, m.reg: m.tsv}
-    nxt = State(pid, v, lt, rid, tvps, responses, reading, reg, val, opid)
-    return StepOutput(nxt, (Ack(pid, m.sender, lt, m.rid),))
+    nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val, opid))
+    return _new(StepOutput, (nxt, (_new(Ack, (pid, m.sender, lt, m.rid)),), None))
 
 
 def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
@@ -222,28 +224,28 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     if m.rid != rid:
         # Reply to a closed phase: drop it whole, clock merge included, so
         # the discarded message leaves no trace in the state.
-        return StepOutput(s, ())
+        return _new(StepOutput, (s, (), None))
     lt = clock_merge(lt, m.lt)
     query = type(m) is Response
     responses = responses | {(m.tsv, m.sender) if query else m.sender}
     if len(responses) != v.threshold:
-        nxt = State(pid, v, lt, rid, tvps, responses, reading, reg, val, opid)
-        return StepOutput(nxt, ())
+        nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val, opid))
+        return _new(StepOutput, (nxt, (), None))
     rid += 1
     if not query:
-        nxt = State(pid, v, lt, rid, tvps, frozenset(), reading, reg, val, None)
-        return StepOutput(nxt, (), Completion(opid, val if reading else OK))
+        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, val, None))
+        return _new(StepOutput, (nxt, (), _new(Completion, (opid, val if reading else OK, None))))
     # Largest pair by timestamp; the responder id only makes the choice
     # deterministic, equal timestamps always carry equal values.
     tsv, _ = max(responses, key=lambda pr: (pr[0].ts, pr[1]))
     if not reading:
-        tsv = TimestampValuePair(Timestamp(tsv.ts.lt + 1, pid), val)
+        tsv = _new(TimestampValuePair, (_new(Timestamp, (tsv.ts.lt + 1, pid)), val))
     elif not v.writeback:
         # Mutant: return the value without propagating it to a majority.
-        nxt = State(pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, None)
-        return StepOutput(nxt, (), Completion(opid, tsv.val, tsv.ts))
-    nxt = State(pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, opid)
-    return StepOutput(nxt, _broadcast(s, Update, lt, rid, reg, tsv))
+        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, None))
+        return _new(StepOutput, (nxt, (), _new(Completion, (opid, tsv.val, tsv.ts))))
+    nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, opid))
+    return _new(StepOutput, (nxt, _broadcast(s, Update, lt, rid, reg, tsv), None))
 
 
 # --- dispatch ---------------------------------------------------------------

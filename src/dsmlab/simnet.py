@@ -39,6 +39,7 @@ from .core import (
     ProcessId,
     READ,
     RESPONSE_EVENT,
+    Update,
     Value,
     WRITE,
     quorum_size,
@@ -50,6 +51,7 @@ from .protocol import (
     PROTOCOLS,
     SC_ABD,
     State,
+    _new,
     initial_state,
     mw_abd_step,
     sc_abd_step,
@@ -277,11 +279,11 @@ def generate_workload(cfg: SimConfig, rng: random.Random) -> dict[ProcessId, lis
     for p in range(1, cfg.n + 1):
         ops = []
         for _ in range(w.ops_per_process):
-            reg = f"r{rng.randrange(w.register_count)}"
+            reg = f"r{_uniform(rng, 0, w.register_count - 1)}"
             if rng.random() < w.read_fraction:
-                ops.append(OpSpec(READ, reg, None))
+                ops.append(_new(OpSpec, (READ, reg, None)))
             else:
-                ops.append(OpSpec(WRITE, reg, rng.randrange(1, 1_000_000)))
+                ops.append(_new(OpSpec, (WRITE, reg, _uniform(rng, 1, 999_999))))
         out[p] = ops
     return out
 
@@ -380,9 +382,8 @@ class _Run:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.states: dict[ProcessId, State] = {
-            p: initial_state(p, cfg.n, cfg.protocol, cfg.mutant) for p in range(1, cfg.n + 1)
-        }
+        p1 = initial_state(1, cfg.n, cfg.protocol, cfg.mutant)
+        self.states: dict[ProcessId, State] = {p: p1._replace(pid=p) for p in range(1, cfg.n + 1)}
         # Both names are the one protocol step; binding by name lets a
         # profiler that rebinds either one tell the protocols apart.
         self.step = sc_abd_step if cfg.protocol == SC_ABD else mw_abd_step
@@ -467,7 +468,7 @@ class _Run:
                 last_exec[pid] = tick
                 if outbox:
                     first = outbox[0]
-                    if first.kind == "update":  # the op's first one carries its ts
+                    if type(first) is Update:  # the op's first one carries its ts
                         desc = ops[state.opid]
                         if desc.ts is None:
                             desc.ts = first.tsv.ts
@@ -475,9 +476,9 @@ class _Run:
                         rec = MessageRecord(msg, tick)
                         log.append(rec)
                         due = tick + delay(msg, rng)  # >= 1: models are validated
-                        queue = queues.setdefault(due, [])
-                        if not queue:
+                        if not (queue := queues.get(due)):  # the tick's first event
                             heappush(heap, due)
+                            queue = queues.setdefault(due, [])
                         queue.append((msg.receiver, _DELIVER, rec))
                 if completion is not None:
                     desc = ops[completion.opid]

@@ -5,8 +5,9 @@ package's exports."""
 from __future__ import annotations
 
 import ast
+import importlib
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -348,6 +349,55 @@ def test_histories_are_validated_only_where_they_enter_a_check():
         for where in well_formedness_checks(p.stem, p.read_text(encoding="utf-8"))
     )
     assert found == ["checker._complete_op_table", "checker.complete_history", "cli.cmd_stats"]
+
+
+def tuple_arity_faults(source: str, namespace: dict) -> tuple[int, list[str]]:
+    """(calls checked, faults) for the `_new(Name, (...))` calls of a module,
+    `_new` being `tuple.__new__`, whose tuple literal has no starred item:
+    the literal must have one item per field of the class that Name names in
+    `namespace`. tuple.__new__ checks no count itself."""
+    checked, faults = 0, []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_new" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Tuple)
+                and not any(isinstance(e, ast.Starred) for e in node.args[1].elts)):
+            continue
+        checked += 1
+        cls, items = node.args[0], len(node.args[1].elts)
+        fields = getattr(namespace.get(getattr(cls, "id", None)), "_fields", None)
+        if fields is None:
+            faults.append(f"line {node.lineno}: {ast.unparse(cls)} is no named tuple class")
+        elif items != len(fields):
+            faults.append(f"line {node.lineno}: {cls.id} given {items} of {len(fields)} fields")
+    return checked, faults
+
+
+def test_scan_finds_tuple_arity_faults():
+    src = (
+        "_new = tuple.__new__\n"
+        "a = _new(P, (1, 2))\nb = _new(P, (1,))\nc = _new(P, (1, 2, 3))\n"
+        "d = _new(P, (1, *rest))\ne = _new(kind, (1, 2))\nf = _new(P, values)\n"
+        "g = P(1, 2)\nh = _new(Q, ())\n"
+    )
+    namespace = {"P": namedtuple("P", "x y"), "Q": namedtuple("Q", "")}
+    assert tuple_arity_faults(src, namespace) == (5, [
+        "line 3: P given 1 of 2 fields",
+        "line 4: P given 3 of 2 fields",
+        "line 6: kind is no named tuple class",
+    ])
+
+
+def test_tuples_built_without_the_class_call_have_every_field():
+    checked = {}
+    for p in sorted(SRC.glob("*.py")):
+        if p.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module("dsmlab" if p.stem == "__init__" else f"dsmlab.{p.stem}")
+        count, faults = tuple_arity_faults(p.read_text(encoding="utf-8"), vars(module))
+        assert not faults, f"{p.name}: {faults}"
+        checked[p.stem] = count
+    assert checked["protocol"] >= 20 and checked["simnet"] == 2
 
 
 def test_readme_library_example_runs():

@@ -30,7 +30,8 @@ from dsmlab.protocol import (
     initial_state,
     step,
 )
-from dsmlab.simnet import SimConfig, Workload, run_simulation
+from dsmlab.simnet import OpSpec, SimConfig, Workload, generate_workload, run_simulation
+from test_trace_pins import corpus as trace_pin_corpus
 
 
 def drive_write(n=3, pid=1, val=7, opid=1):
@@ -375,3 +376,40 @@ def test_handlers_fill_every_field_in_place():
                 assert getattr(got.completion, name) == getattr(want.completion, name), label
     stale = next(c for c in cases if c[0] == "stale reply")
     assert step(stale[1], stale[2]).state is stale[1]
+
+
+# The step builds its tuples with tuple.__new__, which checks no field count:
+# a missing trailing field would show only as an IndexError where it is read,
+# and an extra one never. So every built tuple is checked for its exact type
+# and for one item per field.
+
+
+def exact(value, cls) -> bool:
+    """value is a cls itself, not a subclass, with one item per field."""
+    return type(value) is cls and len(value) == len(cls._fields)
+
+
+def test_handlers_build_every_tuple_at_its_type_and_arity():
+    cases = positional_cases()
+    assert len(cases) == 14
+    for label, s, stim, want in cases:
+        got = step(s, stim)
+        assert exact(got, StepOutput) and len(got) == 3, label
+        assert exact(got.state, State) and len(got.state) == 10, label
+        assert len(got.outbox) == len(want.outbox), label
+        for m, w in zip(got.outbox, want.outbox):
+            assert exact(m, type(w)), label
+        if want.completion is not None:
+            assert exact(got.completion, Completion), label
+
+
+def test_simulated_messages_and_workloads_are_built_at_full_arity():
+    kinds, ops = set(), 0
+    for label, cfg in trace_pin_corpus():
+        for rec in run_simulation(cfg).message_log:
+            kinds.add(type(rec.msg))
+            assert exact(rec.msg, type(rec.msg)), label
+        for specs in generate_workload(cfg, random.Random(cfg.seed)).values():
+            ops += len(specs)
+            assert all(exact(spec, OpSpec) for spec in specs), label
+    assert kinds == {Query, Response, Update, Ack} and ops > 1000

@@ -1,9 +1,12 @@
 """Simulator behavior: determinism, rounds, crashes, delays, outcomes."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from dsmlab import simnet
 from dsmlab.core import READ, WRITE, quorum_size
 from dsmlab.files import serialize_history, serialize_message_log
 from dsmlab.fuzz import campaign_config, no_writeback_schedule, small_quorum_schedule
@@ -295,6 +298,69 @@ def test_generate_workload_is_deterministic_and_bounded():
                 assert op.val is not None and op.val > 0  # 0 stays "initial only"
             else:
                 assert op.kind == READ and op.val is None
+
+
+def randrange_workload(cfg: SimConfig, rng: random.Random) -> dict:
+    """generate_workload as it drew with Random.randrange: the reference for
+    the draws of its own rejection loop."""
+    w, out = cfg.workload, {}
+    for p in range(1, cfg.n + 1):
+        ops = []
+        for _ in range(w.ops_per_process):
+            reg = f"r{rng.randrange(w.register_count)}"
+            if rng.random() < w.read_fraction:
+                ops.append((READ, reg, None))
+            else:
+                ops.append((WRITE, reg, rng.randrange(1, 1_000_000)))
+        out[p] = ops
+    return out
+
+
+class EdgeBits(random.Random):
+    """Every 20-bit draw, the width of a written value's, lands on the
+    rejection bound of the value range or next to it, so that a bound off by
+    one changes the draws."""
+
+    def getrandbits(self, k: int) -> int:
+        r = super().getrandbits(k)
+        return 999_998 + r % 3 if k == 20 else r
+
+
+def test_generate_workload_matches_randrange_draws():
+    cases = itertools.product(
+        (1, 2, 3, 7), (0.0, 0.5, 1.0), (0, 5, 2**40 + 17), (random.Random, EdgeBits))
+    for k, fraction, seed, rng_type in cases:
+        cfg = SimConfig(n=3, seed=seed, workload=Workload(
+            ops_per_process=40, read_fraction=fraction, register_count=k))
+        rng, ref = rng_type(seed), rng_type(seed)
+        label = (k, fraction, seed, rng_type.__name__)
+        assert generate_workload(cfg, rng) == randrange_workload(cfg, ref), label
+        assert rng.getstate() == ref.getstate(), label
+
+
+def test_step_leaves_its_input_state_as_it_was(monkeypatch):
+    # A model checker that branches from a state needs it unchanged after
+    # every step taken from it; so does this simulator's replay.
+    calls = Counter()
+
+    def checked(name, step):
+        def wrapper(state, stim):
+            before = tuple(state), dict(state.tvps), state.responses
+            out = step(state, stim)
+            assert (tuple(state), state.tvps, state.responses) == before, (name, stim)
+            calls[name, state.v.threshold == quorum_size(state.v.n), state.v.writeback] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(simnet, "sc_abd_step", checked("sc_abd", simnet.sc_abd_step))
+    monkeypatch.setattr(simnet, "mw_abd_step", checked("mw_abd", simnet.mw_abd_step))
+    mutants = [campaign_config(mutant, seed, protocol)
+               for protocol in PROTOCOLS for mutant in MUTANTS[1:] for seed in range(5)]
+    for cfg in itertools.chain((cfg for _, cfg in trace_pin_corpus()), mutants):
+        run_simulation(cfg)
+    # majority or small quorum, with or without write-back, on each protocol
+    variants = ((True, True), (False, True), (True, False))
+    assert set(calls) == {(p, *variant) for p in PROTOCOLS for variant in variants}
 
 
 def test_think_time_zero_still_progresses():
