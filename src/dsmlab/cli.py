@@ -18,6 +18,7 @@ Exit codes are part of the interface:
        error (unknown option, bad value, a count or cap < 0, missing argument)
     4  simulation hit the tick horizon before quiescing (files still written)
     5  history or message log unreadable, not UTF-8, malformed or ill-formed
+  141  stdout closed before the output was written (128 + SIGPIPE, as a shell reports it)
 
 Each command runs with the cyclic GC paused, and main restores the caller's setting; library calls
 leave it alone. What a command builds is acyclic, freed by refcounts: only the parser's cycles wait.
@@ -67,6 +68,7 @@ EXIT_UNDECIDED = 2
 EXIT_CONFIG = 3
 EXIT_HORIZON = 4
 EXIT_PARSE = 5
+EXIT_BROKEN_PIPE = 141
 
 _EXIT_OF = {ACCEPTED: EXIT_OK, REJECTED: EXIT_REJECTED, UNDECIDED: EXIT_UNDECIDED}
 
@@ -337,4 +339,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # `dsmlab stats big.jsonl | head -1`: point stdout at devnull so that the flush at exit
+        # cannot fail again (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -22,7 +22,10 @@ per message in send order, with thirteen keys in a fixed order:
 
 Both writers format each record line directly as its canonical spelling:
 compact, keys in the order above, every string through the json encoder
-(ASCII escapes). Equal traces therefore produce byte-equal files.
+(ASCII escapes). Equal traces therefore produce byte-equal files. A writer
+streams its lines to the file in chunks of _CHUNK lines, so no string or
+bytes object of the file's size is built; serialize_* join the same lines.
+The readers take a file whole, as one text.
 
 Each record format is declared once, as an ordered map from key to the
 values the writer spells there, and both readers share one record-line loop.
@@ -49,7 +52,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
@@ -172,8 +175,6 @@ _string = lru_cache(maxsize=256)(_encode)  # a run has few distinct strings
 
 
 def _event_line(e: Event) -> str:
-    if e.lt is None:
-        raise ValueError(f"event for op {e.op.opid} has no lt; cannot serialize")
     op = e.op
     ret = op.ret if e.kind == RESPONSE_EVENT else None
     ts = op.ts
@@ -186,12 +187,28 @@ def _event_line(e: Event) -> str:
     )
 
 
+def _event_lines(h: Sequence[Event]) -> Iterator[str]:
+    for e in h:  # checked before any line is made, so a writer refuses before opening its file
+        if e.lt is None:
+            raise ValueError(f"event for op {e.op.opid} has no lt; cannot serialize")
+    return map(_event_line, h)
+
+
+_CHUNK = 256  # lines per write: about 50 kB of a sidecar; larger chunks wrote no faster
+
+
+def _write_lines(path: Union[str, Path], lines: Iterator[str]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        while chunk := "".join(islice(lines, _CHUNK)):
+            f.write(chunk)
+
+
 def serialize_history(h: Sequence[Event]) -> str:
-    return "".join(map(_event_line, h))
+    return "".join(_event_lines(h))
 
 
 def write_history(path: Union[str, Path], h: Sequence[Event]) -> None:
-    Path(path).write_text(serialize_history(h), encoding="utf-8")
+    _write_lines(path, _event_lines(h))
 
 
 def _fail(lineno: int, msg: str) -> None:
@@ -314,12 +331,15 @@ def _read(path: Union[str, Path], parse: Callable[[str], Any], error: type) -> A
     unreadable, not UTF-8 (with the line, as parse numbers it) or refused."""
     try:
         data = Path(path).read_bytes()
-        return parse(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {lineno}: not UTF-8") from None
+    del data  # parse with the file held once, as text
+    try:
+        return parse(text)
     except error as exc:
         raise error(f"{path}: {exc}") from None
 
@@ -356,14 +376,18 @@ def _message_line(rec: MessageRecord) -> str:
     )
 
 
-def serialize_message_log(trace: Trace) -> str:
+def _message_lines(trace: Trace) -> Iterator[str]:
     c = trace.config
     header = _encode({"protocol": c.protocol, "n": c.n, "seed": c.seed})
-    return header + "\n" + "".join(map(_message_line, trace.message_log))
+    return chain((header + "\n",), map(_message_line, trace.message_log))
+
+
+def serialize_message_log(trace: Trace) -> str:
+    return "".join(_message_lines(trace))
 
 
 def write_message_log(path: Union[str, Path], trace: Trace) -> None:
-    Path(path).write_text(serialize_message_log(trace), encoding="utf-8")
+    _write_lines(path, _message_lines(trace))
 
 
 _MSG_INT_KEYS = tuple(k for k, v in _MSG_VALUES.items() if v == _INT)

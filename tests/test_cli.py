@@ -11,6 +11,7 @@ import pytest
 from dsmlab import checker, cli, fuzz
 from dsmlab.checker import ACCEPTED, REJECTED, UNDECIDED, Verdict
 from dsmlab.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_HORIZON,
     EXIT_OK,
@@ -776,3 +777,21 @@ def test_python_m_dsmlab_exits_with_mains_code(tmp_path):
         assert "Traceback" not in refused.stderr
         (line,) = [ln for ln in refused.stderr.splitlines() if ln.startswith("dsmlab")]
         assert line.startswith(error)
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # `dsmlab stats run.jsonl | head -1`, made deterministic: the pipe's read end is closed
+    # before the child starts, so its first write to stdout fails
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    t = run_simulation(SimConfig(n=3, seed=4, workload=Workload(ops_per_process=3)))
+    write_history(tmp_path / "run.jsonl", t.history)
+    write_message_log(sidecar_path(tmp_path / "run.jsonl"), t)
+    for argv in (["check", "run.jsonl"], ["stats", "run.jsonl"], ["fuzz", "--runs", "3"]):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run([sys.executable, "-m", "dsmlab", *argv], cwd=tmp_path, env=env,
+                                  stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(w)
+        assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, ""), argv

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -426,6 +427,46 @@ def test_an_event_without_lt_cannot_be_serialized():
             serialize_history(bad)
         with pytest.raises(ValueError, match="op 1 has no lt"):
             dict_serialize_history(bad)
+
+
+def test_a_history_without_lt_is_refused_before_its_file_is_opened(tmp_path):
+    inv, res = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(0, 1), res=(1, 2))
+    bad = [inv, Event(res.kind, res.op, res.rt, None, res.proc)]  # the first line is writable
+    kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+    kept.write_bytes(b"an earlier run\n")
+    for path in (kept, absent):
+        with pytest.raises(ValueError, match="op 1 has no lt"):
+            write_history(path, bad)
+    assert kept.read_bytes() == b"an earlier run\n"
+    assert not absent.exists()
+
+
+def test_writers_put_the_serialized_bytes_on_disk(tmp_path):
+    path = tmp_path / "run.jsonl"
+    for label, cfg in trace_pin_corpus():
+        t = run_simulation(cfg)
+        write_history(path, t.history)
+        write_message_log(sidecar_path(path), t)
+        assert path.read_bytes() == serialize_history(t.history).encode(), label
+        assert sidecar_path(path).read_bytes() == serialize_message_log(t).encode(), label
+
+
+def test_the_sidecar_writer_streams_in_bounded_chunks(tmp_path):
+    # a whole-file string and its bytes peak at about twice the file's size
+    t = run_simulation(SimConfig(n=5, seed=3, workload=Workload(ops_per_process=100)))
+    path = tmp_path / "run.msgs.jsonl"
+    write_message_log(path, t)  # fills the writer's string cache outside the measurement
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        write_message_log(path, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert len(t.message_log) > 5000
+    assert peak - live < size / 4, (peak - live, size)
+    assert path.read_bytes() == serialize_message_log(t).encode()
 
 
 def _history_view(parse, text):

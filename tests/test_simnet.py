@@ -134,6 +134,24 @@ def test_crash_bound_enforced():
         SimConfig(n=5, seed=0, crashes=((1, 0), (2, 0), (3, 0))).validate()
 
 
+def test_crash_bound_is_tight():
+    # ceil(n/2) crashes, one more than validate allows, leave no quorum of live processes:
+    # run unvalidated, the network empties with a correct process's op still waiting
+    for protocol in PROTOCOLS:
+        for n in (3, 4, 5):
+            crashes = tuple((p, 5) for p in range(1, (n + 1) // 2 + 1))
+            for seed in range(3):
+                cfg = SimConfig(n=n, seed=seed, crashes=crashes, protocol=protocol,
+                                workload=Workload(ops_per_process=3))
+                with pytest.raises(ConfigError, match="would break the quorum assumption"):
+                    cfg.validate()
+                t = _Run(cfg).run()
+                assert t.quiescent, (protocol, n, seed)
+                down = {p for p, _ in crashes}
+                assert any(d.ret is None and d.proc not in down for d in t.ops.values()), (
+                    protocol, n, seed)
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SimConfig(n=0).validate()
