@@ -340,7 +340,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_main() -> None:
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's: 0 after --help, EXIT_CONFIG on a usage error
+            code = exc.code
         sys.stdout.flush()  # a closed pipe fails here, not at exit
     except BrokenPipeError:
         # `dsmlab stats big.jsonl | head -1`: point stdout at devnull so that the flush at exit

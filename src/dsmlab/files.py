@@ -25,7 +25,11 @@ compact, keys in the order above, every string through the json encoder
 (ASCII escapes). Equal traces therefore produce byte-equal files. A writer
 streams its lines to the file in chunks of _CHUNK lines, so no string or
 bytes object of the file's size is built; serialize_* join the same lines.
-The readers take a file whole, as one text.
+The readers stream a file too: _READ_CHUNK bytes at a time, decoded and
+split at "\n", each chunk's lines parsed before the next is read, with a
+line or a character that crosses a chunk's end carried into the next. The
+parsers take those lines, or a whole text, which they split the same way.
+A byte that is not UTF-8 is refused before any format error, wherever it is.
 
 Each record format is declared once, as an ordered map from key to the
 values the writer spells there, and both readers share one record-line loop.
@@ -49,13 +53,15 @@ rejected, not ignored, so a typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
+from collections import deque
 from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Event,
@@ -231,6 +237,12 @@ def _load(lineno: int, line: str):
         _fail(lineno, "not valid JSON (number too long)")
 
 
+def _numbered(text: Union[str, Iterable[str]]) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a text, split at "\n", or of a
+    file's lines as _read streams them."""
+    return enumerate(text.split("\n") if isinstance(text, str) else text, start=1)
+
+
 def _records(lines: Iterator[tuple[int, str]], values: dict, variants: dict) -> Iterator:
     """(lineno, True, its variant's build of its groups' values) for each
     numbered line that one of `variants` matches, and (lineno, False, the
@@ -258,8 +270,8 @@ def _records(lines: Iterator[tuple[int, str]], values: dict, variants: dict) -> 
             yield lineno, False, fields(rec)
 
 
-def parse_history(text: str) -> list[Event]:
-    """Parse and validate a history file's content.
+def parse_history(text: Union[str, Iterable[str]]) -> list[Event]:
+    """Parse and validate a history file's content: its text, or its lines.
 
     Enforces the record schema, rt-ordered lines, invocation-before-response
     pairing, per-operation field agreement between the two records, read/
@@ -269,8 +281,7 @@ def parse_history(text: str) -> list[Event]:
     descs: dict[int, OperationDescriptor] = {}
     events: list[Event] = []
     prev_rt: Optional[int] = None
-    lines = enumerate(text.split("\n"), start=1)
-    for lineno, valid, fields in _records(lines, _EVENT_VALUES, _EVENT_VARIANTS):
+    for lineno, valid, fields in _records(_numbered(text), _EVENT_VALUES, _EVENT_VARIANTS):
         kind, opid, proc, opkind, reg, val, ret, rt, lt, ts = fields
         if not valid:
             if kind not in (INVOCATION, RESPONSE_EVENT):
@@ -326,20 +337,47 @@ def parse_history(text: str) -> list[Event]:
     return events
 
 
-def _read(path: Union[str, Path], parse: Callable[[str], Any], error: type) -> Any:
-    """parse(the file's text). Raises `error`, naming the file, when it is
-    unreadable, not UTF-8 (with the line, as parse numbers it) or refused."""
+_READ_CHUNK = 1 << 14  # bytes per read: small, since reads of 2^12 to 2^18 bytes parsed as fast
+
+
+def _line_chunks(f: BinaryIO, error: type) -> Iterator[list[str]]:
+    """The lines of binary file f, decoded as UTF-8 and split at "\n" only, as
+    one list per _READ_CHUNK bytes read; a line or a character that crosses a
+    chunk's end is carried into the next list. Raises `error` at a byte that
+    is not UTF-8, naming its line."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    tail, newlines, end = "", 0, False
+    while not end:
+        try:
+            data = f.read(_READ_CHUNK)
+            end = not data
+            lines = decode(data, end).split("\n")
+        except UnicodeDecodeError as exc:  # exc.object: carried bytes (never "\n"), then data
+            lineno = newlines + exc.object.count(b"\n", 0, exc.start) + 1
+            raise error(f"line {lineno}: not UTF-8") from None
+        del data
+        lines[0] = tail + lines[0]
+        tail = lines.pop()
+        newlines += len(lines)
+        yield lines
+        del lines  # parsed: let its lines go before the next chunk is read
+    yield [tail]
+
+
+def _read(path: Union[str, Path], parse: Callable[[Iterator[str]], Any], error: type) -> Any:
+    """parse(the file's lines), streamed. Raises `error`, naming the file, when
+    it is unreadable, not UTF-8 (with the line, as parse numbers it) or refused;
+    a byte that is not UTF-8 is refused first, wherever it is in the file."""
     try:
-        data = Path(path).read_bytes()
-        text = data.decode("utf-8")
+        with open(path, "rb") as f:
+            chunks = _line_chunks(f, error)
+            try:
+                return parse(chain.from_iterable(chunks))
+            except error:
+                deque(chunks, maxlen=0)  # decode the rest: a byte that is not UTF-8 comes first
+                raise
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {lineno}: not UTF-8") from None
-    del data  # parse with the file held once, as text
-    try:
-        return parse(text)
     except error as exc:
         raise error(f"{path}: {exc}") from None
 
@@ -395,10 +433,11 @@ _MSG_INT_KEYS = tuple(k for k, v in _MSG_VALUES.items() if v == _INT)
 _MSG_SHAPES = {k: (t, "reg" in t._fields, "tsv" in t._fields) for k, t in MESSAGE_TYPES.items()}
 
 
-def parse_message_log(text: str) -> tuple[dict, list[MessageRecord]]:
-    """Parse a sidecar back into (header, message records). Blank lines are
-    skipped but counted, so an error names the line's number in the file."""
-    lines = enumerate(text.split("\n"), start=1)
+def parse_message_log(text: Union[str, Iterable[str]]) -> tuple[dict, list[MessageRecord]]:
+    """Parse a sidecar, its text or its lines, back into (header, message
+    records). Blank lines are skipped but counted, so an error names the
+    line's number in the file."""
+    lines = _numbered(text)
     first = next(((i, ln) for i, ln in lines if ln.strip(" \t\r")), None)
     if first is None:
         raise ParseError("empty message log (missing header line)")
@@ -539,12 +578,13 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config(text: str) -> SimConfig:
-    """Parse a flat key = value run config into a validated SimConfig. Only
+def parse_config(text: Union[str, Iterable[str]]) -> SimConfig:
+    """Parse a flat key = value run config, its text or its lines, into a
+    validated SimConfig. Only
     the keys the text gives are converted; every other field keeps its
     dataclass default."""
     given: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in _numbered(text):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

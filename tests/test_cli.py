@@ -767,6 +767,9 @@ def test_python_m_dsmlab_exits_with_mains_code(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (
         EXIT_OK, "fuzz: 0 runs, protocol sc_abd, mutant none\n", ""
     )
+    helped = dsmlab("check", "--help")
+    assert (helped.returncode, helped.stderr) == (EXIT_OK, "")
+    assert helped.stdout.startswith("usage: dsmlab check")
     for argv, code, error in (
         (["check", "h.jsonl", "--mode", "bogus"], EXIT_CONFIG,
          "dsmlab check: error: argument --mode: invalid choice: 'bogus'"),
@@ -781,12 +784,16 @@ def test_python_m_dsmlab_exits_with_mains_code(tmp_path):
 
 def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
     # `dsmlab stats run.jsonl | head -1`, made deterministic: the pipe's read end is closed
-    # before the child starts, so its first write to stdout fails
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # before the child starts, so its first write to stdout fails. The child's stdout is
+    # block-buffered, as a shell's pipe gives it: unbuffered, argparse's own printing of
+    # --help swallows the write's error and exits 0.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     t = run_simulation(SimConfig(n=3, seed=4, workload=Workload(ops_per_process=3)))
     write_history(tmp_path / "run.jsonl", t.history)
     write_message_log(sidecar_path(tmp_path / "run.jsonl"), t)
-    for argv in (["check", "run.jsonl"], ["stats", "run.jsonl"], ["fuzz", "--runs", "3"]):
+    for argv in (["check", "run.jsonl"], ["stats", "run.jsonl"], ["fuzz", "--runs", "3"],
+                 ["--help"], ["check", "--help"]):
         r, w = os.pipe()
         os.close(r)
         try:

@@ -1,7 +1,9 @@
 """Seeded mutations of whole input files: histories and sidecars of campaign
 runs, and the README's example config. Every mutant either parses or is
 refused with ParseError or ConfigError, and through the CLI, `check` and
-`stats` exit only with a documented code, an exit 5 with one stderr line."""
+`stats` exit only with a documented code, an exit 5 with one stderr line.
+The readers, which stream a file in chunks, give what the parsers give on
+the file's whole text, whatever the chunk size."""
 
 import random
 import re
@@ -18,6 +20,9 @@ from dsmlab.files import (
     parse_config,
     parse_history,
     parse_message_log,
+    read_config,
+    read_history,
+    read_message_log,
     serialize_history,
     serialize_message_log,
     sidecar_path,
@@ -33,6 +38,44 @@ KINDS = ("inv", "res", *MESSAGE_TYPES)
 # digits, letters, and line ends that JSON Lines does or does not split at
 CHARS = '{}[]",:.-+0123456789 eEnutlfaxr#=@>;*\t\r\n\x0b\x1e\x85\u2028\u00e9'
 PARSERS = {"history": parse_history, "sidecar": parse_message_log, "config": parse_config}
+READERS = {"history": read_history, "sidecar": read_message_log, "config": read_config}
+
+
+def _outcome(call, arg):
+    """("parsed", call(arg) as comparable data), or ("refused", its refusal's
+    text). A history compares as each event's repr with the index of the
+    first event that shares its descriptor, any other result as its repr."""
+    try:
+        got = call(arg)
+    except (ParseError, ConfigError) as exc:
+        return ("refused", str(exc))
+    if isinstance(got, list):
+        first: dict = {}
+        return "parsed", [(repr(e), first.setdefault(id(e.op), i)) for i, e in enumerate(got)]
+    return "parsed", repr(got)
+
+
+def _read_back(fmt: str, path: Path):
+    """The format's reader on the file at path: its records, or its refusal's
+    text without the file name that starts it."""
+    outcome = _outcome(READERS[fmt], path)
+    if outcome[0] == "refused":
+        prefix = f"{path}: "
+        assert outcome[1].startswith(prefix), outcome
+        return ("refused", outcome[1][len(prefix):])
+    return outcome
+
+
+def _whole_text(fmt: str, data: bytes):
+    """The format's parser on a file's bytes decoded whole: its records, or
+    its refusal's text; a byte that is not UTF-8 is refused, wherever it is,
+    with its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        return ("refused", f"line {lineno}: not UTF-8")
+    return _outcome(PARSERS[fmt], text)
 
 
 def _readme_config() -> str:
@@ -104,21 +147,32 @@ def mutate(rng: random.Random, fmt: str, text: str) -> str:
     return text
 
 
-def test_every_mutated_file_parses_or_is_refused(corpus):
+def _parse_and_read(corpus, path: Path) -> None:
+    """10,000 seeded mutants: each parses or is refused, and the format's
+    reader, on the mutant written to path, gives what its parser gives."""
     rng = random.Random("file-fuzz")
     outcomes = {fmt: [0, 0] for fmt in PARSERS}  # format -> [parsed, refused]
     for case in range(10_000):
         fmt, text = rng.choice(corpus)
         mutant = mutate(rng, fmt, text)
         try:
-            PARSERS[fmt](mutant)
-        except (ParseError, ConfigError):
-            outcomes[fmt][1] += 1
+            parsed = _outcome(PARSERS[fmt], mutant)
         except Exception as exc:
             raise AssertionError(f"case {case}: {fmt} mutant {mutant!r}") from exc
-        else:
-            outcomes[fmt][0] += 1
+        outcomes[fmt][parsed[0] == "refused"] += 1
+        path.write_bytes(mutant.encode("utf-8"))
+        assert _read_back(fmt, path) == parsed, (case, fmt, mutant)
     assert all(parsed > 100 and refused > 300 for parsed, refused in outcomes.values()), outcomes
+
+
+def test_every_mutated_file_parses_or_is_refused(corpus, tmp_path):
+    _parse_and_read(corpus, tmp_path / "mutant")
+
+
+def test_every_mutated_file_reads_alike_in_7_byte_chunks(corpus, tmp_path, monkeypatch):
+    # lines, and the inserted multi-byte characters, cross chunk boundaries
+    monkeypatch.setattr(files, "_READ_CHUNK", 7)
+    _parse_and_read(corpus, tmp_path / "mutant")
 
 
 def test_every_mutated_file_gets_a_documented_exit_code(corpus, tmp_path, capsys):
@@ -145,3 +199,39 @@ def test_every_mutated_file_gets_a_documented_exit_code(corpus, tmp_path, capsys
             codes[argv[0], code] = codes.get((argv[0], code), 0) + 1
     assert codes.get(("check", EXIT_OK)) and codes.get(("check", EXIT_PARSE)), codes
     assert codes.get(("stats", EXIT_OK)) and codes.get(("stats", EXIT_PARSE)), codes
+
+
+# (build the file's bytes from its format's corpus text, the line of the byte
+# that is not UTF-8 in them or None). Blank lines put the bad byte chunks after
+# the malformed line, so that the reader has parsed that line before reading it.
+BYTE_CASES = {
+    "not-utf8-chunks-after-a-malformed-line": (
+        lambda text: b"{\n" + text.encode() + b" \n" * files._READ_CHUNK + b"\xff\n",
+        lambda text: text.count("\n") + files._READ_CHUNK + 2,
+    ),
+    "multibyte-cut-at-end-of-file": (
+        lambda text: text.encode() + "\u00e9".encode()[:1], lambda text: text.count("\n") + 1
+    ),
+    "crlf-line-ends": (lambda text: text.replace("\n", "\r\n").encode(), None),
+    "no-final-newline": (lambda text: text.rstrip("\n").encode(), None),
+    "blank-lines-only": (lambda text: b"\n \r\n\t\n\n", None),
+    "empty": (lambda text: b"", None),
+}
+
+
+@pytest.mark.parametrize("chunk", [files._READ_CHUNK, 7], ids=["module-chunk", "7-byte-chunk"])
+@pytest.mark.parametrize("case", list(BYTE_CASES))
+@pytest.mark.parametrize("fmt", list(PARSERS))
+def test_a_file_read_in_chunks_gives_what_its_whole_text_gives(
+    corpus, tmp_path, monkeypatch, fmt, case, chunk
+):
+    monkeypatch.setattr(files, "_READ_CHUNK", chunk)
+    build, bad_line = BYTE_CASES[case]
+    text = next(t for f, t in corpus if f == fmt)
+    assert text.endswith("\n")
+    path = tmp_path / "file"
+    path.write_bytes(build(text))
+    whole = _whole_text(fmt, path.read_bytes())
+    if bad_line is not None:
+        assert whole == ("refused", f"line {bad_line(text)}: not UTF-8")
+    assert _read_back(fmt, path) == whole

@@ -469,6 +469,40 @@ def test_the_sidecar_writer_streams_in_bounded_chunks(tmp_path):
     assert path.read_bytes() == serialize_message_log(t).encode()
 
 
+def _transient(call, arg) -> int:
+    """The bytes that call(arg) allocates beyond what its result keeps: its peak
+    under tracemalloc less what is still allocated once it has returned."""
+    call(arg)  # fills caches outside the measurement
+    tracemalloc.start()
+    try:
+        result = call(arg)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result  # held until `after` was taken
+    return peak - after
+
+
+def test_the_readers_stream_in_bounded_chunks(tmp_path):
+    # a reader that decodes a file whole, then splits it into a list of lines,
+    # holds about 2.5 (sidecar) and 4 (history) times the file's size at its peak
+    t = run_simulation(SimConfig(n=5, seed=3, workload=Workload(ops_per_process=200)))
+    hist = tmp_path / "run.jsonl"
+    write_history(hist, t.history)
+    write_message_log(sidecar_path(hist), t)
+    assert len(t.message_log) > 5000
+    side = sidecar_path(hist)
+    assert _transient(read_message_log, side) < side.stat().st_size / 4
+    # a parser also holds its value cache and, for a history, its op table, which
+    # for a history come to about 1.6 times its size: reading the file adds under a
+    # quarter of its size to what parsing its lines, already in memory, holds
+    for read, parse, path in ((read_message_log, parse_message_log, side),
+                              (read_history, parse_history, hist)):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        extra = _transient(read, path) - _transient(parse, lines)
+        assert extra < path.stat().st_size / 4, (path.name, extra, path.stat().st_size)
+
+
 def _history_view(parse, text):
     """A history parser's result, or its error, as comparable data: each
     event's repr and the index of the first event sharing its descriptor."""

@@ -2,15 +2,17 @@
 
 import itertools
 import random
+import statistics
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
 
 from dsmlab import simnet
-from dsmlab.core import READ, WRITE, quorum_size
+from dsmlab.core import INVOCATION, READ, WRITE, quorum_size
 from dsmlab.files import serialize_history, serialize_message_log
 from dsmlab.fuzz import campaign_config, no_writeback_schedule, small_quorum_schedule
-from dsmlab.protocol import MUTANTS, PROTOCOLS, Variant
+from dsmlab.protocol import MUTANTS, PROTOCOLS, SC_ABD, Variant
 from dsmlab.simnet import (
     AdversarialSchedule,
     ConfigError,
@@ -150,6 +152,76 @@ def test_crash_bound_is_tight():
                 down = {p for p, _ in crashes}
                 assert any(d.ret is None and d.proc not in down for d in t.ops.values()), (
                     protocol, n, seed)
+
+
+def _messages_per_op(t) -> Counter:
+    """opid -> the messages that the op's phases caused. Each query and update
+    send is charged as op_rounds charges it, to the latest op that its sender
+    invoked at or before the send; each reply through its request's sender and
+    rid. A message that cannot be charged fails the test."""
+    starts: dict = {}  # pid -> its invocation ticks, in order
+    opened: dict = {}  # pid -> its opids, in the same order
+    ends = {}
+    for e in t.history:
+        if e.kind == INVOCATION:
+            starts.setdefault(e.proc, []).append(e.rt)
+            opened.setdefault(e.proc, []).append(e.op.opid)
+        else:
+            ends[e.op.opid] = e.rt
+    phase_op = {}  # (sender, rid) of a request -> the op that sent it
+    charged: Counter = Counter()
+    for rec in t.message_log:
+        m = rec.msg
+        if m.kind in ("query", "update"):
+            i = bisect_right(starts[m.sender], rec.send_rt) - 1
+            assert i >= 0 and rec.send_rt <= ends[opened[m.sender][i]], rec
+            opid = phase_op.setdefault((m.sender, m.rid), opened[m.sender][i])
+            assert opid == opened[m.sender][i], rec
+        else:
+            opid = phase_op[m.receiver, m.rid]
+        charged[opid] += 1
+    return charged
+
+
+# (protocol, n) -> write p50 and read p50 in ticks, from invocation to response,
+# and messages per op: 20 seeds, 50 ops per process, 2 registers, read fraction
+# 0.5, uniform delays 1..10, think time 1, no crashes (the README's cost table)
+COST_TABLE = {
+    ("sc_abd", 3): (11, 23, 9.1),
+    ("sc_abd", 5): (12, 25, 15.0),
+    ("sc_abd", 7): (14, 27, 21.0),
+    ("mw_abd", 3): (23, 23, 12.0),
+    ("mw_abd", 5): (25, 25, 20.0),
+    ("mw_abd", 7): (28, 27, 28.0),
+}
+
+
+@pytest.mark.parametrize("protocol, n", list(COST_TABLE))
+def test_a_one_round_write_costs_2n_messages_and_half_the_time(protocol, n):
+    # the paper's cost claim: an sc_abd write takes one round trip (2n messages)
+    # where an mw_abd write takes two (4n), and a read takes two (4n) in both
+    latency: dict = {READ: [], WRITE: []}
+    messages = ops = 0
+    for seed in range(20):
+        t = run_simulation(SimConfig(
+            n=n, seed=seed, protocol=protocol, delay=UniformDelay(1, 10),
+            workload=Workload(ops_per_process=50, register_count=2, read_fraction=0.5, think_time=1),
+        ))
+        charged = _messages_per_op(t)
+        for d in t.ops.values():
+            rounds = 1 if d.kind == WRITE and protocol == SC_ABD else 2
+            assert charged[d.opid] == 2 * n * rounds, (seed, d)
+        invoked = {}
+        for e in t.history:
+            if e.kind == INVOCATION:
+                invoked[e.op.opid] = e.rt
+            else:
+                latency[e.op.kind].append(e.rt - invoked[e.op.opid])
+        messages += len(t.message_log)
+        ops += len(t.ops)
+    row = (statistics.median(latency[WRITE]), statistics.median(latency[READ]),
+           round(messages / ops, 1))
+    assert row == COST_TABLE[protocol, n]
 
 
 def test_config_validation_errors():
