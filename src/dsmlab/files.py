@@ -25,11 +25,11 @@ compact, keys in the order above, every string through the json encoder
 (ASCII escapes). Equal traces therefore produce byte-equal files. A writer
 streams its lines to the file in chunks of _CHUNK lines, so no string or
 bytes object of the file's size is built; serialize_* join the same lines.
-The readers stream a file too: _READ_CHUNK bytes at a time, decoded and
-split at "\n", each chunk's lines parsed before the next is read, with a
-line or a character that crosses a chunk's end carried into the next. The
-parsers take those lines, or a whole text, which they split the same way.
-A byte that is not UTF-8 is refused before any format error, wherever it is.
+The readers stream a file too: the text layer's readlines hands over about
+_READ_CHUNK characters of lines at a time, each batch parsed before the next
+is read. The parsers take those lines, each with its "\n", or a whole text,
+which they split at "\n". A byte that is not UTF-8 is refused before any
+format error, wherever it is, and a second pass over the file names its line.
 
 Each record format is declared once, as an ordered map from key to the
 values the writer spells there, and both readers share one record-line loop.
@@ -53,15 +53,14 @@ rejected, not ignored, so a typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
-import codecs
 import json
 import re
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Event,
@@ -123,7 +122,8 @@ def _variants(values: dict, variants: list) -> dict:
     value of its pattern in `values`."""
     lookup: dict = {}
     for build, spelled in variants:
-        line = "{" + ",".join(f'"{k}":' + spelled.get(k, f"({p})") for k, p in values.items()) + "}"
+        body = ",".join(f'"{k}":' + spelled.get(k, f"({p})") for k, p in values.items())
+        line = "{" + body + "}\n?"  # a file's line keeps its "\n"
         first = spelled["kind"].strip('("')[0]
         lookup.setdefault(first, []).append((re.compile(line).fullmatch, build))
     return lookup
@@ -228,7 +228,7 @@ def _is_ts(v) -> bool:
 
 def _load(lineno: int, line: str):
     try:
-        return json.loads(line)
+        return json.loads(line.rstrip("\n"))  # a string cut at its "\n" is unterminated
     except json.JSONDecodeError as exc:
         _fail(lineno, f"not valid JSON ({exc.msg})")
     except RecursionError:  # the decoder recurses once per nesting level
@@ -258,7 +258,7 @@ def _records(lines: Iterator[tuple[int, str]], values: dict, variants: dict) -> 
                 yield lineno, True, build(map(value, m.groups()))
                 break
         else:
-            if not line.strip(" \t\r"):
+            if not line.strip(" \t\n\r"):
                 continue
             rec = _load(lineno, line)
             if not isinstance(rec, dict):
@@ -337,47 +337,32 @@ def parse_history(text: Union[str, Iterable[str]]) -> list[Event]:
     return events
 
 
-_READ_CHUNK = 1 << 14  # bytes per read: small, since reads of 2^12 to 2^18 bytes parsed as fast
+_READ_CHUNK = 1 << 14  # characters per readlines: hints of 2^12 to 2^18 parsed as fast
+_ESCAPED = re.compile("[\udc80-\udcff]").search  # a bad byte, as surrogateescape kept it: not ASCII
 
 
-def _line_chunks(f: BinaryIO, error: type) -> Iterator[list[str]]:
-    """The lines of binary file f, decoded as UTF-8 and split at "\n" only, as
-    one list per _READ_CHUNK bytes read; a line or a character that crosses a
-    chunk's end is carried into the next list. Raises `error` at a byte that
-    is not UTF-8, naming its line."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    tail, newlines, end = "", 0, False
-    while not end:
-        try:
-            data = f.read(_READ_CHUNK)
-            end = not data
-            lines = decode(data, end).split("\n")
-        except UnicodeDecodeError as exc:  # exc.object: carried bytes (never "\n"), then data
-            lineno = newlines + exc.object.count(b"\n", 0, exc.start) + 1
-            raise error(f"line {lineno}: not UTF-8") from None
-        del data
-        lines[0] = tail + lines[0]
-        tail = lines.pop()
-        newlines += len(lines)
-        yield lines
-        del lines  # parsed: let its lines go before the next chunk is read
-    yield [tail]
+def _bad_line(lines: Iterator[str]):
+    """The number of the first line that holds a byte that is not UTF-8."""
+    return next((i for i, ln in _numbered(lines) if not ln.isascii() and _ESCAPED(ln)), "?")
 
 
-def _read(path: Union[str, Path], parse: Callable[[Iterator[str]], Any], error: type) -> Any:
-    """parse(the file's lines), streamed. Raises `error`, naming the file, when
-    it is unreadable, not UTF-8 (with the line, as parse numbers it) or refused;
-    a byte that is not UTF-8 is refused first, wherever it is in the file."""
+def _read(path: Union[str, Path], parse: Callable, error: type, errors: str = "strict") -> Any:
+    """parse(the file's lines, each with its "\n"), streamed. Raises `error`,
+    naming the file, when it is unreadable, not UTF-8 (with the line, as parse
+    numbers it) or refused; a byte that is not UTF-8 is refused first."""
     try:
-        with open(path, "rb") as f:
-            chunks = _line_chunks(f, error)
+        with open(path, encoding="utf-8", errors=errors, newline="\n") as f:
+            lines = chain.from_iterable(iter(partial(f.readlines, _READ_CHUNK), []))
             try:
-                return parse(chain.from_iterable(chunks))
+                return parse(lines)
             except error:
-                deque(chunks, maxlen=0)  # decode the rest: a byte that is not UTF-8 comes first
+                deque(lines, maxlen=0)  # decode the rest: a byte that is not UTF-8 comes first
                 raise
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError:  # a second pass finds the line of the first bad byte
+        lineno = _read(path, _bad_line, error, "surrogateescape")
+        raise error(f"{path}: line {lineno}: not UTF-8") from None
     except error as exc:
         raise error(f"{path}: {exc}") from None
 
@@ -438,7 +423,7 @@ def parse_message_log(text: Union[str, Iterable[str]]) -> tuple[dict, list[Messa
     records). Blank lines are skipped but counted, so an error names the
     line's number in the file."""
     lines = _numbered(text)
-    first = next(((i, ln) for i, ln in lines if ln.strip(" \t\r")), None)
+    first = next(((i, ln) for i, ln in lines if ln.strip(" \t\n\r")), None)
     if first is None:
         raise ParseError("empty message log (missing header line)")
     header = _load(*first)

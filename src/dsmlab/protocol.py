@@ -267,9 +267,3 @@ def step(s: State, stim: Stimulus) -> StepOutput:
     if handler is None:
         raise ProtocolError(f"unknown stimulus {stim!r}")
     return handler(s, stim)
-
-
-# Per-protocol names for the one step function, so that a caller can tell
-# (or time) the two protocols apart where it binds one.
-sc_abd_step = step
-mw_abd_step = step

@@ -53,9 +53,12 @@ from .protocol import (
     State,
     _new,
     initial_state,
-    mw_abd_step,
-    sc_abd_step,
+    step,
 )
+
+# Per-protocol names for the one protocol step, so that a profiler that
+# rebinds either one here can tell (or time) the two protocols apart.
+sc_abd_step = mw_abd_step = step
 
 
 class ConfigError(Exception):
@@ -384,8 +387,6 @@ class _Run:
         self.rng = random.Random(cfg.seed)
         p1 = initial_state(1, cfg.n, cfg.protocol, cfg.mutant)
         self.states: dict[ProcessId, State] = {p: p1._replace(pid=p) for p in range(1, cfg.n + 1)}
-        # Both names are the one protocol step; binding by name lets a
-        # profiler that rebinds either one tell the protocols apart.
         self.step = sc_abd_step if cfg.protocol == SC_ABD else mw_abd_step
         self.heap: list[int] = []  # each tick with pending events, once
         self.queues: dict[int, list] = {}  # tick -> [(pid, kind, payload)], push order

@@ -802,3 +802,16 @@ def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
         finally:
             os.close(w)
         assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, ""), argv
+
+
+def test_both_exit_code_tables_list_exactly_the_exit_codes():
+    # the README's table and the module docstring's: no code ships undocumented,
+    # and neither table lists a code that main cannot return
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert codes == {0, 1, 2, 3, 4, 5, 141}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Exit codes\n", 1)[1].strip().split("\n\n")[0]
+    assert [int(row.split("|")[1]) for row in table.splitlines()[2:]] == sorted(codes)
+    doc = cli.__doc__.split("Exit codes are part of the interface:\n\n", 1)[1].split("\n\n")[0]
+    listed = [int(ln.split()[0]) for ln in doc.splitlines() if ln.split()[0].isdigit()]
+    assert listed == sorted(codes)

@@ -201,6 +201,15 @@ def test_every_mutated_file_gets_a_documented_exit_code(corpus, tmp_path, capsys
     assert codes.get(("stats", EXIT_OK)) and codes.get(("stats", EXIT_PARSE)), codes
 
 
+def _in_line(lineno: int, bad: bytes):
+    """A build that puts bytes `bad` after the first character of a line."""
+    def build(text: str) -> bytes:
+        lines = text.encode().split(b"\n")
+        lines[lineno - 1] = lines[lineno - 1][:1] + bad + lines[lineno - 1][1:]
+        return b"\n".join(lines)
+    return build
+
+
 # (build the file's bytes from its format's corpus text, the line of the byte
 # that is not UTF-8 in them or None). Blank lines put the bad byte chunks after
 # the malformed line, so that the reader has parsed that line before reading it.
@@ -216,6 +225,22 @@ BYTE_CASES = {
     "no-final-newline": (lambda text: text.rstrip("\n").encode(), None),
     "blank-lines-only": (lambda text: b"\n \r\n\t\n\n", None),
     "empty": (lambda text: b"", None),
+    # sequences that a lenient decoder would take: a UTF-16 surrogate (U+D800),
+    # an overlong NUL, a code point above U+10FFFF, and a lone continuation byte
+    "encoded-surrogate": (_in_line(2, b"\xed\xa0\x80"), lambda text: 2),
+    "overlong-nul": (
+        lambda text: text.encode() + b"\xc0\x80\n", lambda text: text.count("\n") + 1
+    ),
+    "above-u10ffff": (_in_line(3, b"\xf4\x90\x80\x80"), lambda text: 3),
+    "lone-continuation-byte-on-line-1": (lambda text: b"\x80" + text.encode(), lambda text: 1),
+    # the line's "\n" is no part of the string: json reads it as unterminated
+    "unterminated-string": (lambda text: text.encode() + b'{"kind":"inv\n', None),
+}
+# the refusal that the whole text of each format gives for its "unterminated-string" file
+UNTERMINATED = {
+    "history": "not valid JSON (Unterminated string starting at)",
+    "sidecar": "not valid JSON (Unterminated string starting at)",
+    "config": """expected key = value, got '{"kind":"inv'""",
 }
 
 
@@ -234,4 +259,49 @@ def test_a_file_read_in_chunks_gives_what_its_whole_text_gives(
     whole = _whole_text(fmt, path.read_bytes())
     if bad_line is not None:
         assert whole == ("refused", f"line {bad_line(text)}: not UTF-8")
+    if case == "unterminated-string":
+        last = text.count("\n") + 1
+        assert whole == ("refused", f"line {last}: {UNTERMINATED[fmt]}")
     assert _read_back(fmt, path) == whole
+
+
+# strict-invalid UTF-8: bytes that never occur, a continuation byte with no
+# lead, overlong forms, encoded surrogates, code points above U+10FFFF, and a
+# lead byte whose sequence stops short
+INVALID = (
+    b"\xff", b"\xfe", b"\x80", b"\xbf", b"\xc0\x80", b"\xc1\xbf", b"\xe0\x80\x80",
+    b"\xf0\x80\x80\x80", b"\xed\xa0\x80", b"\xed\xbf\xbf", b"\xf4\x90\x80\x80",
+    b"\xf5\x80\x80\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98",
+)
+
+
+@pytest.mark.parametrize("chunk", [files._READ_CHUNK, 7], ids=["module-chunk", "7-character-chunk"])
+def test_a_file_with_invalid_bytes_reads_as_its_whole_bytes_decode(
+    corpus, tmp_path, monkeypatch, chunk
+):
+    # 2,000 seeded files: a corpus text, mutated half the time, with 1 to 3
+    # invalid sequences inserted at random bytes, then cut at a random byte a
+    # third of the time, which may drop the bad bytes or split a character
+    monkeypatch.setattr(files, "_READ_CHUNK", chunk)
+    rng = random.Random("invalid-bytes")
+    path = tmp_path / "file"
+    outcomes = {"not UTF-8": 0, "other refusal": 0, "parsed": 0}
+    for case in range(2_000):
+        fmt, text = rng.choice(corpus)
+        if rng.random() < 0.5:
+            text = mutate(rng, fmt, text)
+        data = text.encode()
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + rng.choice(INVALID) + data[at:]
+        if rng.random() < 1 / 3:
+            data = data[:rng.randrange(len(data) + 1)]
+        path.write_bytes(data)
+        whole = _whole_text(fmt, data)
+        assert _read_back(fmt, path) == whole, (case, fmt, data)
+        if whole[0] == "parsed":
+            outcomes["parsed"] += 1
+        else:
+            outcomes["not UTF-8" if whole[1].endswith(": not UTF-8") else "other refusal"] += 1
+    assert outcomes["not UTF-8"] > 1_500 and outcomes["other refusal"] > 100, outcomes
+    assert outcomes["parsed"] > 10, outcomes
