@@ -25,11 +25,11 @@ compact, keys in the order above, every string through the json encoder
 (ASCII escapes). Equal traces therefore produce byte-equal files. A writer
 streams its lines to the file in chunks of _CHUNK lines, so no string or
 bytes object of the file's size is built; serialize_* join the same lines.
-The readers stream a file too: the text layer's readlines hands over about
-_READ_CHUNK characters of lines at a time, each batch parsed before the next
-is read. The parsers take those lines, each with its "\n", or a whole text,
-which they split at "\n". A byte that is not UTF-8 is refused before any
-format error, wherever it is, and a second pass over the file names its line.
+The readers stream a file too: each parser iterates the open text file, whose
+lines keep their "\n", or takes a whole text, which it splits at "\n". A
+byte that is not UTF-8 is refused before any format error, wherever it is,
+and a second pass over the file names its line; a pipe, which cannot be read
+twice, gets line "?".
 
 Each record format is declared once, as an ordered map from key to the
 values the writer spells there, and both readers share one record-line loop.
@@ -56,7 +56,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -238,8 +238,7 @@ def _load(lineno: int, line: str):
 
 
 def _numbered(text: Union[str, Iterable[str]]) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of a text, split at "\n", or of a
-    file's lines as _read streams them."""
+    """(line number, line) for each line of a text, split at "\n", or of a file."""
     return enumerate(text.split("\n") if isinstance(text, str) else text, start=1)
 
 
@@ -337,26 +336,26 @@ def parse_history(text: Union[str, Iterable[str]]) -> list[Event]:
     return events
 
 
-_READ_CHUNK = 1 << 14  # characters per readlines: hints of 2^12 to 2^18 parsed as fast
 _ESCAPED = re.compile("[\udc80-\udcff]").search  # a bad byte, as surrogateescape kept it: not ASCII
 
 
-def _bad_line(lines: Iterator[str]):
-    """The number of the first line that holds a byte that is not UTF-8."""
-    return next((i for i, ln in _numbered(lines) if not ln.isascii() and _ESCAPED(ln)), "?")
+def _bad_line(f) -> Union[int, str]:
+    """The first line of file f with a byte that is not UTF-8; "?" on a pipe, read once."""
+    if not f.seekable():
+        return "?"
+    return next((i for i, ln in _numbered(f) if not ln.isascii() and _ESCAPED(ln)), "?")
 
 
 def _read(path: Union[str, Path], parse: Callable, error: type, errors: str = "strict") -> Any:
-    """parse(the file's lines, each with its "\n"), streamed. Raises `error`,
+    """parse(the open text file, its lines with their "\n"). Raises `error`,
     naming the file, when it is unreadable, not UTF-8 (with the line, as parse
     numbers it) or refused; a byte that is not UTF-8 is refused first."""
     try:
         with open(path, encoding="utf-8", errors=errors, newline="\n") as f:
-            lines = chain.from_iterable(iter(partial(f.readlines, _READ_CHUNK), []))
             try:
-                return parse(lines)
+                return parse(f)
             except error:
-                deque(lines, maxlen=0)  # decode the rest: a byte that is not UTF-8 comes first
+                deque(f, maxlen=0)  # decode the rest: a byte that is not UTF-8 comes first
                 raise
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror})") from None

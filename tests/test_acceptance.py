@@ -172,6 +172,32 @@ def test_criterion_5_checker_discrimination():
           "refused only by the real-time linearizability check")
 
 
+def test_one_round_writes_buy_sequential_consistency_not_linearizability():
+    # The paper's separation (Attiya & Welch, TOCS 1994), measured on runs with
+    # three processes contending for one register. Every run of both protocols
+    # is SC; with one register, check_linearizable on the run's own event order
+    # decides linearizability in real time, and only one sc_abd run fails it.
+    workload = Workload(ops_per_process=8, register_count=1, think_time=0)
+    not_linearizable = []
+    for protocol in ("sc_abd", "mw_abd"):
+        for seed in range(300):
+            cfg = SimConfig(n=3, seed=seed, protocol=protocol, delay=UniformDelay(1, 20),
+                            workload=workload)
+            h = complete_history(run_simulation(cfg).history)
+            sc = check_sc_compositional(h)
+            assert sc.accepted, (protocol, seed)
+            lin = check_linearizable(h)
+            assert not lin.undecided, (protocol, seed)
+            if lin.rejected:
+                not_linearizable.append((protocol, seed, len(h) // 2, sc.states_explored,
+                                         lin.states_explored))
+    # the fast path accepts the register in logical time without a search state,
+    # and the real-time search refuses it after 48
+    assert not_linearizable == [("sc_abd", 127, 24, 0, 48)]
+    print("\nseparation PASS: 600 contended runs SC-accepted; 1 of 300 sc_abd runs "
+          "(seed 127) and 0 of 300 mw_abd runs not linearizable")
+
+
 def test_criterion_6_mutants_are_detected():
     sq = run_campaign(1000, mutant="small-quorum")
     assert sq.rejected_seeds, "sub-majority quorums never produced a violation"

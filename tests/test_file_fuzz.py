@@ -2,9 +2,12 @@
 runs, and the README's example config. Every mutant either parses or is
 refused with ParseError or ConfigError, and through the CLI, `check` and
 `stats` exit only with a documented code, an exit 5 with one stderr line.
-The readers, which stream a file in chunks, give what the parsers give on
-the file's whole text, whatever the chunk size."""
+The readers, which parse a file as the text layer streams its lines, give
+what the parsers give on the file's whole text, whatever the text layer's
+read size."""
 
+import builtins
+import io
 import random
 import re
 from pathlib import Path
@@ -147,6 +150,15 @@ def mutate(rng: random.Random, fmt: str, text: str) -> str:
     return text
 
 
+def _read_in_chunks(monkeypatch, size: int) -> None:
+    """Make the files that the readers open decode `size` bytes per read."""
+    def open_in_chunks(*args, **kwargs):
+        f = builtins.open(*args, **kwargs)
+        f._CHUNK_SIZE = size  # the bytes a text file reads and decodes at a time
+        return f
+    monkeypatch.setattr(files, "open", open_in_chunks, raising=False)
+
+
 def _parse_and_read(corpus, path: Path) -> None:
     """10,000 seeded mutants: each parses or is refused, and the format's
     reader, on the mutant written to path, gives what its parser gives."""
@@ -170,8 +182,8 @@ def test_every_mutated_file_parses_or_is_refused(corpus, tmp_path):
 
 
 def test_every_mutated_file_reads_alike_in_7_byte_chunks(corpus, tmp_path, monkeypatch):
-    # lines, and the inserted multi-byte characters, cross chunk boundaries
-    monkeypatch.setattr(files, "_READ_CHUNK", 7)
+    # lines, and the inserted multi-byte characters, cross read boundaries
+    _read_in_chunks(monkeypatch, 7)
     _parse_and_read(corpus, tmp_path / "mutant")
 
 
@@ -211,12 +223,13 @@ def _in_line(lineno: int, bad: bytes):
 
 
 # (build the file's bytes from its format's corpus text, the line of the byte
-# that is not UTF-8 in them or None). Blank lines put the bad byte chunks after
-# the malformed line, so that the reader has parsed that line before reading it.
+# that is not UTF-8 in them or None). 32 kB of blank lines put the bad byte
+# several of the text layer's reads after the malformed line, so that the reader
+# has parsed that line before reading it.
 BYTE_CASES = {
     "not-utf8-chunks-after-a-malformed-line": (
-        lambda text: b"{\n" + text.encode() + b" \n" * files._READ_CHUNK + b"\xff\n",
-        lambda text: text.count("\n") + files._READ_CHUNK + 2,
+        lambda text: b"{\n" + text.encode() + b" \n" * (1 << 14) + b"\xff\n",
+        lambda text: text.count("\n") + (1 << 14) + 2,
     ),
     "multibyte-cut-at-end-of-file": (
         lambda text: text.encode() + "\u00e9".encode()[:1], lambda text: text.count("\n") + 1
@@ -244,13 +257,17 @@ UNTERMINATED = {
 }
 
 
-@pytest.mark.parametrize("chunk", [files._READ_CHUNK, 7], ids=["module-chunk", "7-byte-chunk"])
+# the text layer's own read size, io.DEFAULT_BUFFER_SIZE, and 7 bytes
+CHUNKS = {"argvalues": [io.DEFAULT_BUFFER_SIZE, 7], "ids": ["module-chunk", "7-byte-chunk"]}
+
+
+@pytest.mark.parametrize("chunk", **CHUNKS)
 @pytest.mark.parametrize("case", list(BYTE_CASES))
 @pytest.mark.parametrize("fmt", list(PARSERS))
 def test_a_file_read_in_chunks_gives_what_its_whole_text_gives(
     corpus, tmp_path, monkeypatch, fmt, case, chunk
 ):
-    monkeypatch.setattr(files, "_READ_CHUNK", chunk)
+    _read_in_chunks(monkeypatch, chunk)
     build, bad_line = BYTE_CASES[case]
     text = next(t for f, t in corpus if f == fmt)
     assert text.endswith("\n")
@@ -275,14 +292,14 @@ INVALID = (
 )
 
 
-@pytest.mark.parametrize("chunk", [files._READ_CHUNK, 7], ids=["module-chunk", "7-character-chunk"])
+@pytest.mark.parametrize("chunk", **CHUNKS)
 def test_a_file_with_invalid_bytes_reads_as_its_whole_bytes_decode(
     corpus, tmp_path, monkeypatch, chunk
 ):
     # 2,000 seeded files: a corpus text, mutated half the time, with 1 to 3
     # invalid sequences inserted at random bytes, then cut at a random byte a
     # third of the time, which may drop the bad bytes or split a character
-    monkeypatch.setattr(files, "_READ_CHUNK", chunk)
+    _read_in_chunks(monkeypatch, chunk)
     rng = random.Random("invalid-bytes")
     path = tmp_path / "file"
     outcomes = {"not UTF-8": 0, "other refusal": 0, "parsed": 0}
