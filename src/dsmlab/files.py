@@ -25,11 +25,11 @@ compact, keys in the order above, every string through the json encoder
 (ASCII escapes). Equal traces therefore produce byte-equal files. A writer
 streams its lines to the file in chunks of _CHUNK lines, so no string or
 bytes object of the file's size is built; serialize_* join the same lines.
-The readers stream a file too: each parser iterates the open text file, whose
-lines keep their "\n", or takes a whole text, which it splits at "\n". A
-byte that is not UTF-8 is refused before any format error, wherever it is,
-and a second pass over the file names its line; a pipe, which cannot be read
-twice, gets line "?".
+The readers stream a file too, in one pass: each parser iterates the open
+text file's numbered lines, which keep their "\n", or takes a whole text,
+which it splits at "\n". A byte that is not UTF-8 is read as an escape, which
+no record pattern takes, and refused with its line, in a pipe as in a file,
+before any format error, wherever it is.
 
 Each record format is declared once, as an ordered map from key to the
 values the writer spells there, and both readers share one record-line loop.
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter
@@ -226,7 +225,16 @@ def _is_ts(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
 
 
+_ESCAPED = re.compile("[\udc80-\udcff]").search  # a bad byte, as surrogateescape kept it: not ASCII
+
+
+def _check_utf8(lineno: int, line: str) -> None:
+    if not line.isascii() and _ESCAPED(line):
+        raise UnicodeError(f"line {lineno}: not UTF-8")  # not a ParseError or ConfigError
+
+
 def _load(lineno: int, line: str):
+    _check_utf8(lineno, line)
     try:
         return json.loads(line.rstrip("\n"))  # a string cut at its "\n" is unterminated
     except json.JSONDecodeError as exc:
@@ -239,6 +247,8 @@ def _load(lineno: int, line: str):
 
 def _numbered(text: Union[str, Iterable[str]]) -> Iterator[tuple[int, str]]:
     """(line number, line) for each line of a text, split at "\n", or of a file."""
+    if isinstance(text, enumerate):  # the file's lines, numbered by _read
+        return text
     return enumerate(text.split("\n") if isinstance(text, str) else text, start=1)
 
 
@@ -336,33 +346,22 @@ def parse_history(text: Union[str, Iterable[str]]) -> list[Event]:
     return events
 
 
-_ESCAPED = re.compile("[\udc80-\udcff]").search  # a bad byte, as surrogateescape kept it: not ASCII
-
-
-def _bad_line(f) -> Union[int, str]:
-    """The first line of file f with a byte that is not UTF-8; "?" on a pipe, read once."""
-    if not f.seekable():
-        return "?"
-    return next((i for i, ln in _numbered(f) if not ln.isascii() and _ESCAPED(ln)), "?")
-
-
-def _read(path: Union[str, Path], parse: Callable, error: type, errors: str = "strict") -> Any:
-    """parse(the open text file, its lines with their "\n"). Raises `error`,
-    naming the file, when it is unreadable, not UTF-8 (with the line, as parse
-    numbers it) or refused; a byte that is not UTF-8 is refused first."""
+def _read(path: Union[str, Path], parse: Callable, error: type) -> Any:
+    """parse(the open text file's numbered lines, with their "\n"), in one
+    pass. Raises `error`, naming the file, when it is unreadable, not UTF-8
+    (with the line) or refused; a byte that is not UTF-8 is refused first."""
     try:
-        with open(path, encoding="utf-8", errors=errors, newline="\n") as f:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as f:
+            lines = enumerate(f, 1)
             try:
-                return parse(f)
+                return parse(lines)
             except error:
-                deque(f, maxlen=0)  # decode the rest: a byte that is not UTF-8 comes first
+                for lineno, line in lines:  # a later byte that is not UTF-8 comes first
+                    _check_utf8(lineno, line)
                 raise
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
-    except UnicodeDecodeError:  # a second pass finds the line of the first bad byte
-        lineno = _read(path, _bad_line, error, "surrogateescape")
-        raise error(f"{path}: line {lineno}: not UTF-8") from None
-    except error as exc:
+    except (UnicodeError, error) as exc:
         raise error(f"{path}: {exc}") from None
 
 
@@ -569,6 +568,7 @@ def parse_config(text: Union[str, Iterable[str]]) -> SimConfig:
     dataclass default."""
     given: dict[str, tuple[int, str]] = {}
     for lineno, line in _numbered(text):
+        _check_utf8(lineno, line)
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

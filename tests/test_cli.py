@@ -428,6 +428,20 @@ def test_hostile_input_exits_with_its_documented_code(
     assert line.startswith("dsmlab: ") and error in line
 
 
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin to name a pipe by")
+@pytest.mark.parametrize("command", ["check", "stats"])
+def test_a_piped_history_that_is_not_utf8_is_refused_with_its_line(command):
+    # `cat run.jsonl | dsmlab check /dev/stdin`: stdin is a pipe, read once
+    t = run_simulation(SimConfig(n=3, seed=4, workload=Workload(ops_per_process=3)))
+    lines = serialize_history(t.history).encode().split(b"\n")
+    lines[4] = lines[4][:1] + b"\xff" + lines[4][1:]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "dsmlab", command, "/dev/stdin"], env=env,
+                          input=b"\n".join(lines), capture_output=True, timeout=120)
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.decode() == "dsmlab: /dev/stdin: line 5: not UTF-8\n"
+
+
 # --- fuzz -------------------------------------------------------------------------
 
 

@@ -8,8 +8,11 @@ read size."""
 
 import builtins
 import io
+import os
 import random
 import re
+import threading
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -280,6 +283,33 @@ def test_a_file_read_in_chunks_gives_what_its_whole_text_gives(
         last = text.count("\n") + 1
         assert whole == ("refused", f"line {last}: {UNTERMINATED[fmt]}")
     assert _read_back(fmt, path) == whole
+
+
+def _feed(w: int, data: bytes) -> None:
+    """Write data into a pipe's write end w, then close it. A reader that
+    stops early closes the read end, and the write ends there."""
+    with suppress(BrokenPipeError), open(w, "wb") as f:
+        f.write(data)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to open a pipe by path")
+@pytest.mark.parametrize("case", list(BYTE_CASES))
+@pytest.mark.parametrize("fmt", list(PARSERS))
+def test_a_file_read_through_a_pipe_gives_what_the_file_gives(corpus, tmp_path, fmt, case):
+    # a pipe is read once, as it comes; a thread feeds it, because the largest
+    # case is larger than a pipe's buffer
+    text = next(t for f, t in corpus if f == fmt)
+    path = tmp_path / "file"
+    path.write_bytes(BYTE_CASES[case][0](text))
+    r, w = os.pipe()
+    writer = threading.Thread(target=_feed, args=(w, path.read_bytes()))
+    writer.start()
+    try:
+        piped = _read_back(fmt, Path(f"/dev/fd/{r}"))
+    finally:
+        os.close(r)
+        writer.join()
+    assert piped == _read_back(fmt, path)
 
 
 # strict-invalid UTF-8: bytes that never occur, a continuation byte with no
