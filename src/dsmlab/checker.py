@@ -516,12 +516,12 @@ def complete_history(h: Sequence[Event]) -> _OpTable:
     """Resolve pending operations left by mid-operation crashes, and return
     the completed history as the op table that every check takes as it is.
 
-    A pending write that already broadcast its timestamped update may have
-    taken effect at any replica, so it is retained and closed with a
-    synthetic OK response appended after everything else. A pending read, or
-    a pending write that never reached its update phase (no timestamp),
-    cannot have influenced anyone and is dropped. Descriptors of retained
-    ops are copied, never mutated, so the input history stays intact."""
+    One rule by kind: every pending write, stamped or not, may have taken
+    effect, so it is kept and closed with a synthetic OK response appended
+    after everything else, and every pending read is dropped. Closed last, a
+    kept write is as good as optional: any legal order without it stays
+    legal with it appended. Descriptors of retained ops are copied, never
+    mutated, so the input history stays intact."""
     events = _OpTable(h)  # pending ops included, so it never leaves here unless complete
     if not is_well_formed(events):
         raise HistoryError("history is not well formed")
@@ -534,8 +534,8 @@ def complete_history(h: Sequence[Event]) -> _OpTable:
                 f"event for op {e.op.opid} has no lt annotation; cannot place "
                 "synthetic responses"
             )
-    fresh = {op.opid: replace(op, ret=OK) for op in pend if op.kind == WRITE and op.ts is not None}
-    drop = {op.opid for op in pend} - fresh.keys()
+    fresh = {op.opid: replace(op, ret=OK) for op in pend if op.kind == WRITE}
+    drop = {op.opid for op in pend if op.kind == READ}
     out = [
         Event(e.kind, fresh[e.op.opid], e.rt, e.lt, e.proc) if e.op.opid in fresh else e
         for e in events

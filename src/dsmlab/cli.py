@@ -15,7 +15,7 @@ Exit codes are part of the interface:
        `fuzz` found a soundness violation, or with no mutant a rejection or an audit failure
     2  verdict unavailable: a search hit its state cap, or the oracle refused the history
     3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; any command: a usage
-       error (unknown option, bad value, a count or cap < 0, missing argument)
+       error (unknown option, bad value, a count, seed0 or cap < 0, missing argument)
     4  simulation hit the tick horizon before quiescing (files still written)
     5  history or message log unreadable, not UTF-8, malformed or ill-formed
   141  stdout closed before the output was written (128 + SIGPIPE, as a shell reports it)
@@ -274,7 +274,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def count(text: str) -> int:  # --runs and the caps; --state-cap 0: the fast path alone
+    def count(text: str) -> int:  # --runs, --seed0 and the caps; --state-cap 0: the fast path alone
         if (n := int(text)) < 0:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
         return n
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="run a seeded checking campaign")
     p_fuzz.add_argument("--runs", type=count, default=100)
     p_fuzz.add_argument("--mutant", choices=MUTANTS, default=MUTANT_NONE)
-    p_fuzz.add_argument("--seed0", type=int, default=0)
+    p_fuzz.add_argument("--seed0", type=count, default=0)
     p_fuzz.add_argument(
         "--protocol", choices=PROTOCOLS, default=SC_ABD,
         help="protocol to simulate; a --mutant applies to either",
@@ -339,6 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
+    sys.stdout.reconfigure(write_through=False)  # even under -u: argparse swallows a write's EPIPE
     try:
         try:
             code = main()

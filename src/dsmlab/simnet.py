@@ -242,6 +242,8 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:  # Random(-s) draws as Random(s) does
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_ticks < 1:
             raise ConfigError("max_ticks must be >= 1")
         if self.protocol not in PROTOCOLS:

@@ -99,6 +99,15 @@ def sc_not_lin() -> list[Event]:
     return merge_by_rt(w, r)
 
 
+def unstamped_pending_write() -> list[Event]:
+    """p1 invokes write(x, 1) and never responds; p2 reads x and gets 1. No
+    event carries a ts, so nothing tells whether the write reached its update
+    phase, but the read shows that it did: the history is SC."""
+    w = op_events(1, 1, WRITE, "x", arg=1, inv=(0, 1))
+    r = op_events(2, 2, READ, "x", ret=1, inv=(1, 1), res=(3, 3))
+    return merge_by_rt(w, r)
+
+
 # --- naive reference checkers ---------------------------------------------------
 
 

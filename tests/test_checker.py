@@ -48,6 +48,7 @@ from helpers import (
     random_history,
     sc_not_lin,
     strip_ts,
+    unstamped_pending_write,
     write_then_stale_read,
 )
 from test_simnet import scheduler_corpus
@@ -545,10 +546,26 @@ def test_complete_history_drops_pending_reads_keeps_timestamped_writes():
     assert pend_w[0].op.ret is None
 
 
-def test_complete_history_drops_writes_without_timestamps():
+def test_complete_history_keeps_writes_without_timestamps():
     pend_w = op_events(2, 2, WRITE, "x", arg=9, inv=(2, 1))  # query phase crash
     out = complete_history(pend_w)
-    assert list(out) == []
+    assert [(e.kind, e.op.opid, e.op.ret, e.op.ts) for e in out] == [
+        (INVOCATION, 2, OK, None), (RESPONSE_EVENT, 2, OK, None)
+    ]
+
+
+def test_an_unstamped_pending_write_that_a_read_saw_is_accepted():
+    h = unstamped_pending_write()
+    assert len(h) == 3
+    out = complete_history(h)
+    assert [(e.kind, e.op.opid, e.op.ret) for e in out] == [
+        (INVOCATION, 1, OK), (INVOCATION, 2, 1), (RESPONSE_EVENT, 2, 1), (RESPONSE_EVENT, 1, OK)
+    ]
+    comp, oracle = check_sc_compositional(out), check_sc_bruteforce(out)
+    assert comp.accepted and oracle.accepted
+    assert [(e.kind, e.op.opid) for e in comp.witness] == [
+        (INVOCATION, 1), (RESPONSE_EVENT, 1), (INVOCATION, 2), (RESPONSE_EVENT, 2)
+    ]
 
 
 def test_complete_history_needs_lts_to_close_a_pending_write():
@@ -564,6 +581,29 @@ def test_complete_history_needs_lts_to_close_a_pending_write():
 def test_complete_history_identity_on_complete_input():
     h = _instrumented_register_history()
     assert list(complete_history(h)) == h
+
+
+def test_stripping_timestamps_keeps_every_mid_op_crash_verdict():
+    # A crashed writer's pending write is kept whether or not it carries a ts:
+    # kept last, it is as good as optional, so a stripped history gets its
+    # stamped verdict (or undecided) and the oracle agrees under its cap.
+    from dsmlab.fuzz import campaign_config
+
+    pending = unstamped_writes = 0
+    for protocol in ("sc_abd", "mw_abd"):
+        for seed in range(1000):
+            t = run_simulation(replace(campaign_config("none", seed, protocol), mid_op_crash=True))
+            stamped = check_sc_compositional(complete_history(t.history)).outcome
+            h = complete_history(strip_ts(t.history))
+            stripped = check_sc_compositional(h).outcome
+            assert stripped in (stamped, UNDECIDED), (protocol, seed)
+            if stripped != UNDECIDED and len(h.descs) <= checker.ORACLE_OP_CAP:
+                assert check_sc_bruteforce(h).outcome == stripped, (protocol, seed)
+            left = [op for op in t.ops.values() if op.ret is None]
+            pending += bool(left)
+            unstamped_writes += sum(op.kind == WRITE and op.ts is None for op in left)
+    # runs left with a pending op; pending writes that crashed before their update phase
+    assert (pending, unstamped_writes) == (815, 164)
 
 
 def test_completed_mid_op_crash_traces_check_clean():

@@ -40,6 +40,7 @@ from helpers import (
     op_events,
     sc_not_lin,
     strip_ts,
+    unstamped_pending_write,
     write_then_stale_read,
 )
 
@@ -101,6 +102,14 @@ def test_run_invalid_config_exits_3(tmp_path, capsys):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert "invalid config" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+    # Random(-5) draws as Random(5) does, so a negative seed would replay a positive one
+    for text, argv in (("seed = -5\n", []), ("seed = 5\n", ["--seed", "-5"])):
+        capsys.readouterr()
+        assert main(["run", str(_cfg(tmp_path, text)), *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("dsmlab: invalid config: ")
+        assert captured.err.endswith("seed must be >= 0, got -5\n")
+        assert not (tmp_path / "run.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -212,6 +221,16 @@ def test_check_mode_both_agreement(tmp_path, capsys):
     write_history(hist, write_then_stale_read())
     assert main(["check", str(hist), "--mode", "both"]) == EXIT_REJECTED
     assert "agreement: yes" in capsys.readouterr().out
+
+    # a pending write without a ts is kept, so the read that saw it is legal
+    write_history(hist, unstamped_pending_write())
+    assert len(hist.read_text(encoding="utf-8").splitlines()) == 3
+    assert main(["check", str(hist), "--mode", "both"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "note: 1 pending operation(s) resolved before checking\n"
+        "compositional: accepted\n  register x: accepted\n"
+        "bruteforce: accepted\nagreement: yes\n"
+    )
 
 
 def test_check_disagreement_exits_1(tmp_path, capsys, monkeypatch):
@@ -748,8 +767,12 @@ def test_entry_point_requires_subcommand(capsys):
         (["check", "h.jsonl", "--op-cap", "-1", "--mode", "both"],
          "argument --op-cap: must be >= 0, got -1"),
         (["fuzz", "--runs", "-3"], "dsmlab fuzz: error: argument --runs: must be >= 0, got -3"),
+        (["fuzz", "--seed0", "-1"], "dsmlab fuzz: error: argument --seed0: must be >= 0, got -1"),
     ],
-    ids=["run", "check", "fuzz", "stats", "check-state-cap", "check-op-cap", "fuzz-runs"],
+    ids=[
+        "run", "check", "fuzz", "stats", "check-state-cap", "check-op-cap", "fuzz-runs",
+        "fuzz-seed0",
+    ],
 )
 def test_usage_error_exits_3_not_the_undecided_code(capsys, argv, error):
     # exit 2 means "verdict unavailable"; a typo must not read as one
@@ -799,23 +822,26 @@ def test_python_m_dsmlab_exits_with_mains_code(tmp_path):
 def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
     # `dsmlab stats run.jsonl | head -1`, made deterministic: the pipe's read end is closed
     # before the child starts, so its first write to stdout fails. The child's stdout is
-    # block-buffered, as a shell's pipe gives it: unbuffered, argparse's own printing of
-    # --help swallows the write's error and exits 0.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    # block-buffered, as a shell's pipe gives it, or unbuffered (PYTHONUNBUFFERED, python -u),
+    # where argparse's own printing of --help would swallow the write's error.
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     t = run_simulation(SimConfig(n=3, seed=4, workload=Workload(ops_per_process=3)))
     write_history(tmp_path / "run.jsonl", t.history)
     write_message_log(sidecar_path(tmp_path / "run.jsonl"), t)
-    for argv in (["check", "run.jsonl"], ["stats", "run.jsonl"], ["fuzz", "--runs", "3"],
-                 ["--help"], ["check", "--help"]):
-        r, w = os.pipe()
-        os.close(r)
-        try:
-            done = subprocess.run([sys.executable, "-m", "dsmlab", *argv], cwd=tmp_path, env=env,
-                                  stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
-        finally:
-            os.close(w)
-        assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, ""), argv
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        env = {**base, **unbuffered}
+        for argv in (["check", "run.jsonl"], ["stats", "run.jsonl"], ["fuzz", "--runs", "3"],
+                     ["--help"], ["check", "--help"]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                done = subprocess.run([sys.executable, "-m", "dsmlab", *argv], cwd=tmp_path,
+                                      env=env, stdout=w, stderr=subprocess.PIPE, text=True,
+                                      timeout=120)
+            finally:
+                os.close(w)
+            assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, ""), (argv, unbuffered)
 
 
 def test_both_exit_code_tables_list_exactly_the_exit_codes():

@@ -977,11 +977,12 @@ def test_parse_config_rejections():
         ("register_count = 0", "register_count must be >= 1"),
         ("think_time = -1", "think_time must be >= 0"),
         ("crashes = 2@-5", "crash tick must be >= 0, got -5"),
+        ("seed = -5", "seed must be >= 0, got -5"),
     ],
     ids=[
         "delay-fixed-0", "delay-links-0", "rule-delay-0", "rule-range-reversed",
         "rule-link-without-arrow", "ops-negative", "registers-0", "think-negative",
-        "crash-tick-negative",
+        "crash-tick-negative", "seed-negative",
     ],
 )
 def test_parse_config_refusal_texts(text, error):
