@@ -85,7 +85,6 @@ class CheckerInternalError(RuntimeError):
 
 @dataclass
 class Violation:
-    register: Optional[RegisterId]
     condition: str
     ops: Optional[tuple[OpId, OpId]] = None  # (earlier, later) when identified
 
@@ -96,7 +95,7 @@ class Verdict:
     witness: Optional[list] = None  # legal sequential history when accepted
     violation: Optional[Violation] = None
     states_explored: int = 0
-    per_register: dict = field(default_factory=dict)  # reg -> Verdict
+    per_register: dict = field(default_factory=dict)  # reg -> Verdict, with its own violation
 
     @property
     def accepted(self) -> bool:
@@ -170,19 +169,18 @@ def is_legal_sequential(s: Sequence[Event]) -> bool:
 
 class _OpTable(tuple):
     """A well-formed complete history that cannot change, indexed by opid:
-    inv and res give an op's event positions, descs its descriptor, in
-    invocation order. A list, slice or sum made of a table is no table."""
+    inv (in invocation order) and res give an op's event positions. A list,
+    slice or sum made of a table is no table."""
 
     def __new__(cls, events: Iterable[Event]) -> _OpTable:
         t = super().__new__(cls, events)
-        inv, res, descs = {}, {}, {}
+        inv, res = {}, {}
         for i, e in enumerate(t):
             if e.kind == INVOCATION:
                 inv[e.op.opid] = i
-                descs[e.op.opid] = e.op
             else:
                 res[e.op.opid] = i
-        vars(t).update(inv=inv, res=res, descs=descs)  # never mutated
+        vars(t).update(inv=inv, res=res)  # never mutated
         return t
 
     __setattr__ = __delattr__ = None  # no attribute may be set or removed
@@ -221,7 +219,7 @@ def _search(
     recursion limit. A visited state is not expanded again; the cap is
     checked before a new state is counted, and reaching it is UNDECIDED.
     """
-    ops = list(t.descs.values())
+    ops = [t[i].op for i in t.inv.values()]
     slot = {reg: r for r, reg in enumerate(dict.fromkeys(op.reg for op in ops))}
 
     def moves(done: int, mem: tuple):
@@ -270,8 +268,8 @@ def check_linearizable(h: Sequence[Event], *, state_cap: int = DEFAULT_STATE_CAP
     is hit, which yields UNDECIDED with the count of states explored.
     """
     t = _complete_op_table(h)
-    inv = [t.inv[o] for o in t.descs]
-    res = [t.res[o] for o in t.descs]
+    inv = list(t.inv.values())
+    res = [t.res[o] for o in t.inv]
     by_res = sorted(range(len(res)), key=res.__getitem__)
     res_sorted = [res[j] for j in by_res]
 
@@ -287,9 +285,7 @@ def check_linearizable(h: Sequence[Event], *, state_cap: int = DEFAULT_STATE_CAP
             if not done >> i & 1:
                 yield i
 
-    regs = {op.reg for op in t.descs.values()}
-    reg = next(iter(regs)) if len(regs) == 1 else None
-    violation = Violation(reg, "no order satisfies read legality and precedence")
+    violation = Violation("no order satisfies read legality and precedence")
     return _search(t, minimal, state_cap, violation)
 
 
@@ -311,7 +307,7 @@ def construct_timestamp_witness(hx: Sequence[Event]) -> list[Event]:
     write, the initial one.
     """
     t = _complete_op_table(hx)
-    regs = {op.reg for op in t.descs.values()}
+    regs = {t[i].op.reg for i in t.inv.values()}
     if len(regs) > 1:
         raise HistoryError(f"single-register history expected, got registers {sorted(regs)}")
     # () sorts below every timestamp, so an op without one is refused first
@@ -489,13 +485,13 @@ def check_sc_bruteforce(h: Sequence[Event], *, op_cap: int = ORACLE_OP_CAP) -> V
     to timestamps and clocks, hence useful as an oracle; cost grows
     multinomially, hence the hard op cap (raises OracleCapError beyond it)."""
     t = _complete_op_table(h)
-    if len(t.descs) > op_cap:
+    if len(t.inv) > op_cap:
         raise OracleCapError(
-            f"{len(t.descs)} operations exceed the {op_cap}-operation oracle cap"
+            f"{len(t.inv)} operations exceed the {op_cap}-operation oracle cap"
         )
     seqs: dict[int, list[int]] = {}  # process -> its ops' indices, in order
-    for i, o in enumerate(t.descs):
-        seqs.setdefault(t[t.inv[o]].proc, []).append(i)
+    for i, at in enumerate(t.inv.values()):
+        seqs.setdefault(t[at].proc, []).append(i)
     procs = sorted(seqs)
 
     def heads(done: int) -> Iterable[int]:
@@ -505,7 +501,7 @@ def check_sc_bruteforce(h: Sequence[Event], *, op_cap: int = ORACLE_OP_CAP) -> V
             if i is not None:
                 yield i
 
-    violation = Violation(None, "no interleaving of per-process orders is legal")
+    violation = Violation("no interleaving of per-process orders is legal")
     return _search(t, heads, DEFAULT_STATE_CAP, violation)
 
 
@@ -525,7 +521,7 @@ def complete_history(h: Sequence[Event]) -> _OpTable:
     events = _OpTable(h)  # pending ops included, so it never leaves here unless complete
     if not is_well_formed(events):
         raise HistoryError("history is not well formed")
-    pend = [op for o, op in events.descs.items() if o not in events.res]
+    pend = [events[i].op for o, i in events.inv.items() if o not in events.res]
     if not pend:
         return events
     for e in events:

@@ -14,8 +14,9 @@ Exit codes are part of the interface:
     1  `check` rejected the history (or the two checking routes disagreed);
        `fuzz` found a soundness violation, or with no mutant a rejection or an audit failure
     2  verdict unavailable: a search hit its state cap, or the oracle refused the history
-    3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable; any command: a usage
-       error (unknown option, bad value, a count, seed0 or cap < 0, missing argument)
+    3  `run`: config unreadable, not UTF-8 or invalid, `--out` unwritable, or a history or sidecar
+       path that is the config; any command: a usage error (unknown option, bad value, a count,
+       seed0 or cap < 0, missing argument)
     4  simulation hit the tick horizon before quiescing (files still written)
     5  history or message log unreadable, not UTF-8, malformed or ill-formed
   141  stdout closed before the output was written (128 + SIGPIPE, as a shell reports it)
@@ -103,9 +104,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = read_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    trace = run_simulation(cfg)
     out = Path(args.out) if args.out else _default_out(args.config)
     side = sidecar_path(out)
+    for path in (out, side):
+        if path.resolve() == Path(args.config).resolve():
+            raise ConfigError(f"{path}: writing it would overwrite the config")
+    trace = run_simulation(cfg)
     try:
         write_history(out, trace.history)
         write_message_log(side, trace)

@@ -69,7 +69,6 @@ def small_quorum_schedule() -> AdversarialSchedule:
             DelayRule(kind="response", receiver=SELF, lo=900),
             DelayRule(kind="response", receiver=OTHER, lo=1),
         ),
-        default=1,
     )
 
 
@@ -83,7 +82,6 @@ def no_writeback_schedule() -> AdversarialSchedule:
             DelayRule(kind="update", receiver=OTHER, lo=30, hi=60),
             DelayRule(kind="response", lo=1, hi=6),
         ),
-        default=1,
     )
 
 

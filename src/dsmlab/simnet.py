@@ -166,21 +166,19 @@ class DelayRule:
 
 @dataclass(frozen=True, slots=True)
 class AdversarialSchedule:
-    """First-match rule list with a default for unmatched messages. This is
-    how targeted schedules (starve one link, hide one replica) are built."""
+    """First-match rule list; an unmatched message takes delay 1, and a
+    trailing catch-all DelayRule(lo=d) sets any other fallback. This is how
+    targeted schedules (starve one link, hide one replica) are built."""
 
     rules: tuple = ()  # tuple[DelayRule, ...]
-    default: int = 1
 
     def delay(self, msg: Message, rng: random.Random) -> int:
         for rule in self.rules:
             if rule.matches(msg):
                 return rule.draw(rng)
-        return self.default
+        return 1
 
     def validate(self, n: int) -> None:
-        if self.default < 1:
-            raise ConfigError("adversarial default delay must be >= 1")
         for rule in self.rules:
             rule.validate(n)
         # Each probe stands for all messages that match the same rules: pids
@@ -311,10 +309,6 @@ class MessageRecord:
     dropped: bool = False
 
 
-QUIESCENT = "quiescent"
-HORIZON = "horizon"
-
-
 @dataclass(slots=True)
 class Trace:
     config: SimConfig
@@ -323,15 +317,11 @@ class Trace:
     rounds: dict  # opid -> communication rounds initiated, from op_rounds
     ops: dict  # opid -> OperationDescriptor
     crash_log: list  # [(pid, tick)] actually applied, in order
-    outcome: str  # QUIESCENT | HORIZON
+    quiescent: bool  # False when the run hit the tick horizon
 
     @property
     def protocol(self) -> str:
         return self.config.protocol
-
-    @property
-    def quiescent(self) -> bool:
-        return self.outcome == QUIESCENT
 
     def completed(self) -> dict[OpId, OperationDescriptor]:
         return {i: d for i, d in self.ops.items() if d.ret is not None}
@@ -422,14 +412,14 @@ class _Run:
         for p in self.states:
             if self.workload[p]:
                 self._push(0, _INVOKE, p)
-        outcome = self._drain()
+        quiescent = self._drain()
         h, log = self.history, self.message_log
-        return Trace(self.cfg, h, log, op_rounds(h, log), self.ops, self.crash_log, outcome)
+        return Trace(self.cfg, h, log, op_rounds(h, log), self.ops, self.crash_log, quiescent)
 
-    def _drain(self) -> str:
+    def _drain(self) -> bool:
         """The event loop: each tick's events in push order, up to the
-        horizon, each step's effects applied in place. Events appended to
-        the tick being drained (think time 0) are reached too."""
+        horizon (then False), each step's effects applied in place. Events
+        appended to the tick being drained (think time 0) are reached too."""
         cfg, heap, queues, states, ops = self.cfg, self.heap, self.queues, self.states, self.ops
         last_exec, crashed, log = self.last_exec, self.crashed, self.message_log
         workload, next_op, history = self.workload, self.next_op, self.history
@@ -437,7 +427,7 @@ class _Run:
         while heap:
             tick = heappop(heap)
             if tick > cfg.max_ticks:
-                return HORIZON
+                return False
             later = queues.setdefault(tick + 1, [])  # where busy processes' entries go
             for entry in queues[tick]:
                 pid, kind, payload = entry
@@ -471,10 +461,8 @@ class _Run:
                 last_exec[pid] = tick
                 if outbox:
                     first = outbox[0]
-                    if type(first) is Update:  # the op's first one carries its ts
-                        desc = ops[state.opid]
-                        if desc.ts is None:
-                            desc.ts = first.tsv.ts
+                    if type(first) is Update:  # the op's one update phase carries its ts
+                        ops[state.opid].ts = first.tsv.ts
                     for msg in outbox:
                         rec = MessageRecord(msg, tick)
                         log.append(rec)
@@ -486,7 +474,7 @@ class _Run:
                 if completion is not None:
                     desc = ops[completion.opid]
                     desc.ret = completion.ret
-                    if desc.ts is None and completion.ts is not None:
+                    if completion.ts is not None:  # a no-writeback read: no update phase
                         desc.ts = completion.ts
                     history.append(Event(RESPONSE_EVENT, desc, tick, state.lt, pid))
                     if pid in self.crash_pending:
@@ -497,7 +485,7 @@ class _Run:
             del queues[tick]
             if not later:
                 del queues[tick + 1]
-        return QUIESCENT
+        return True
 
     def _crash(self, pid: ProcessId, tick: int) -> None:
         if self.states[pid].opid is None or self.cfg.mid_op_crash:

@@ -42,7 +42,7 @@ from dsmlab.core import (
 from dsmlab.files import ParseError, _fail, _load
 from dsmlab.protocol import Invoke, StepOutput
 from dsmlab.simnet import (
-    _CRASH, _DELIVER, _INVOKE, HORIZON, QUIESCENT, MessageRecord, SimConfig, _Run
+    _CRASH, _DELIVER, _INVOKE, MessageRecord, SimConfig, _Run
 )
 
 
@@ -428,11 +428,11 @@ class HeapRun(_Run):
     def _push(self, due: int, kind: str, payload) -> None:
         heappush(self.heap, (due, next(self.seq), kind, payload))
 
-    def _drain(self) -> str:
+    def _drain(self) -> bool:
         while self.heap:
             due, _, kind, payload = heappop(self.heap)
             if due > self.cfg.max_ticks:
-                return HORIZON
+                return False
             pid = payload.msg.receiver if kind == _DELIVER else payload
             if pid in self.crashed:
                 if kind == _DELIVER:
@@ -446,7 +446,7 @@ class HeapRun(_Run):
                 self._invoke(pid, due)
             else:
                 self._deliver(pid, payload, due)
-        return QUIESCENT
+        return True
 
     def _invoke(self, pid: int, tick: int) -> None:
         spec = self.workload[pid][self.next_op[pid]]

@@ -89,6 +89,24 @@ def test_run_on_a_jsonl_config_keeps_the_config(tmp_path, capsys):
     assert (tmp_path / "cfg.jsonl.msgs.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "name, out, clash",
+    [("c.txt", "c.txt", "c.txt"), ("h.msgs.jsonl", "h.jsonl", "h.msgs.jsonl")],
+    ids=["history-is-config", "sidecar-is-config"],
+)
+def test_run_refuses_to_write_over_its_config(tmp_path, capsys, name, out, clash):
+    cfg = _cfg(tmp_path, name=name)
+    before = cfg.read_bytes()
+    # a path that resolves to the config is refused however it is spelled
+    out_path = tmp_path / "sub" / ".." / out
+    assert main(["run", str(cfg), "--out", str(out_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    error = f"{out_path.with_name(clash)}: writing it would overwrite the config"
+    assert (captured.out, captured.err) == ("", f"dsmlab: invalid config: {error}\n")
+    assert cfg.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_run_round_shapes_in_summary(tmp_path, capsys):
     cfg = _cfg(tmp_path, "n = 5\nseed = 1\nops_per_process = 3\n")
     assert main(["run", str(cfg)]) == EXIT_OK

@@ -163,20 +163,27 @@ def test_scan_finds_unread_module_names():
 
 
 def _class_members(tree: ast.Module):
-    """(class name, member name, defining statement) for each method and
-    property of each class; dunders are called by the interpreter."""
+    """(class name, member name, defining statement) for each method,
+    property and annotated field (of a dataclass or a NamedTuple alike) of
+    each class; dunders are called by the interpreter."""
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef):
             for stmt in cls.body:
-                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not stmt.name.startswith("__")):
-                    yield cls.name, stmt.name, stmt
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                if not name.startswith("__"):
+                    yield cls.name, name, stmt
 
 
 def unread_class_members(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """Methods and properties of the `defining` modules' classes that no
-    module of `readers` reads outside their own definition. Reads match by
-    identifier, as in unread_module_names."""
+    """Methods, properties and annotated fields of the `defining` modules'
+    classes that no module of `readers` reads outside their own definition.
+    Reads match by identifier, as in unread_module_names: building a class
+    by keyword or by position reads none of its fields."""
     used = sum((_reads(ast.parse(src)) for src in readers.values()), Counter())
     return [
         f"{m}: {cls}.{name}"
@@ -194,10 +201,18 @@ def test_scan_finds_unread_class_members():
         "    def again(self):\n        return self.again()\n"  # only itself
         "    def hook(self):\n        pass\n"
         "class D(C):\n    def run(self):\n        return 0\n"
+        "@dataclass\nclass E:\n    kept: int\n    built: int = 0\n    plain = 1\n"
+        "class F(NamedTuple):\n    x: int\n    y: int\n"
     )
-    b = "from a import D\nD().run()\ngetattr(D(), 'hook')\n"
-    assert unread_class_members({"a": a}, {"a": a, "b": b}) == ["a: C.again"]
-    assert unread_class_members({"a": a}, {"a": a}) == ["a: C.again", "a: C.hook", "a: D.run"]
+    b = (
+        "from a import D, E, F\nD().run()\ngetattr(D(), 'hook')\n"
+        "e = E(kept=1, built=2)\nprint(e.kept, F(1, 2).x)\n"
+    )
+    with_b = ["a: C.again", "a: E.built", "a: F.y"]  # keywords and positions read no field
+    assert unread_class_members({"a": a}, {"a": a, "b": b}) == with_b
+    assert unread_class_members({"a": a}, {"a": a}) == [
+        "a: C.again", "a: C.hook", "a: D.run", "a: E.kept", "a: E.built", "a: F.x", "a: F.y"
+    ]
 
 
 def _package_names_unread_by(*dirs: str, scan=unread_module_names) -> list[str]:
@@ -228,9 +243,9 @@ def test_package_module_names_are_read_outside_the_tests():
 
 
 def test_package_methods_and_properties_are_read_outside_the_tests():
-    # a method is the blind spot of the module-level scan
+    # methods, properties and fields are the blind spot of the module-level scan
     unread = _package_names_unread_by("src/dsmlab", "perfbench", scan=unread_class_members)
-    assert not unread, f"methods and properties that only the tests read: {unread}"
+    assert not unread, f"methods, properties and fields that only the tests read: {unread}"
 
 
 REFUSALS = frozenset({"ConfigError", "ParseError", "HistoryError"})

@@ -18,8 +18,6 @@ from dsmlab.simnet import (
     ConfigError,
     DelayRule,
     FixedLinkDelay,
-    HORIZON,
-    QUIESCENT,
     SimConfig,
     UniformDelay,
     Workload,
@@ -239,8 +237,6 @@ def test_config_validation_errors():
         SimConfig(n=3, crashes=((7, 0),)).validate()  # pid out of range
     with pytest.raises(ConfigError):
         SimConfig(n=3, max_ticks=0).validate()
-    with pytest.raises(ConfigError, match="^adversarial default delay must be >= 1$"):
-        AdversarialSchedule(default=0).validate(3)
     # link and rule pids lie in 1..n; a rule may also say "self" or "other"
     for links in ({(0, 1): 2}, {(1, 4): 2}):
         with pytest.raises(ConfigError, match="outside 1..3"):
@@ -330,7 +326,6 @@ def test_adversarial_rules_first_match_wins():
             DelayRule(kind="update", receiver="self", lo=1),
             DelayRule(kind="update", lo=50),
         ),
-        default=1,
     )
     cfg = SimConfig(n=3, seed=2, delay=sched,
                     workload=Workload(ops_per_process=1, read_fraction=0.0))
@@ -366,11 +361,10 @@ def test_horizon_outcome_is_distinct():
     cfg = SimConfig(n=3, seed=0, max_ticks=5,
                     delay=UniformDelay(4, 9), workload=Workload(ops_per_process=3))
     t = run_simulation(cfg)
-    assert t.outcome == HORIZON
     assert not t.quiescent
     full = run_simulation(SimConfig(n=3, seed=0, delay=UniformDelay(4, 9),
                                     workload=Workload(ops_per_process=3)))
-    assert full.outcome == QUIESCENT
+    assert full.quiescent
 
 
 def test_generate_workload_is_deterministic_and_bounded():
@@ -496,13 +490,13 @@ def test_tick_queues_match_the_heap_scheduler(monkeypatch):
         assert calls[0] == heap_run.deferrals, label
         assert serialize_history(fast.history) == serialize_history(ref.history), label
         assert serialize_message_log(fast) == serialize_message_log(ref), label
-        assert (fast.crash_log, fast.outcome) == (ref.crash_log, ref.outcome), label
+        assert (fast.crash_log, fast.quiescent) == (ref.crash_log, ref.quiescent), label
         crashed = {p for p, _ in fast.crash_log}
         cases = (
             ("think time 0", cfg.workload.think_time == 0),
             ("crash at tick 0", any(tick == 0 for _, tick in fast.crash_log)),
             ("mid-op crash", any(d.ret is None and d.proc in crashed for d in fast.ops.values())),
-            ("horizon cut", fast.outcome == HORIZON),
+            ("horizon cut", not fast.quiescent),
         )
         covered |= {case for case, hit in cases if hit}
     assert covered == {"think time 0", "crash at tick 0", "mid-op crash", "horizon cut"}

@@ -69,7 +69,7 @@ def _delays(rng: random.Random, n: int) -> dict:
         "uniform": UniformDelay(1, rng.randint(1, 12)),
         "fixed": FixedLinkDelay(default=rng.randint(1, 4), links=links),
         "adversarial": AdversarialSchedule(
-            rules=rng.sample(rules, rng.randint(1, len(rules))), default=rng.randint(1, 3)
+            rules=(*rng.sample(rules, rng.randint(1, len(rules))), DelayRule(lo=rng.randint(1, 3)))
         ),
     }
 
