@@ -22,9 +22,15 @@ per message in send order, with thirteen keys in a fixed order:
 
 Both writers format each record line directly as its canonical spelling:
 compact, keys in the order above, every string through the json encoder
-(ASCII escapes). Equal traces therefore produce byte-equal files. A writer
-streams its lines to the file in chunks of _CHUNK lines, so no string or
-bytes object of the file's size is built; serialize_* join the same lines.
+(ASCII escapes). Equal traces therefore produce byte-equal files. A sidecar
+line writes its kind's fixed fields as literals (an ack's null reg, ts and
+val; a response's null reg). The copies of a query or an update that one
+step broadcasts differ only in receiver and delivery, so the fields before
+and after the receiver, send_rt included, are formatted once per outbox:
+they are reused while consecutive records agree on kind, every message
+field but the receiver, and send_rt. A writer streams its lines to the
+file in chunks of _CHUNK lines, so no string or bytes object of the file's
+size is built; serialize_* join the same lines.
 The readers stream a file too, in one pass: each parser iterates the open
 text file's numbered lines, which keep their "\n", or takes a whole text,
 which it splits at "\n". A byte that is not UTF-8 is read as an escape, which
@@ -56,7 +62,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -377,30 +383,33 @@ def sidecar_path(history_path: Union[str, Path]) -> Path:
     return p.with_name(p.stem + ".msgs.jsonl")
 
 
-def _message_line(rec: MessageRecord) -> str:
-    m = rec.msg
-    reg = getattr(m, "reg", None)
-    tsv = getattr(m, "tsv", None)
-    if tsv is None:
-        payload = '"ts":null,"val":null'
-    else:
-        payload = f'"ts":[{tsv.ts.lt},{tsv.ts.pid}],"val":{tsv.val}'
-    recv_rt, recv_lt = rec.recv_rt, rec.recv_lt
-    return (
-        f'{{"kind":{_string(m.kind)},"sender":{m.sender},"receiver":{m.receiver},'
-        f'"lt":{m.lt},"rid":{m.rid},"reg":{"null" if reg is None else _string(reg)},'
-        f'{payload},"send_rt":{rec.send_rt},'
-        f'"recv_rt":{"null" if recv_rt is None else recv_rt},'
-        f'"recv_lt":{"null" if recv_lt is None else recv_lt},'
-        f'"handled":{"true" if rec.handled else "false"},'
-        f'"dropped":{"true" if rec.dropped else "false"}}}\n'
-    )
+def _ts_val(p: Optional[TimestampValuePair]) -> str:
+    return '"ts":null,"val":null' if p is None else f'"ts":[{p.ts.lt},{p.ts.pid}],"val":{p.val}'
 
 
 def _message_lines(trace: Trace) -> Iterator[str]:
-    c = trace.config
-    header = _encode({"protocol": c.protocol, "n": c.n, "seed": c.seed})
-    return chain((header + "\n",), map(_message_line, trace.message_log))
+    c, key = trace.config, None
+    yield _encode({"protocol": c.protocol, "n": c.n, "seed": c.seed}) + "\n"
+    for rec in trace.message_log:
+        m, recv_rt, recv_lt = rec.msg, rec.recv_rt, rec.recv_lt
+        tail = (f'"recv_rt":{"null" if recv_rt is None else recv_rt},'
+                f'"recv_lt":{"null" if recv_lt is None else recv_lt},'
+                f'"handled":{"true" if rec.handled else "false"},'
+                f'"dropped":{"true" if rec.dropped else "false"}}}\n')  # the delivery fields
+        if (kind := m.kind) == "ack":
+            yield (f'{{"kind":"ack","sender":{m.sender},"receiver":{m.receiver},"lt":{m.lt},'
+                   f'"rid":{m.rid},"reg":null,"ts":null,"val":null,"send_rt":{rec.send_rt},{tail}')
+        elif kind == "response":
+            yield (f'{{"kind":"response","sender":{m.sender},"receiver":{m.receiver},"lt":{m.lt},'
+                   f'"rid":{m.rid},"reg":null,{_ts_val(m.tsv)},"send_rt":{rec.send_rt},{tail}')
+        else:  # a query or an update: one copy of a broadcast
+            shared = (kind, m.sender, m[2:], rec.send_rt)  # all but the receiver
+            if shared != key:
+                key, reg = shared, "null" if m.reg is None else _string(m.reg)
+                head = f'{{"kind":{_string(kind)},"sender":{m.sender},"receiver":'
+                body = (f',"lt":{m.lt},"rid":{m.rid},"reg":{reg},'
+                        f'{_ts_val(getattr(m, "tsv", None))},"send_rt":{rec.send_rt},')
+            yield f"{head}{m.receiver}{body}{tail}"
 
 
 def serialize_message_log(trace: Trace) -> str:

@@ -444,6 +444,39 @@ def test_writers_match_the_json_reference_on_hostile_values():
     assert serialize_message_log(trace).isascii()
 
 
+def test_the_sidecar_writer_shares_broadcast_fields_only_while_they_agree():
+    # The writer formats the fields that a query's or an update's copies share
+    # once, and reuses them while consecutive records agree on kind, every
+    # message field but the receiver, and send_rt. Each pair below differs in
+    # one of these alone (and in the receiver), so a shorter key reuses a
+    # stale spelling here.
+    class Relabelled(Query):  # a query's fields, spelled under another kind
+        kind = "update"
+
+    tsv, other = TimestampValuePair(Timestamp(3, 1), 7), TimestampValuePair(Timestamp(3, 2), 7)
+    q, u = Query(1, 1, 3, 4, "r0"), Update(1, 1, 3, 4, "r0", tsv)
+    pairs = [(q, Update(1, 2, 3, 4, "r0", None), 5), (q, Relabelled(1, 2, 3, 4, "r0"), 5)]  # kind
+    pairs += [(q, q._replace(receiver=2, **change), 5) for change in (
+        {"sender": 2}, {"lt": 9}, {"rid": 9}, {"reg": "r1"},
+    )]
+    pairs += [(u, u._replace(receiver=2, tsv=t), 5) for t in (other, None)]  # tsv
+    pairs += [(q, q._replace(receiver=2), 6), (u, u._replace(receiver=2), 6)]  # send_rt
+    log = []
+    for first, second, send_rt in pairs:
+        log += [MessageRecord(first, 5, 6, 7, True, False), MessageRecord(second, send_rt)]
+    # a broadcast's copies with replies between them, and replies without a tsv
+    log += [
+        MessageRecord(u, 8, 9, 10, True, False),
+        MessageRecord(Ack(1, 1, 10, 4), 9, 12, 13, True, False),
+        MessageRecord(u._replace(receiver=2), 8, None, None, False, True),
+        MessageRecord(Response(2, 1, 11, 4, None), 10),
+        MessageRecord(u._replace(receiver=3), 8, 14, 15, False, False),
+        MessageRecord(Response(3, 1, 11, 4, tsv), 10, 11, 12, False, False),
+    ]
+    trace = SimpleNamespace(config=SimpleNamespace(protocol="sc_abd", n=3, seed=0), message_log=log)
+    assert serialize_message_log(trace) == dict_serialize_message_log(trace)
+
+
 def test_an_event_without_lt_cannot_be_serialized():
     inv, res = op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(0, 1), res=(1, 2))
     for e in (inv, res):
