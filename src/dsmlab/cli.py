@@ -21,14 +21,14 @@ Exit codes are part of the interface:
     5  history or message log unreadable, not UTF-8, malformed or ill-formed
   141  stdout closed before the output was written (128 + SIGPIPE, as a shell reports it)
 
-Each command runs with the cyclic GC paused, and main restores the caller's setting; library calls
-leave it alone. What a command builds is acyclic, freed by refcounts: only the parser's cycles wait.
+main, run_simulation and run_campaign each run with the cyclic GC paused by `simnet.acyclic`, which
+restores the caller's setting and runs the young pass that the call made due before it returns. What
+a command builds is acyclic, freed by refcounts: only the parser's cycles wait for the collector.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 from collections import Counter
@@ -61,7 +61,7 @@ from .files import (
 )
 from .fuzz import run_campaign
 from .protocol import MUTANTS, MUTANT_NONE, PROTOCOLS, SC_ABD
-from .simnet import ConfigError, op_rounds, run_simulation
+from .simnet import ConfigError, acyclic, op_rounds, run_simulation
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -321,11 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@acyclic
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; the one place where a refusal becomes an exit code."""
     args = build_parser().parse_args(argv)
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -337,9 +336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HistoryError as exc:
         _err(f"unusable history: {exc}")
         return EXIT_PARSE
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def console_main() -> None:

@@ -53,6 +53,7 @@ from .simnet import (
     SimConfig,
     UniformDelay,
     Workload,
+    acyclic,
     quorum_size,
     run_simulation,
 )
@@ -194,6 +195,7 @@ class CampaignReport:
         ]
 
 
+@acyclic
 def run_campaign(
     runs: int,
     mutant: str = MUTANT_NONE,
@@ -203,7 +205,8 @@ def run_campaign(
     """Run `runs` seeded simulations and check each one. Every history small
     enough for the brute-force oracle is verified against it in both
     directions: rejections are sorted into confirmed versus conservative, and
-    a spurious acceptance cannot pass silently."""
+    a spurious acceptance cannot pass silently. The cyclic collector is
+    paused for the whole campaign (`acyclic`)."""
     report = CampaignReport(protocol=protocol, mutant=mutant)
     for i in range(runs):
         seed = seed0 + i

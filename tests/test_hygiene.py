@@ -312,14 +312,22 @@ def test_scan_finds_gc_policy_calls():
     assert gc_policy_calls("disable()\nx.gc.enable()\n") == []
 
 
-def test_collector_policy_lives_only_in_cli():
-    found = {
-        p.name: calls
-        for p in sorted(SRC.glob("*.py"))
-        if (calls := gc_policy_calls(p.read_text(encoding="utf-8"))) and p.name != "cli.py"
-    }
-    assert not found, f"collector policy set outside cli.py: {found}"
-    assert gc_policy_calls((SRC / "cli.py").read_text(encoding="utf-8"))
+def test_collector_policy_lives_only_in_acyclic():
+    """Every collector policy call of src/ sits in one function,
+    simnet.acyclic, the pause shared by cli.main, run_simulation and
+    run_campaign: a call found elsewhere, even at module level, fails."""
+    homes = {}
+    for p in sorted(SRC.glob("*.py")):
+        source = p.read_text(encoding="utf-8")
+        tops = ast.parse(source).body
+        for call in gc_policy_calls(source):
+            line = int(call.split(":")[0].removeprefix("line "))
+            home = next((f"{p.name}: {t.name}" for t in tops
+                         if isinstance(t, ast.FunctionDef) and t.lineno <= line <= t.end_lineno),
+                        f"{p.name}: module")
+            homes.setdefault(home, []).append(call.split(": ")[1])
+    assert homes.keys() == {"simnet.py: acyclic"}, f"collector policy set outside acyclic: {homes}"
+    assert sorted(homes["simnet.py: acyclic"]) == ["gc.disable", "gc.enable"]
 
 
 def well_formedness_checks(module: str, source: str) -> list[str]:
