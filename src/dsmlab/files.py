@@ -514,17 +514,16 @@ def _parse_links(raw: str) -> dict:
 
 def _parse_rule(raw: str) -> DelayRule:
     # kind[@rid]:sender>receiver:delay[-delay]; "*" matches anything, receiver
-    # may be "self" or "other".
+    # may be "self" or "other". Every token is stripped of its spaces alike.
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"rule {raw!r} must look like kind:sender>receiver:delay")
-    kindspec, linkspec, delayspec = (p.strip() for p in parts)
-    kind_raw, _, rid_raw = kindspec.partition("@")
-    kind = None if kind_raw == "*" else kind_raw
-    rid = int(rid_raw) if rid_raw else None
-    snd_raw, sep, rcv_raw = linkspec.partition(">")
+    (kind_raw, at, rid_raw), (snd_raw, sep, rcv_raw), (lo_raw, dash, hi_raw) = (
+        [t.strip() for t in part.partition(c)] for part, c in zip(parts, "@>-"))
     if not sep:
         raise ConfigError(f"rule {raw!r}: link must look like sender>receiver")
+    kind = None if kind_raw == "*" else kind_raw
+    rid = int(rid_raw) if at else None  # an empty rid is refused, not read as any
     sender = None if snd_raw == "*" else int(snd_raw)
     if rcv_raw == "*":
         receiver = None
@@ -532,8 +531,7 @@ def _parse_rule(raw: str) -> DelayRule:
         receiver = rcv_raw
     else:
         receiver = int(rcv_raw)
-    lo_raw, sep, hi_raw = delayspec.partition("-")
-    hi = int(hi_raw) if sep else None
+    hi = int(hi_raw) if dash else None
     return DelayRule(kind=kind, sender=sender, receiver=receiver, rid=rid, lo=int(lo_raw), hi=hi)
 
 

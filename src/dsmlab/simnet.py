@@ -12,11 +12,12 @@ order, so two runs of the same config produce identical traces byte for byte.
 Time is an integer tick counter. Each message is delayed independently by the
 configured delay model (at least one tick; uniform draws run randint's own
 rejection loop over getrandbits), which is also what reorders messages. Each
-tick has one FIFO list of (pid, kind, payload) entries, and a heap holds each
-pending tick once. One loop, `_Run._drain`, runs each tick's entries in push
-order, stepping the protocol and applying each step in place. A process runs
-at most one handler per tick: a busy process's entry is re-appended to the
-next tick's list through `_defer`, once for each tick that it waits.
+tick has one FIFO list of (pid, rec) entries, rec a delivery's MessageRecord
+or None for an invocation, and a heap holds each pending tick once. One loop,
+`_Run._drain`, runs each tick's entries in push order, after the crashes due
+by then, stepping the protocol and applying each step in place. A process
+runs at most one handler per tick: a busy process's entry is re-appended to
+the next tick's list through `_defer`, once for each tick that it waits.
 """
 
 from __future__ import annotations
@@ -370,11 +371,6 @@ def op_rounds(history: Sequence[Event], records: Sequence[MessageRecord]) -> dic
 
 # --- engine -----------------------------------------------------------------
 
-_INVOKE = "invoke"
-_DELIVER = "deliver"
-_CRASH = "crash"
-
-
 class _Run:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -383,7 +379,7 @@ class _Run:
         self.states: dict[ProcessId, State] = {p: p1._replace(pid=p) for p in range(1, cfg.n + 1)}
         self.step = sc_abd_step if cfg.protocol == SC_ABD else mw_abd_step
         self.heap: list[int] = []  # each tick with pending events, once
-        self.queues: dict[int, list] = {}  # tick -> [(pid, kind, payload)], push order
+        self.queues: dict[int, list] = {}  # tick -> [(pid, rec or None)], push order
         self.last_exec: dict[ProcessId, int] = {p: -1 for p in self.states}
         self.crashed: set[ProcessId] = set()
         self.crash_pending: set[ProcessId] = set()
@@ -395,11 +391,11 @@ class _Run:
         self.ops: dict[OpId, OperationDescriptor] = {}
         self.crash_log: list[tuple[ProcessId, int]] = []
 
-    def _push(self, due: int, kind: str, pid: ProcessId) -> None:
+    def _push(self, due: int, pid: ProcessId) -> None:
         queue = self.queues.setdefault(due, [])
         if not queue:  # the tick's first event
             heappush(self.heap, due)
-        queue.append((pid, kind, None))
+        queue.append((pid, None))
 
     # One handler per process per tick: the loop re-appends a busy process's
     # entry to the next tick's list through this method, which returns True,
@@ -409,11 +405,9 @@ class _Run:
         return True
 
     def run(self) -> Trace:
-        for pid, tick in self.cfg.crashes:
-            self._push(tick, _CRASH, pid)
         for p in self.states:
             if self.workload[p]:
-                self._push(0, _INVOKE, p)
+                self._push(0, p)
         quiescent = self._drain()
         h, log = self.history, self.message_log
         return Trace(self.cfg, h, log, op_rounds(h, log), self.ops, self.crash_log, quiescent)
@@ -421,31 +415,34 @@ class _Run:
     def _drain(self) -> bool:
         """The event loop: each tick's events in push order, up to the
         horizon (then False), each step's effects applied in place. Events
-        appended to the tick being drained (think time 0) are reached too."""
+        appended to the tick being drained (think time 0) are reached too.
+        Crashes due by the horizon apply in tick order (ties in config order),
+        first in the first tick popped at or after theirs, or after the last
+        event: a crash is never pending work."""
         cfg, heap, queues, states, ops = self.cfg, self.heap, self.queues, self.states, self.ops
         last_exec, crashed, log = self.last_exec, self.crashed, self.message_log
         workload, next_op, history = self.workload, self.next_op, self.history
         step, rng, delay, defer = self.step, self.rng, cfg.delay.delay, self._defer
+        crashes = sorted((c for c in cfg.crashes if c[1] <= cfg.max_ticks), key=lambda c: c[1])
         while heap:
             tick = heappop(heap)
+            while crashes and crashes[0][1] <= tick:
+                self._crash(*crashes.pop(0))
             if tick > cfg.max_ticks:
                 return False
             later = queues.setdefault(tick + 1, [])  # where busy processes' entries go
             for entry in queues[tick]:
-                pid, kind, payload = entry
+                pid, rec = entry
                 if pid in crashed:
-                    if kind == _DELIVER:
-                        payload.dropped = True
-                    continue
-                if kind == _CRASH:
-                    self._crash(pid, tick)
+                    if rec is not None:
+                        rec.dropped = True
                     continue
                 if last_exec[pid] >= tick:
                     if not later:
                         heappush(heap, tick + 1)
                     defer(later, entry)
                     continue
-                if kind == _INVOKE:
+                if rec is None:
                     spec = workload[pid][next_op[pid]]
                     next_op[pid] += 1
                     opid = next(self.opids)
@@ -454,11 +451,11 @@ class _Run:
                     history.append(Event(INVOCATION, desc, tick, state.lt, pid))
                 else:
                     before = states[pid]
-                    state, outbox, completion = step(before, payload.msg)
-                    payload.recv_rt = tick
-                    payload.recv_lt = state.lt
+                    state, outbox, completion = step(before, rec.msg)
+                    rec.recv_rt = tick
+                    rec.recv_lt = state.lt
                     # Only a reply to a closed phase leaves the state as is.
-                    payload.handled = state is not before
+                    rec.handled = state is not before
                 states[pid] = state
                 last_exec[pid] = tick
                 if outbox:
@@ -466,13 +463,13 @@ class _Run:
                     if type(first) is Update:  # the op's one update phase carries its ts
                         ops[state.opid].ts = first.tsv.ts
                     for msg in outbox:
-                        rec = MessageRecord(msg, tick)
-                        log.append(rec)
+                        sent = MessageRecord(msg, tick)
+                        log.append(sent)
                         due = tick + delay(msg, rng)  # >= 1: models are validated
                         if not (queue := queues.get(due)):  # the tick's first event
                             heappush(heap, due)
                             queue = queues.setdefault(due, [])
-                        queue.append((msg.receiver, _DELIVER, rec))
+                        queue.append((msg.receiver, sent))
                 if completion is not None:
                     desc = ops[completion.opid]
                     desc.ret = completion.ret
@@ -483,10 +480,12 @@ class _Run:
                         self.crash_pending.discard(pid)
                         self._crash(pid, tick)  # the process is idle again
                     elif next_op[pid] < len(workload[pid]):
-                        self._push(tick + cfg.workload.think_time, _INVOKE, pid)
+                        self._push(tick + cfg.workload.think_time, pid)
             del queues[tick]
             if not later:
                 del queues[tick + 1]
+        for crash in crashes:  # due after the last event
+            self._crash(*crash)
         return True
 
     def _crash(self, pid: ProcessId, tick: int) -> None:

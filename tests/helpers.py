@@ -7,10 +7,10 @@ later invocation, the dense well-formedness test projects the history once
 per process, the dense clock audit groups every lt by process and tick
 before comparing, the dict clock audit keeps each execution's first lt in
 a (process, tick) dict and sorts its keys, the heap scheduler pushes every
-event, deferrals included, onto one (due, seq) heap, and the dict writers
-and parsers build
-or validate one dict per file record through the json module; they exist so
-the real code has something independent to disagree with.
+event, crashes and deferrals included, onto one (due, seq) heap, and the
+dict writers and parsers build or validate one dict per file record through
+the json module; they exist so the real code has something independent to
+disagree with.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ from dsmlab.core import (
 )
 from dsmlab.files import ParseError, _fail, _load
 from dsmlab.protocol import Invoke, StepOutput
-from dsmlab.simnet import (
-    _CRASH, _DELIVER, _INVOKE, MessageRecord, SimConfig, _Run
-)
+from dsmlab.simnet import MessageRecord, SimConfig, _Run
 
 
 def op_events(
@@ -412,20 +410,32 @@ def dict_audit_logical_clocks(trace) -> bool:
     return True
 
 
+_INVOKE, _DELIVER, _CRASH = "invoke", "deliver", "crash"
+
+
 class HeapRun(_Run):
     """The simulator on its earlier scheduler: one heap entry per event,
-    ordered by (due tick, push counter), with the crash and busy checks made
-    as each event is popped and a busy process's event pushed again at its
-    next free tick, and each event handled by its own methods. The reference
-    for _Run's one event loop over per-tick FIFO lists; `deferrals` counts
-    the busy re-pushes."""
+    crashes included, ordered by (due tick, push counter), with the crash
+    and busy checks made as each event is popped and a busy process's event
+    pushed again at its next free tick, and each event handled by its own
+    methods. The crashes are pushed first, so each comes first in its tick,
+    and a crash past the horizon is never pushed. The reference for _Run's
+    one event loop over per-tick FIFO lists and a crash schedule;
+    `deferrals` counts the busy re-pushes."""
 
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
         self.seq = itertools.count()
         self.deferrals = 0
 
-    def _push(self, due: int, kind: str, payload) -> None:
+    def run(self):
+        for pid, tick in self.cfg.crashes:
+            if tick <= self.cfg.max_ticks:
+                self._push(tick, pid, _CRASH)
+        return super().run()
+
+    def _push(self, due: int, payload, kind: str = _INVOKE) -> None:
+        """payload is the pid of an invocation or a crash, a delivery's record."""
         heappush(self.heap, (due, next(self.seq), kind, payload))
 
     def _drain(self) -> bool:
@@ -441,7 +451,7 @@ class HeapRun(_Run):
                 self._crash(pid, due)
             elif self.last_exec[pid] >= due:
                 self.deferrals += 1
-                self._push(self.last_exec[pid] + 1, kind, payload)
+                self._push(self.last_exec[pid] + 1, payload, kind)
             elif kind == _INVOKE:
                 self._invoke(pid, due)
             else:
@@ -479,7 +489,7 @@ class HeapRun(_Run):
                 rec = MessageRecord(msg=msg, send_rt=tick)
                 self.message_log.append(rec)
                 delay = max(1, self.cfg.delay.delay(msg, self.rng))
-                self._push(tick + delay, _DELIVER, rec)
+                self._push(tick + delay, rec, _DELIVER)
         if out.completion is not None:
             desc = self.ops[out.completion.opid]
             desc.ret = out.completion.ret
@@ -490,7 +500,7 @@ class HeapRun(_Run):
                 self.crash_pending.discard(pid)
                 self._crash(pid, tick)
             elif self.next_op[pid] < len(self.workload[pid]):
-                self._push(tick + self.cfg.workload.think_time, _INVOKE, pid)
+                self._push(tick + self.cfg.workload.think_time, pid)
 
 
 # --- file formats through dicts and the json module --------------------------------

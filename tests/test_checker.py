@@ -794,6 +794,21 @@ def test_visibility_audit_fails_on_inverted_timestamps():
     assert not audit_timestamp_visibility(FakeTrace())
 
 
+def test_visibility_audit_skips_an_op_without_a_timestamp():
+    # A read cut short by a mid-op crash before its update phase carries no
+    # ts; it follows a completed write on its register and is skipped, not
+    # compared (None < Timestamp would raise).
+    w = op_events(1, 1, WRITE, "x", arg=4, ret=OK, ts=(2, 1), inv=(0, 2), res=(1, 3))
+    r = op_events(2, 2, READ, "x", inv=(2, 4))
+
+    class FakeTrace:
+        history = merge_by_rt(w, r)
+        protocol = "sc_abd"
+
+    assert r[0].op.ts is None
+    assert audit_timestamp_visibility(FakeTrace())
+
+
 def test_visibility_audit_ignores_query_only_kinds_per_protocol():
     # under sc_abd a write has no query phase, so a "stale" write ts after a
     # newer completed write is a different property, not this audit's target

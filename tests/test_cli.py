@@ -200,6 +200,14 @@ def test_run_reports_crashes(tmp_path, capsys):
     assert "crashes applied: p3@" in capsys.readouterr().out
 
 
+def test_run_with_a_crash_past_the_horizon_exits_0(tmp_path, capsys):
+    # The crash never applies, and it does not hold the finished run open.
+    cfg = _cfg(tmp_path, "n = 3\nseed = 1\ncrashes = 2@5000\nmax_ticks = 1000\n")
+    assert main(["run", str(cfg)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "outcome: quiescent" in out and "crashes applied" not in out
+
+
 # --- check ------------------------------------------------------------------------
 
 

@@ -956,6 +956,19 @@ def test_parse_config_adversarial_schedule():
     assert (r3.kind, r3.sender, r3.receiver, r3.lo, r3.hi) == (None, None, None, 2, 4)
 
 
+def test_parse_config_strips_every_rule_token_alike():
+    for spaced, plain in [
+        ("update:1> self:5", "update:1>self:5"),
+        ("query: * >2:5", "query:*>2:5"),
+        ("query @2:1>2:5", "query@2:1>2:5"),
+        ("update:1> 2:5", "update:1>2:5"),
+        ("query@ 2:1>2:5", "query@2:1>2:5"),
+        (" ack @ 3 : 2 > other : 4 - 6 ", "ack@3:2>other:4-6"),
+    ]:
+        rules = parse_config(f"delay = adversarial\nschedule = {spaced}").delay.rules
+        assert rules == parse_config(f"delay = adversarial\nschedule = {plain}").delay.rules, spaced
+
+
 def test_parse_config_mutant_and_mid_op_crash():
     cfg = parse_config("mutant = small-quorum\nmid_op_crash = true\ncrashes = 2@9")
     assert cfg.mutant == "small-quorum" and cfg.mid_op_crash
@@ -979,6 +992,7 @@ def test_parse_config_rejections():
         "crashes = 2:40",                       # bad crash syntax
         "delay = adversarial\nschedule = update:*>other",   # missing delay
         "delay = adversarial\nschedule = gossip:*>*:1",     # unknown kind
+        "delay = adversarial\nschedule = query@:1>2:5",     # empty rid
         "n = 0",                                # fails SimConfig.validate
         "n = 3\ncrashes = 1@2, 2@3",            # too many crashes for quorum
         "delay = uniform\ndelay_min = 5\ndelay_max = 2",

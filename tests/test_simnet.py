@@ -5,6 +5,7 @@ import random
 import statistics
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -461,7 +462,8 @@ def test_single_process_cluster_runs():
 
 def scheduler_corpus():
     """Criterion-3 campaign configs on both protocols, both mutant schedules
-    on both protocols, and the trace-pin corpus."""
+    on both protocols, the trace-pin corpus, and crash schedules with a tie
+    out of pid order, a crash after the last event and one past the horizon."""
     for protocol in PROTOCOLS:
         for seed in range(1000):
             yield f"campaign/{protocol}/{seed}", campaign_config("none", seed, protocol)
@@ -469,6 +471,10 @@ def scheduler_corpus():
             for seed in range(100):
                 yield f"{mutant}/{protocol}/{seed}", campaign_config(mutant, seed, protocol)
     yield from trace_pin_corpus()
+    for seed in range(20):
+        crashes = ((2, seed % 9), (1, seed % 9)) if seed % 2 else ((1, 300 + seed), (2, 5000))
+        yield f"crash schedule/{seed}", SimConfig(
+            n=5, seed=seed, crashes=crashes, max_ticks=1000, mid_op_crash=seed % 4 == 1)
 
 
 def test_tick_queues_match_the_heap_scheduler(monkeypatch):
@@ -492,14 +498,39 @@ def test_tick_queues_match_the_heap_scheduler(monkeypatch):
         assert serialize_message_log(fast) == serialize_message_log(ref), label
         assert (fast.crash_log, fast.quiescent) == (ref.crash_log, ref.quiescent), label
         crashed = {p for p, _ in fast.crash_log}
+        # With no message dropped, every event's tick is in the history or a receive tick.
+        log = fast.message_log
+        last = max([e.rt for e in fast.history] + [r.recv_rt for r in log if r.recv_rt], default=-1)
+        past = {p for p, tick in cfg.crashes if tick > cfg.max_ticks}
         cases = (
             ("think time 0", cfg.workload.think_time == 0),
             ("crash at tick 0", any(tick == 0 for _, tick in fast.crash_log)),
             ("mid-op crash", any(d.ret is None and d.proc in crashed for d in fast.ops.values())),
             ("horizon cut", not fast.quiescent),
+            ("crashes tied in a tick", any(
+                a[1] == b[1] and a[0] > b[0] for a, b in zip(fast.crash_log, fast.crash_log[1:]))),
+            ("crash after the last event", not any(r.dropped for r in log) and any(
+                tick > last for _, tick in fast.crash_log)),
+            ("crash past the horizon", fast.quiescent and past and not past & crashed),
         )
         covered |= {case for case, hit in cases if hit}
-    assert covered == {"think time 0", "crash at tick 0", "mid-op crash", "horizon cut"}
+    assert covered == {
+        "think time 0", "crash at tick 0", "mid-op crash", "horizon cut", "crashes tied in a tick",
+        "crash after the last event", "crash past the horizon",
+    }
+
+
+def test_a_crash_is_no_pending_work():
+    # Every op completes by tick 47; the crash at tick 5000 lies past the
+    # horizon, so it never applies and the run is quiescent.
+    cfg = SimConfig(n=3, seed=1, crashes=((2, 5000),), max_ticks=1000)
+    t = run_simulation(cfg)
+    assert t.quiescent and t.crash_log == []
+    assert len(t.completed()) == 6 and max(e.rt for e in t.history) == 47
+    # Due by the horizon but after the last event, it applies at its own tick.
+    late = run_simulation(replace(cfg, crashes=((2, 900),)))
+    assert late.quiescent and late.crash_log == [(2, 900)]
+    assert serialize_message_log(late) == serialize_message_log(t)
 
 
 def test_delay_draws_match_randint():
