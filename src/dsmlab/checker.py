@@ -540,8 +540,8 @@ def complete_history(h: Sequence[Event]) -> _OpTable:
     base_rt = max((e.rt for e in out), default=0)
     base_lt = max((e.lt for e in out), default=0)
     for i, o in enumerate(sorted(fresh)):
-        d = fresh[o]
-        out.append(Event(RESPONSE_EVENT, d, base_rt + 1 + i, base_lt + 1 + i, d.proc))
+        proc = events[events.inv[o]].proc
+        out.append(Event(RESPONSE_EVENT, fresh[o], base_rt + 1 + i, base_lt + 1 + i, proc))
     return _OpTable(out)
 
 

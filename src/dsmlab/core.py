@@ -121,13 +121,12 @@ RESPONSE_EVENT = "res"
 
 @dataclass(eq=False)
 class OperationDescriptor:
-    """One read or write execution, shared by its invocation and response
-    events. `ret` is filled in at completion; `ts` records the timestamp the
-    operation installed or wrote back (set when its update phase starts), and
-    stays None for operations that never reached one."""
+    """What one read or write execution ran, shared by its invocation and
+    response events, which say which process ran it and when. `ret` is set at
+    completion; `ts` is the timestamp the operation installed or wrote back
+    (set when its update phase starts), or None if it never reached one."""
 
     opid: OpId
-    proc: ProcessId
     kind: str  # READ | WRITE
     reg: RegisterId
     arg: Optional[Value] = None  # writes only

@@ -134,15 +134,19 @@ def _variants(values: dict, variants: list) -> dict:
     return lookup
 
 
-def _message_variant(cls: type) -> tuple:
-    """A message kind's variant: each key that its type lacks is spelled null,
+# Each message kind's shape: its type, and whether it carries a reg and a tsv.
+_MSG_SHAPES = {k: (t, "reg" in t._fields, "tsv" in t._fields) for k, t in MESSAGE_TYPES.items()}
+
+
+def _message_variant(cls: type, has_reg: bool, has_tsv: bool) -> tuple:
+    """A message kind's variant: each key that its shape lacks is spelled null,
     and a tsv's ts and val are one group, so that the build gets the message's
     fields, then the record's."""
-    k, tsv = len(cls._fields), "tsv" in cls._fields
+    k = len(cls._fields)
     return (
         lambda values: MessageRecord(tuple.__new__(cls, islice(values, k)), *values),
-        {"kind": f'"{cls.kind}"', "reg": f"({_STR})" if "reg" in cls._fields else "null",
-         "ts": f"({_TS}" if tsv else "null", "val": f"{_INT})" if tsv else "null"},
+        {"kind": f'"{cls.kind}"', "reg": f"({_STR})" if has_reg else "null",
+         "ts": f"({_TS}" if has_tsv else "null", "val": f"{_INT})" if has_tsv else "null"},
     )
 
 
@@ -154,7 +158,7 @@ _EVENT_VARIANTS = _variants(_EVENT_VALUES, [
     (tuple, {"kind": '("res")', "op": '("read")', "val": "(null)", "ret": f"({_INT})"}),
     (tuple, {"kind": '("res")', "op": '("write")', "val": f"({_INT})", "ret": '("OK")'}),
 ])
-_MESSAGE_VARIANTS = _variants(_MSG_VALUES, [_message_variant(c) for c in MESSAGE_TYPES.values()])
+_MESSAGE_VARIANTS = _variants(_MSG_VALUES, [_message_variant(*s) for s in _MSG_SHAPES.values()])
 
 
 class _Values(dict):
@@ -190,7 +194,7 @@ def _event_line(e: Event) -> str:
     ret = op.ret if e.kind == RESPONSE_EVENT else None
     ts = op.ts
     return (
-        f'{{"kind":{_string(e.kind)},"opid":{op.opid},"proc":{op.proc},'
+        f'{{"kind":{_string(e.kind)},"opid":{op.opid},"proc":{e.proc},'
         f'"op":{_string(op.kind)},"reg":{_string(op.reg)},'
         f'"val":{"null" if op.arg is None else op.arg},'
         f'"ret":{"null" if ret is None else _string(ret) if type(ret) is str else ret},'
@@ -293,7 +297,7 @@ def parse_history(text: Union[str, Iterable[str]]) -> list[Event]:
     write return typing, and timestamp well-formedness. Pending operations
     (invocation without response) are allowed.
     """
-    descs: dict[int, OperationDescriptor] = {}
+    invs: dict[int, Event] = {}  # opid -> its invocation event
     events: list[Event] = []
     prev_rt: Optional[int] = None
     for lineno, valid, fields in _records(_numbered(text), _EVENT_VALUES, _EVENT_VARIANTS):
@@ -327,16 +331,18 @@ def parse_history(text: Union[str, Iterable[str]]) -> list[Event]:
         if kind == INVOCATION:
             if not valid and ret is not None:
                 _fail(lineno, "an invocation record must have ret null")
-            if opid in descs:
+            if opid in invs:
                 _fail(lineno, f"op {opid} invoked twice")
-            d = descs[opid] = OperationDescriptor(opid, proc, opkind, reg, val, None, ts)
+            d = OperationDescriptor(opid, opkind, reg, val, None, ts)
+            e = invs[opid] = Event(kind, d, rt, lt, proc)
         else:
-            d = descs.get(opid)
-            if d is None:
+            inv = invs.get(opid)
+            if inv is None:
                 _fail(lineno, f"response for op {opid} before its invocation")
+            d = inv.op
             if d.ret is not None:
                 _fail(lineno, f"op {opid} responded to twice")
-            if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, reg, val):
+            if (inv.proc, d.kind, d.reg, d.arg) != (proc, opkind, reg, val):
                 _fail(lineno, f"response for op {opid} disagrees with its invocation")
             if opkind == READ:
                 if not valid and type(ret) is not int:
@@ -348,7 +354,8 @@ def parse_history(text: Union[str, Iterable[str]]) -> list[Event]:
                     _fail(lineno, f"op {opid} carries two different timestamps")
                 d.ts = ts
             d.ret = ret
-        events.append(Event(kind, d, rt, lt, proc))
+            e = Event(kind, d, rt, lt, proc)
+        events.append(e)
     return events
 
 
@@ -422,9 +429,6 @@ def write_message_log(path: Union[str, Path], trace: Trace) -> None:
 
 _MSG_INT_KEYS = tuple(k for k, v in _MSG_VALUES.items() if v == _INT)
 # kind -> (message type, whether it carries a reg, whether it carries ts and val)
-_MSG_SHAPES = {k: (t, "reg" in t._fields, "tsv" in t._fields) for k, t in MESSAGE_TYPES.items()}
-
-
 def parse_message_log(text: Union[str, Iterable[str]]) -> tuple[dict, list[MessageRecord]]:
     """Parse a sidecar, its text or its lines, back into (header, message
     records). Blank lines are skipped but counted, so an error names the

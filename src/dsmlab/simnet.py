@@ -319,7 +319,7 @@ class Trace:
     message_log: list  # list[MessageRecord], send order
     rounds: dict  # opid -> communication rounds initiated, from op_rounds
     ops: dict  # opid -> OperationDescriptor
-    crash_log: list  # [(pid, tick)] actually applied, in order
+    crash_log: list  # [(pid, tick)] of each crash applied, in the order applied
     quiescent: bool  # False when the run hit the tick horizon
 
     @property
@@ -381,15 +381,13 @@ class _Run:
         self.heap: list[int] = []  # each tick with pending events, once
         self.queues: dict[int, list] = {}  # tick -> [(pid, rec or None)], push order
         self.last_exec: dict[ProcessId, int] = {p: -1 for p in self.states}
-        self.crashed: set[ProcessId] = set()
+        self.crashed: dict[ProcessId, int] = {}  # pid -> crash tick, in the order applied
         self.crash_pending: set[ProcessId] = set()
-        self.workload = generate_workload(cfg, self.rng)
-        self.next_op: dict[ProcessId, int] = {p: 0 for p in self.states}
-        self.opids = itertools.count(1)
+        # each process's operations not yet invoked, last first, so that pop() takes the next
+        self.workload = {p: ops[::-1] for p, ops in generate_workload(cfg, self.rng).items()}
         self.history: list[Event] = []
         self.message_log: list[MessageRecord] = []
-        self.ops: dict[OpId, OperationDescriptor] = {}
-        self.crash_log: list[tuple[ProcessId, int]] = []
+        self.ops: dict[OpId, OperationDescriptor] = {}  # opid -> what ran; opids from 1, in order
 
     def _push(self, due: int, pid: ProcessId) -> None:
         queue = self.queues.setdefault(due, [])
@@ -409,8 +407,8 @@ class _Run:
             if self.workload[p]:
                 self._push(0, p)
         quiescent = self._drain()
-        h, log = self.history, self.message_log
-        return Trace(self.cfg, h, log, op_rounds(h, log), self.ops, self.crash_log, quiescent)
+        h, log, crashed = self.history, self.message_log, self.crashed
+        return Trace(self.cfg, h, log, op_rounds(h, log), self.ops, [*crashed.items()], quiescent)
 
     def _drain(self) -> bool:
         """The event loop: each tick's events in push order, up to the
@@ -421,7 +419,7 @@ class _Run:
         event: a crash is never pending work."""
         cfg, heap, queues, states, ops = self.cfg, self.heap, self.queues, self.states, self.ops
         last_exec, crashed, log = self.last_exec, self.crashed, self.message_log
-        workload, next_op, history = self.workload, self.next_op, self.history
+        workload, history = self.workload, self.history
         step, rng, delay, defer = self.step, self.rng, cfg.delay.delay, self._defer
         crashes = sorted((c for c in cfg.crashes if c[1] <= cfg.max_ticks), key=lambda c: c[1])
         while heap:
@@ -443,10 +441,9 @@ class _Run:
                     defer(later, entry)
                     continue
                 if rec is None:
-                    spec = workload[pid][next_op[pid]]
-                    next_op[pid] += 1
-                    opid = next(self.opids)
-                    desc = ops[opid] = OperationDescriptor(opid, pid, *spec)
+                    spec = workload[pid].pop()
+                    opid = len(ops) + 1
+                    desc = ops[opid] = OperationDescriptor(opid, *spec)
                     state, outbox, completion = step(states[pid], Invoke(opid, *spec))
                     history.append(Event(INVOCATION, desc, tick, state.lt, pid))
                 else:
@@ -479,7 +476,7 @@ class _Run:
                     if pid in self.crash_pending:
                         self.crash_pending.discard(pid)
                         self._crash(pid, tick)  # the process is idle again
-                    elif next_op[pid] < len(workload[pid]):
+                    elif workload[pid]:
                         self._push(tick + cfg.workload.think_time, pid)
             del queues[tick]
             if not later:
@@ -490,8 +487,7 @@ class _Run:
 
     def _crash(self, pid: ProcessId, tick: int) -> None:
         if self.states[pid].opid is None or self.cfg.mid_op_crash:
-            self.crashed.add(pid)
-            self.crash_log.append((pid, tick))
+            self.crashed[pid] = tick
         else:  # deferred to the op boundary, so histories stay complete
             self.crash_pending.add(pid)
 

@@ -60,7 +60,6 @@ def op_events(
     `inv` and `res` are (rt, lt) pairs."""
     d = OperationDescriptor(
         opid=opid,
-        proc=proc,
         kind=kind,
         reg=reg,
         arg=arg,
@@ -216,7 +215,7 @@ def random_history(
         else:
             opid, kind, reg, val = pending[p].pop(0)
             ts = Timestamp(lt[p], p) if annotate_ts and kind == WRITE else None
-            d = OperationDescriptor(opid=opid, proc=p, kind=kind, reg=reg, arg=val, ts=ts)
+            d = OperationDescriptor(opid=opid, kind=kind, reg=reg, arg=val, ts=ts)
             open_op[p] = d
             events.append(Event(INVOCATION, d, rt, lt[p], p))
     return events
@@ -245,7 +244,7 @@ def dense_op_rounds(history: Sequence[Event], records) -> dict:
         if e.kind == INVOCATION:
             inv_rt[e.op.opid] = e.rt
         else:
-            spans[e.op.opid] = (e.op.proc, inv_rt[e.op.opid], e.rt)
+            spans[e.op.opid] = (e.proc, inv_rt[e.op.opid], e.rt)
     rounds = {}
     for opid, (proc, lo, hi) in spans.items():
         rids = {
@@ -459,10 +458,9 @@ class HeapRun(_Run):
         return True
 
     def _invoke(self, pid: int, tick: int) -> None:
-        spec = self.workload[pid][self.next_op[pid]]
-        self.next_op[pid] += 1
-        opid = next(self.opids)
-        desc = OperationDescriptor(opid=opid, proc=pid, kind=spec.kind, reg=spec.reg, arg=spec.val)
+        spec = self.workload[pid].pop()
+        opid = len(self.ops) + 1
+        desc = OperationDescriptor(opid=opid, kind=spec.kind, reg=spec.reg, arg=spec.val)
         self.ops[opid] = desc
         out = self.step(self.states[pid], Invoke(opid, spec.kind, spec.reg, spec.val))
         self.history.append(Event(INVOCATION, desc, tick, out.state.lt, pid))
@@ -499,7 +497,7 @@ class HeapRun(_Run):
             if pid in self.crash_pending:
                 self.crash_pending.discard(pid)
                 self._crash(pid, tick)
-            elif self.next_op[pid] < len(self.workload[pid]):
+            elif self.workload[pid]:
                 self._push(tick + self.cfg.workload.think_time, pid)
 
 
@@ -516,7 +514,7 @@ def _event_record(e: Event) -> dict:
     return {
         "kind": e.kind,
         "opid": op.opid,
-        "proc": op.proc,
+        "proc": e.proc,
         "op": op.kind,
         "reg": op.reg,
         "val": op.arg,
@@ -589,6 +587,7 @@ def dict_parse_history(text: str) -> list[Event]:
     """files.parse_history with a set of keys built per line, one helper
     call per type test, and keyword construction."""
     descs: dict[int, OperationDescriptor] = {}
+    inv_proc: dict[int, int] = {}  # opid -> the process of its invocation record
     responded: set[int] = set()
     events: list[Event] = []
     prev_rt: Optional[int] = None
@@ -631,15 +630,16 @@ def dict_parse_history(text: str) -> list[Event]:
             if opid in descs:
                 _fail(lineno, f"op {opid} invoked twice")
             descs[opid] = OperationDescriptor(
-                opid=opid, proc=proc, kind=opkind, reg=rec["reg"], arg=val, ts=ts
+                opid=opid, kind=opkind, reg=rec["reg"], arg=val, ts=ts
             )
+            inv_proc[opid] = proc
         else:
             d = descs.get(opid)
             if d is None:
                 _fail(lineno, f"response for op {opid} before its invocation")
             if opid in responded:
                 _fail(lineno, f"op {opid} responded to twice")
-            if (d.proc, d.kind, d.reg, d.arg) != (proc, opkind, rec["reg"], val):
+            if (inv_proc[opid], d.kind, d.reg, d.arg) != (proc, opkind, rec["reg"], val):
                 _fail(lineno, f"response for op {opid} disagrees with its invocation")
             if opkind == READ:
                 if not _is_int(ret):

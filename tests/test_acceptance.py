@@ -103,10 +103,10 @@ def test_criterion_2_termination_under_crash_bound():
         assert t.quiescent, i
         correct = set(range(1, n + 1)) - set(pids)
         per_proc = {p: 0 for p in correct}
-        for d in t.ops.values():
-            if d.proc in correct:
-                assert d.ret is not None, (i, d.opid, d.proc)
-                per_proc[d.proc] += 1
+        for e in t.history:
+            if e.kind == INVOCATION and e.proc in correct:
+                assert e.op.ret is not None, (i, e.op.opid, e.proc)
+                per_proc[e.proc] += 1
                 checked += 1
         assert all(c == cfg.workload.ops_per_process for c in per_proc.values()), i
     print(f"\ncriterion 2 PASS: {checked} operations by correct processes all "

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from dsmlab import files
+from dsmlab.checker import check_sc_bruteforce, check_sc_compositional
 from dsmlab.cli import EXIT_PARSE, main
 from dsmlab.core import (
     OK, READ, WRITE, Ack, Event, Query, Response, Timestamp, TimestampValuePair, Update,
@@ -80,6 +81,20 @@ def test_history_round_trip_with_pending_ops():
                workload=Workload(ops_per_process=3, think_time=0))
     text = serialize_history(t.history)
     assert serialize_history(parse_history(text)) == text
+
+
+def test_a_stale_read_by_the_writer_is_rejected_before_and_after_a_round_trip():
+    # p1 writes 1, then p1 reads 0. Which process ran an op is said by its
+    # events alone, so the checkers and the writer read the same p1.
+    h = merge_by_rt(
+        op_events(1, 1, WRITE, "x", arg=1, ret=OK, ts=(1, 1), inv=(1, 1), res=(2, 2)),
+        op_events(2, 1, READ, "x", ret=0, inv=(3, 3), res=(4, 4)),
+    )
+    back = parse_history(serialize_history(h))
+    assert [e.proc for e in back] == [e.proc for e in h]
+    for history in (h, back):
+        assert check_sc_compositional(history).rejected
+        assert check_sc_bruteforce(history).rejected
 
 
 def test_history_file_round_trip(tmp_path):

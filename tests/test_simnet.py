@@ -97,11 +97,17 @@ def test_crash_deferral_keeps_histories_complete():
     # deferral: crashes land at operation boundaries, so nothing is pending
     assert all(d.ret is not None for d in t.ops.values())
     # crashed processes stop invoking; correct ones finish their workload
-    by_proc = {}
-    for d in t.ops.values():
-        by_proc[d.proc] = by_proc.get(d.proc, 0) + 1
+    by_proc = Counter(e.proc for e in t.history if e.kind == INVOCATION)
     for p in (2, 3, 5):
-        assert by_proc.get(p, 0) == 3
+        assert by_proc[p] == 3
+
+
+def test_crashes_are_logged_in_the_order_they_apply():
+    # Both crashes wait for an op to end: p2's, due at tick 3, applies at
+    # tick 11, before p1's, due at tick 2, applies at tick 14.
+    cfg = SimConfig(n=5, seed=1, crashes=((1, 2), (2, 3)),
+                    workload=Workload(ops_per_process=3, think_time=0))
+    assert run_simulation(cfg).crash_log == [(2, 11), (1, 14)]
 
 
 def test_mid_op_crash_can_leave_pending_ops():
@@ -111,9 +117,9 @@ def test_mid_op_crash_can_leave_pending_ops():
                         workload=Workload(ops_per_process=3, think_time=0))
         t = run_simulation(cfg)
         assert t.quiescent
-        pend = [d for d in t.ops.values() if d.ret is None]
-        for d in pend:
-            assert d.proc == 2
+        pend = [e for e in t.history if e.kind == INVOCATION and e.op.ret is None]
+        for e in pend:
+            assert e.proc == 2
         pending_seen = pending_seen or bool(pend)
     assert pending_seen
 
@@ -149,8 +155,8 @@ def test_crash_bound_is_tight():
                 t = _Run(cfg).run()
                 assert t.quiescent, (protocol, n, seed)
                 down = {p for p, _ in crashes}
-                assert any(d.ret is None and d.proc not in down for d in t.ops.values()), (
-                    protocol, n, seed)
+                assert any(e.kind == INVOCATION and e.op.ret is None and e.proc not in down
+                           for e in t.history), (protocol, n, seed)
 
 
 def _messages_per_op(t) -> Counter:
@@ -505,7 +511,8 @@ def test_tick_queues_match_the_heap_scheduler(monkeypatch):
         cases = (
             ("think time 0", cfg.workload.think_time == 0),
             ("crash at tick 0", any(tick == 0 for _, tick in fast.crash_log)),
-            ("mid-op crash", any(d.ret is None and d.proc in crashed for d in fast.ops.values())),
+            ("mid-op crash", any(e.kind == INVOCATION and e.op.ret is None and e.proc in crashed
+                                 for e in fast.history)),
             ("horizon cut", not fast.quiescent),
             ("crashes tied in a tick", any(
                 a[1] == b[1] and a[0] > b[0] for a, b in zip(fast.crash_log, fast.crash_log[1:]))),
