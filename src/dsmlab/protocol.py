@@ -2,11 +2,13 @@
 
 Each step consumes one stimulus (an operation invocation or a received
 message) and returns the successor state, the messages to send, and, when a
-quorum fires, the completed operation's result. Steps are pure functions of
-(state, stimulus): the input state is never mutated and identical inputs give
-identical outputs, which is what makes simulation runs replayable. States,
-outputs and messages are value NamedTuples that ``tuple.__new__`` builds from
-all their fields, minus the class call's arity check, which the tests make.
+quorum fires, the result of the process's one open operation. Operations
+carry no ids: a recorder that numbers them keeps each process's latest one.
+Steps are pure functions of (state, stimulus): the input state is never
+mutated and identical inputs give identical outputs, which is what makes
+simulation runs replayable. States, outputs and messages are value
+NamedTuples that ``tuple.__new__`` builds from all their fields, minus the
+class call's arity check, which the tests make.
 
 One state machine serves two protocols that share the replica side (query and
 update handlers), the message vocabulary and the read path; they differ only
@@ -47,7 +49,6 @@ from .core import (
     WRITE,
     Ack,
     Message,
-    OpId,
     ProcessId,
     Query,
     RegisterId,
@@ -79,16 +80,17 @@ class ProtocolError(Exception):
 
 
 class Invoke(NamedTuple):
-    """Operation invocation stimulus handed to a process by its client."""
+    """An operation as a client draws it, and the stimulus that starts it:
+    ``read(reg)`` or ``write(reg, val)``."""
 
-    opid: OpId
     kind: str  # READ | WRITE
     reg: RegisterId
     val: Optional[Value] = None  # writes only
 
 
 class Completion(NamedTuple):
-    opid: OpId
+    """The result of the operation that the process last invoked."""
+
     ret: Union[Value, str]  # read value, or OK for writes
     # Timestamp selected by the completing op's query phase, reported only
     # when no update round follows to carry it (the no-writeback mutant);
@@ -112,9 +114,9 @@ class State(NamedTuple):
     ``tvps`` maps registers to their stored timestamp-value pair; registers
     never written hold the initial pair ((0, 0), 0), kept implicit via
     ``pair``. ``responses`` collects (pair, responder) during a query phase
-    and responder ids during update phases. ``opid`` is None exactly when
-    the process is idle; invoking while an operation is open is a client
-    error.
+    and responder ids during update phases. ``reg`` is the open operation's
+    register, None exactly when the process is idle; invoking while an
+    operation is open is a client error.
     """
 
     pid: ProcessId
@@ -124,9 +126,8 @@ class State(NamedTuple):
     tvps: dict = {}  # shared default, never mutated: updates build a new dict
     responses: frozenset = frozenset()
     reading: bool = False
-    reg: RegisterId = ""  # the open operation's register
+    reg: Optional[RegisterId] = None  # the open operation's register; None when idle
     val: Optional[Value] = 0  # value to write (kept across a query round) or value read
-    opid: Optional[OpId] = None
 
     def pair(self, reg: RegisterId) -> TimestampValuePair:
         return self.tvps.get(reg, INITIAL_PAIR)
@@ -174,15 +175,16 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
     query round, the logical clock already dominates every pair observed."""
     if stim.kind not in (READ, WRITE):
         raise ProtocolError(f"unknown operation kind {stim.kind!r}")
-    if stim.opid is None:
-        raise ProtocolError(f"process {s.pid} invoked an operation without an opid")
-    if s.opid is not None:
-        raise ProtocolError(f"process {s.pid} invoked op {stim.opid} while op {s.opid} is open")
+    if stim.reg is None:
+        raise ProtocolError(f"process {s.pid} invoked a {stim.kind} without a register")
+    if stim.kind == WRITE and stim.val is None:
+        raise ProtocolError(f"process {s.pid} invoked a write of {stim.reg!r} without a value")
+    if s.reg is not None:
+        raise ProtocolError(f"process {s.pid} invoked a {stim.kind} while an operation is open")
     lt = clock_local_step(s.lt)
     rid = s.rid + 1
     reading = stim.kind == READ
-    nxt = _new(State, (s.pid, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val,
-                       stim.opid))
+    nxt = _new(State, (s.pid, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val))
     if reading or s.v.query_writes:
         return _new(StepOutput, (nxt, _broadcast(s, Query, lt, rid, stim.reg), None))
     tsv = _new(TimestampValuePair, (_new(Timestamp, (lt, s.pid)), stim.val))
@@ -191,9 +193,9 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
 
 def handle_query(s: State, m: Query) -> StepOutput:
     """Replica side: answer with the stored pair for the queried register."""
-    pid, v, lt, rid, tvps, responses, reading, reg, val, opid = s
+    pid, v, lt, rid, tvps, responses, reading, reg, val = s
     lt = clock_merge(lt, m.lt)
-    nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val, opid))
+    nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val))
     reply = _new(Response, (pid, m.sender, lt, m.rid, s.pair(m.reg)))
     return _new(StepOutput, (nxt, (reply,), None))
 
@@ -202,11 +204,11 @@ def handle_update(s: State, m: Update) -> StepOutput:
     """Replica side: install the incoming pair if its timestamp is larger
     than the stored one, then acknowledge. Installation is monotone, so
     replayed or reordered updates are harmless."""
-    pid, v, lt, rid, tvps, responses, reading, reg, val, opid = s
+    pid, v, lt, rid, tvps, responses, reading, reg, val = s
     lt = clock_merge(lt, m.lt)
     if s.pair(m.reg).ts < m.tsv.ts:
         tvps = {**tvps, m.reg: m.tsv}
-    nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val, opid))
+    nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val))
     return _new(StepOutput, (nxt, (_new(Ack, (pid, m.sender, lt, m.rid)),), None))
 
 
@@ -220,7 +222,7 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     quorum returned. A closed update phase completes the operation: a read
     returns the value its query phase selected, a write returns OK.
     """
-    pid, v, lt, rid, tvps, responses, reading, reg, val, opid = s
+    pid, v, lt, rid, tvps, responses, reading, reg, val = s
     if m.rid != rid:
         # Reply to a closed phase: drop it whole, clock merge included, so
         # the discarded message leaves no trace in the state.
@@ -229,12 +231,12 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     query = type(m) is Response
     responses = responses | {(m.tsv, m.sender) if query else m.sender}
     if len(responses) != v.threshold:
-        nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val, opid))
+        nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val))
         return _new(StepOutput, (nxt, (), None))
     rid += 1
     if not query:
-        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, val, None))
-        return _new(StepOutput, (nxt, (), _new(Completion, (opid, val if reading else OK, None))))
+        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, None, val))
+        return _new(StepOutput, (nxt, (), _new(Completion, (val if reading else OK, None))))
     # Largest pair by timestamp; the responder id only makes the choice
     # deterministic, equal timestamps always carry equal values.
     tsv, _ = max(responses, key=lambda pr: (pr[0].ts, pr[1]))
@@ -242,9 +244,9 @@ def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
         tsv = _new(TimestampValuePair, (_new(Timestamp, (tsv.ts.lt + 1, pid)), val))
     elif not v.writeback:
         # Mutant: return the value without propagating it to a majority.
-        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, None))
-        return _new(StepOutput, (nxt, (), _new(Completion, (opid, tsv.val, tsv.ts))))
-    nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val, opid))
+        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, None, tsv.val))
+        return _new(StepOutput, (nxt, (), _new(Completion, (tsv.val, tsv.ts))))
+    nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val))
     return _new(StepOutput, (nxt, _broadcast(s, Update, lt, rid, reg, tsv), None))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from heapq import heappop, heappush
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from .core import (
     Event,
@@ -43,7 +43,6 @@ from .core import (
     READ,
     RESPONSE_EVENT,
     Update,
-    Value,
     WRITE,
     quorum_size,
 )
@@ -270,26 +269,21 @@ class SimConfig:
         return self
 
 
-class OpSpec(NamedTuple):
-    kind: str  # READ | WRITE
-    reg: str
-    val: Optional[Value]  # None for reads
-
-
-def generate_workload(cfg: SimConfig, rng: random.Random) -> dict[ProcessId, list[OpSpec]]:
-    """Pre-draw every process's operation sequence from the run generator.
-    Register names are r0..r{k-1}; written values are positive, so 0 is only
-    ever the initial register value."""
+def generate_workload(cfg: SimConfig, rng: random.Random) -> dict[ProcessId, list[Invoke]]:
+    """Pre-draw every process's operation sequence from the run generator,
+    each op the very `Invoke` that the process is stepped with. Register
+    names are r0..r{k-1}; written values are positive, so 0 is only ever the
+    initial register value."""
     w = cfg.workload
-    out: dict[ProcessId, list[OpSpec]] = {}
+    out: dict[ProcessId, list[Invoke]] = {}
     for p in range(1, cfg.n + 1):
         ops = []
         for _ in range(w.ops_per_process):
             reg = f"r{_uniform(rng, 0, w.register_count - 1)}"
             if rng.random() < w.read_fraction:
-                ops.append(_new(OpSpec, (READ, reg, None)))
+                ops.append(_new(Invoke, (READ, reg, None)))
             else:
-                ops.append(_new(OpSpec, (WRITE, reg, _uniform(rng, 1, 999_999))))
+                ops.append(_new(Invoke, (WRITE, reg, _uniform(rng, 1, 999_999))))
         out[p] = ops
     return out
 
@@ -388,6 +382,8 @@ class _Run:
         self.history: list[Event] = []
         self.message_log: list[MessageRecord] = []
         self.ops: dict[OpId, OperationDescriptor] = {}  # opid -> what ran; opids from 1, in order
+        # pid -> its latest op, where the protocol's opid-free steps land
+        self.running: dict[ProcessId, OperationDescriptor] = {}
 
     def _push(self, due: int, pid: ProcessId) -> None:
         queue = self.queues.setdefault(due, [])
@@ -419,7 +415,7 @@ class _Run:
         event: a crash is never pending work."""
         cfg, heap, queues, states, ops = self.cfg, self.heap, self.queues, self.states, self.ops
         last_exec, crashed, log = self.last_exec, self.crashed, self.message_log
-        workload, history = self.workload, self.history
+        workload, history, running = self.workload, self.history, self.running
         step, rng, delay, defer = self.step, self.rng, cfg.delay.delay, self._defer
         crashes = sorted((c for c in cfg.crashes if c[1] <= cfg.max_ticks), key=lambda c: c[1])
         while heap:
@@ -441,10 +437,10 @@ class _Run:
                     defer(later, entry)
                     continue
                 if rec is None:
-                    spec = workload[pid].pop()
+                    op = workload[pid].pop()
                     opid = len(ops) + 1
-                    desc = ops[opid] = OperationDescriptor(opid, *spec)
-                    state, outbox, completion = step(states[pid], Invoke(opid, *spec))
+                    desc = ops[opid] = running[pid] = OperationDescriptor(opid, *op)
+                    state, outbox, completion = step(states[pid], op)
                     history.append(Event(INVOCATION, desc, tick, state.lt, pid))
                 else:
                     before = states[pid]
@@ -458,7 +454,7 @@ class _Run:
                 if outbox:
                     first = outbox[0]
                     if type(first) is Update:  # the op's one update phase carries its ts
-                        ops[state.opid].ts = first.tsv.ts
+                        running[pid].ts = first.tsv.ts
                     for msg in outbox:
                         sent = MessageRecord(msg, tick)
                         log.append(sent)
@@ -468,7 +464,7 @@ class _Run:
                             queue = queues.setdefault(due, [])
                         queue.append((msg.receiver, sent))
                 if completion is not None:
-                    desc = ops[completion.opid]
+                    desc = running[pid]
                     desc.ret = completion.ret
                     if completion.ts is not None:  # a no-writeback read: no update phase
                         desc.ts = completion.ts
@@ -486,7 +482,7 @@ class _Run:
         return True
 
     def _crash(self, pid: ProcessId, tick: int) -> None:
-        if self.states[pid].opid is None or self.cfg.mid_op_crash:
+        if self.states[pid].reg is None or self.cfg.mid_op_crash:
             self.crashed[pid] = tick
         else:  # deferred to the op boundary, so histories stay complete
             self.crash_pending.add(pid)

@@ -40,7 +40,7 @@ from dsmlab.core import (
     WRITE,
 )
 from dsmlab.files import ParseError, _fail, _load
-from dsmlab.protocol import Invoke, StepOutput
+from dsmlab.protocol import StepOutput
 from dsmlab.simnet import MessageRecord, SimConfig, _Run
 
 
@@ -458,11 +458,11 @@ class HeapRun(_Run):
         return True
 
     def _invoke(self, pid: int, tick: int) -> None:
-        spec = self.workload[pid].pop()
+        op = self.workload[pid].pop()
         opid = len(self.ops) + 1
-        desc = OperationDescriptor(opid=opid, kind=spec.kind, reg=spec.reg, arg=spec.val)
-        self.ops[opid] = desc
-        out = self.step(self.states[pid], Invoke(opid, spec.kind, spec.reg, spec.val))
+        desc = OperationDescriptor(opid=opid, kind=op.kind, reg=op.reg, arg=op.val)
+        self.ops[opid] = self.running[pid] = desc
+        out = self.step(self.states[pid], op)
         self.history.append(Event(INVOCATION, desc, tick, out.state.lt, pid))
         self._apply(pid, out, tick)
 
@@ -480,7 +480,7 @@ class HeapRun(_Run):
         if out.outbox:
             first = out.outbox[0]
             if first.kind == "update":
-                desc = self.ops[out.state.opid]
+                desc = self.running[pid]
                 if desc.ts is None:
                     desc.ts = first.tsv.ts
             for msg in out.outbox:
@@ -489,7 +489,7 @@ class HeapRun(_Run):
                 delay = max(1, self.cfg.delay.delay(msg, self.rng))
                 self._push(tick + delay, rec, _DELIVER)
         if out.completion is not None:
-            desc = self.ops[out.completion.opid]
+            desc = self.running[pid]
             desc.ret = out.completion.ret
             if desc.ts is None and out.completion.ts is not None:
                 desc.ts = out.completion.ts

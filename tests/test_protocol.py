@@ -30,21 +30,21 @@ from dsmlab.protocol import (
     initial_state,
     step,
 )
-from dsmlab.simnet import OpSpec, SimConfig, Workload, generate_workload, run_simulation
+from dsmlab.simnet import SimConfig, Workload, generate_workload, run_simulation
 from test_trace_pins import corpus as trace_pin_corpus
 
 
-def drive_write(n=3, pid=1, val=7, opid=1):
+def drive_write(n=3, pid=1, val=7):
     """Run one sc_abd write at process pid against hand-fed acks."""
     s = initial_state(pid, n)
-    out = step(s, Invoke(opid, WRITE, "x", val))
+    out = step(s, Invoke(WRITE, "x", val))
     return s, out
 
 
 def test_sc_write_broadcasts_update_with_own_timestamp():
     s0, out = drive_write()
     s = out.state
-    assert s.opid == 1 and s.lt == 1 and s.rid == 1
+    assert s.reg == "x" and s.lt == 1 and s.rid == 1
     assert len(out.outbox) == 3
     assert [m.receiver for m in out.outbox] == [1, 2, 3]  # self included
     for m in out.outbox:
@@ -60,12 +60,12 @@ def test_sc_write_completes_at_exact_ack_quorum():
     # first ack: no completion yet
     out = step(s, Ack(sender=1, receiver=1, lt=2, rid=1))
     assert out.completion is None and out.outbox == ()
-    assert out.state.opid == 1 and out.state.rid == 1  # still in the update phase
+    assert out.state.reg == "x" and out.state.rid == 1  # still in the update phase
     # second ack: quorum of 2 out of 3 fires exactly
     out = step(out.state, Ack(sender=2, receiver=1, lt=3, rid=1))
     assert out.completion is not None
-    assert out.completion.opid == 1 and out.completion.ret == OK
-    assert out.state.opid is None
+    assert out.completion.ret == OK
+    assert out.state.reg is None
     assert out.state.rid == 2  # phase closed, late acks are now stale
     # third ack (late): discarded outright, state untouched
     late = step(out.state, Ack(sender=3, receiver=1, lt=9, rid=1))
@@ -84,7 +84,7 @@ def test_duplicate_ack_does_not_advance_quorum():
 
 def test_stale_response_discarded_without_clock_merge():
     s = initial_state(1, 3)
-    out = step(s, Invoke(1, READ, "x"))
+    out = step(s, Invoke(READ, "x"))
     s = out.state
     stale = Response(sender=2, receiver=1, lt=50, rid=99, tsv=INITIAL_PAIR)
     out2 = step(s, stale)
@@ -95,25 +95,32 @@ def test_stale_response_discarded_without_clock_merge():
 def test_invoke_while_busy_is_an_error():
     for protocol in ("sc_abd", "mw_abd"):
         for kind in (READ, WRITE):
-            busy = step(initial_state(1, 3, protocol), Invoke(1, kind, "x", 4)).state
-            assert busy.opid == 1
+            busy = step(initial_state(1, 3, protocol), Invoke(kind, "x", 4)).state
+            assert busy.reg == "x"
             for again in (READ, WRITE):
                 with pytest.raises(ProtocolError):
-                    step(busy, Invoke(2, again, "x", 5))
+                    step(busy, Invoke(again, "x", 5))
 
 
-def test_invoke_without_an_opid_is_an_error():
+def test_invoke_without_a_register_is_an_error():
     for protocol in ("sc_abd", "mw_abd"):
         for kind in (READ, WRITE):
             with pytest.raises(ProtocolError):
-                step(initial_state(1, 3, protocol), Invoke(None, kind, "x", 4))
+                step(initial_state(1, 3, protocol), Invoke(kind, None, 4))
+
+
+def test_write_without_a_value_is_an_error():
+    for protocol in ("sc_abd", "mw_abd"):
+        with pytest.raises(ProtocolError, match=r"^process 1 invoked a write of 'x' without a value$"):
+            step(initial_state(1, 1, protocol), Invoke(WRITE, "x"))
+        assert step(initial_state(1, 1, protocol), Invoke(READ, "x")).state.reg == "x"
 
 
 def test_sc_read_two_phases_and_writeback_of_max():
     s = initial_state(2, 3)
-    out = step(s, Invoke(5, READ, "x"))
+    out = step(s, Invoke(READ, "x"))
     s = out.state
-    assert s.opid == 5 and s.reading and s.reg == "x"
+    assert s.reg == "x" and s.reading and s.reg == "x"
     assert all(isinstance(m, Query) for m in out.outbox) and len(out.outbox) == 3
     fresh = TimestampValuePair(Timestamp(4, 3), 42)
     stale = TimestampValuePair(Timestamp(2, 1), 17)
@@ -121,14 +128,14 @@ def test_sc_read_two_phases_and_writeback_of_max():
     assert out.outbox == () and out.completion is None
     out = step(out.state, Response(sender=3, receiver=2, lt=6, rid=s.rid, tsv=fresh))
     # quorum fired: write-back phase broadcasts the larger pair
-    assert out.state.opid == 5 and out.state.val == 42
+    assert out.state.reg == "x" and out.state.val == 42
     assert len(out.outbox) == 3
     assert all(isinstance(m, Update) and m.tsv == fresh and m.reg == "x" for m in out.outbox)
     rid2 = out.state.rid
     out = step(out.state, Ack(sender=2, receiver=2, lt=9, rid=rid2))
     out = step(out.state, Ack(sender=1, receiver=2, lt=10, rid=rid2))
-    assert out.completion == (5, 42, None)
-    assert out.state.opid is None
+    assert out.completion == (42, None)
+    assert out.state.reg is None
 
 
 def test_replica_query_answers_stored_pair():
@@ -174,17 +181,17 @@ def test_tvps_monotone_under_random_update_stream():
 
 def test_mw_write_queries_then_installs_above_max():
     s = initial_state(1, 3, protocol="mw_abd")
-    out = step(s, Invoke(1, WRITE, "x", 33))
+    out = step(s, Invoke(WRITE, "x", 33))
     s = out.state
     assert s.v.query_writes
-    assert s.opid == 1 and not s.reading and s.reg == "x" and s.val == 33
+    assert not s.reading and s.reg == "x" and s.val == 33
     assert len(out.outbox) == 3 and all(isinstance(m, Query) for m in out.outbox)
     r1 = TimestampValuePair(Timestamp(6, 2), 8)
     r2 = TimestampValuePair(Timestamp(4, 3), 9)
     out = step(s, Response(sender=2, receiver=1, lt=7, rid=s.rid, tsv=r1))
     out = step(out.state, Response(sender=3, receiver=1, lt=8, rid=s.rid, tsv=r2))
     # update phase installs (max.lt + 1, own pid) with the written value
-    assert out.state.opid == 1 and len(out.outbox) == 3
+    assert out.state.reg == "x" and len(out.outbox) == 3
     assert all(
         isinstance(m, Update) and m.tsv == TimestampValuePair(Timestamp(7, 1), 33)
         for m in out.outbox
@@ -192,24 +199,24 @@ def test_mw_write_queries_then_installs_above_max():
     rid2 = out.state.rid
     out = step(out.state, Ack(sender=1, receiver=1, lt=20, rid=rid2))
     out = step(out.state, Ack(sender=3, receiver=1, lt=21, rid=rid2))
-    assert out.completion == (1, OK, None)
+    assert out.completion == (OK, None)
 
 
 def test_mw_read_same_shape_as_sc_read():
     s = initial_state(2, 3, protocol="mw_abd")
-    out = step(s, Invoke(9, READ, "z"))
+    out = step(s, Invoke(READ, "z"))
     s = out.state
     pair = TimestampValuePair(Timestamp(3, 1), 77)
     out = step(s, Response(sender=1, receiver=2, lt=4, rid=s.rid, tsv=pair))
     out = step(out.state, Response(sender=2, receiver=2, lt=5, rid=s.rid, tsv=INITIAL_PAIR))
-    assert out.state.opid == 9 and out.state.val == 77
+    assert out.state.reg == "z" and out.state.val == 77
     assert len(out.outbox) == 3 and all(isinstance(m, Update) for m in out.outbox)
     assert all(m.tsv == pair and m.reg == "z" for m in out.outbox)
 
 
 def test_small_quorum_mutant_lowers_threshold():
     s = initial_state(1, 3, mutant=MUTANT_SMALL_QUORUM)
-    out = step(s, Invoke(1, WRITE, "x", 5))
+    out = step(s, Invoke(WRITE, "x", 5))
     # floor(3/2) = 1 ack completes the write
     out = step(out.state, Ack(sender=1, receiver=1, lt=2, rid=1))
     assert out.completion is not None and out.completion.ret == OK
@@ -217,7 +224,7 @@ def test_small_quorum_mutant_lowers_threshold():
 
 def test_no_writeback_mutant_skips_read_update_phase():
     s = initial_state(1, 3, mutant=MUTANT_NO_WRITEBACK)
-    out = step(s, Invoke(1, READ, "x"))
+    out = step(s, Invoke(READ, "x"))
     s = out.state
     pair = TimestampValuePair(Timestamp(8, 2), 3)
     out = step(s, Response(sender=2, receiver=1, lt=9, rid=s.rid, tsv=pair))
@@ -226,7 +233,7 @@ def test_no_writeback_mutant_skips_read_update_phase():
     assert out.outbox == ()
     assert out.completion is not None
     assert out.completion.ret == 3 and out.completion.ts == Timestamp(8, 2)
-    assert out.state.opid is None
+    assert out.state.reg is None
 
 
 def test_step_rejects_unknown_mutant():
@@ -247,7 +254,7 @@ def test_initial_state_resolves_the_variant_once():
 def test_step_rejects_unknown_op_kind_and_stimulus():
     s = initial_state(1, 3)
     with pytest.raises(ProtocolError):
-        step(s, Invoke(1, "cas", "x", 1))
+        step(s, Invoke("cas", "x", 1))
     with pytest.raises(ProtocolError):
         step(s, ("query", 2, 1))
 
@@ -256,8 +263,8 @@ def test_states_are_immutable_values():
     s = initial_state(1, 3)
     with pytest.raises(AttributeError):
         s.lt = 5
-    out = step(s, Invoke(1, WRITE, "x", 1))
-    assert s.opid is None and s.lt == 0  # original untouched
+    out = step(s, Invoke(WRITE, "x", 1))
+    assert s.reg is None and s.lt == 0  # original untouched
     assert out.state is not s
 
 
@@ -267,7 +274,7 @@ def test_states_and_messages_are_tuples_with_value_semantics():
     assert empty == {} and initial_state(1, 3).tvps is empty  # shared, never mutated
     # A stale reply returns the very input state: the simulator marks a
     # delivery handled by that identity.
-    s = step(initial_state(1, 3), Invoke(1, READ, "x")).state
+    s = step(initial_state(1, 3), Invoke(READ, "x")).state
     for stale in (Response(2, 1, 50, s.rid + 1, INITIAL_PAIR), Ack(2, 1, 50, s.rid - 1)):
         out = step(s, stale)
         assert out.state is s and out.outbox == () and out.completion is None
@@ -285,7 +292,7 @@ def test_states_and_messages_are_tuples_with_value_semantics():
 # --- positional construction --------------------------------------------------
 #
 # The handlers build states and messages positionally. Each case below starts
-# from a state whose ten fields hold ten distinct values and spells the
+# from a state whose nine fields hold nine distinct values and spells the
 # expected output with `_replace` and keywords, so a swapped positional
 # argument shows up as a wrong field, whatever the traces exercise.
 
@@ -295,9 +302,9 @@ HELD = TimestampValuePair(Timestamp(7, 4), 70)  # stored at "x", and one held re
 NEW = TimestampValuePair(Timestamp(12, 1), 80)
 
 
-def distinct_state(v=V_SC, responses=frozenset({(HELD, 4)}), reading=True, opid=19):
-    s = State(2, v, 11, 13, {"x": HELD}, responses, reading, "x", 17, opid)
-    assert len({repr(f) for f in s}) == len(State._fields) == 10
+def distinct_state(v=V_SC, responses=frozenset({(HELD, 4)}), reading=True, reg="x"):
+    s = State(2, v, 11, 13, {"x": HELD}, responses, reading, reg, 17)
+    assert len({repr(f) for f in s}) == len(State._fields) == 9
     return s
 
 
@@ -309,18 +316,18 @@ def positional_cases():
     """(label, state, stimulus, expected StepOutput) for every handler branch."""
     cases = []
     for v in (V_SC, V_MW):
-        s = distinct_state(v, opid=None)
-        fresh = dict(lt=12, rid=14, reg="y", responses=frozenset(), opid=23)
+        s = distinct_state(v, reg=None)
+        fresh = dict(lt=12, rid=14, reg="y", responses=frozenset())
         nxt = s._replace(reading=True, val=None, **fresh)
         query = keyword_broadcast(s, Query, lt=12, rid=14, reg="y")
-        cases.append((f"read invoke {v}", s, Invoke(23, READ, "y"), StepOutput(nxt, query)))
+        cases.append((f"read invoke {v}", s, Invoke(READ, "y"), StepOutput(nxt, query)))
         if v.query_writes:
             want = StepOutput(s._replace(reading=False, val=29, **fresh), query)
         else:
             tsv = TimestampValuePair(Timestamp(12, 2), 29)
             update = keyword_broadcast(s, Update, lt=12, rid=14, reg="y", tsv=tsv)
             want = StepOutput(s._replace(reading=False, val=29, **fresh), update)
-        cases.append((f"write invoke {v}", s, Invoke(23, WRITE, "y", 29), want))
+        cases.append((f"write invoke {v}", s, Invoke(WRITE, "y", 29), want))
 
     s = distinct_state()
     ack = (Ack(sender=2, receiver=3, lt=31, rid=31),)
@@ -348,13 +355,13 @@ def positional_cases():
     want = StepOutput(s._replace(val=17, **closed), update)
     cases.append(("closing query of a write", s, reply, want))
     s = distinct_state(V_NWB, responses=two)
-    nxt = s._replace(val=80, opid=None, **closed)
-    want = StepOutput(nxt, (), Completion(opid=19, ret=80, ts=Timestamp(12, 1)))
+    nxt = s._replace(val=80, reg=None, **closed)
+    want = StepOutput(nxt, (), Completion(ret=80, ts=Timestamp(12, 1)))
     cases.append(("closing query without write-back", s, reply, want))
     for reading, ret in ((True, 17), (False, OK)):
         s = distinct_state(responses=frozenset({4, 1}), reading=reading)
-        nxt = s._replace(opid=None, **closed)
-        want = StepOutput(nxt, (), Completion(opid=19, ret=ret))
+        nxt = s._replace(reg=None, **closed)
+        want = StepOutput(nxt, (), Completion(ret=ret))
         cases.append((f"closing update, ret {ret}", s, Ack(3, 2, 30, 13), want))
     return cases
 
@@ -395,7 +402,7 @@ def test_handlers_build_every_tuple_at_its_type_and_arity():
     for label, s, stim, want in cases:
         got = step(s, stim)
         assert exact(got, StepOutput) and len(got) == 3, label
-        assert exact(got.state, State) and len(got.state) == 10, label
+        assert exact(got.state, State) and len(got.state) == 9, label
         assert len(got.outbox) == len(want.outbox), label
         for m, w in zip(got.outbox, want.outbox):
             assert exact(m, type(w)), label
@@ -411,5 +418,5 @@ def test_simulated_messages_and_workloads_are_built_at_full_arity():
             assert exact(rec.msg, type(rec.msg)), label
         for specs in generate_workload(cfg, random.Random(cfg.seed)).values():
             ops += len(specs)
-            assert all(exact(spec, OpSpec) for spec in specs), label
+            assert all(exact(spec, Invoke) for spec in specs), label
     assert kinds == {Query, Response, Update, Ack} and ops > 1000
