@@ -123,8 +123,8 @@ RESPONSE_EVENT = "res"
 class OperationDescriptor:
     """What one read or write execution ran, shared by its invocation and
     response events, which say which process ran it and when. `ret` is set at
-    completion; `ts` is the timestamp the operation installed or wrote back
-    (set when its update phase starts), or None if it never reached one."""
+    completion; `ts` is the operation's timestamp, set by the protocol step
+    that fixes it, or None if the operation never got that far."""
 
     opid: OpId
     kind: str  # READ | WRITE

@@ -428,7 +428,6 @@ def write_message_log(path: Union[str, Path], trace: Trace) -> None:
 
 
 _MSG_INT_KEYS = tuple(k for k, v in _MSG_VALUES.items() if v == _INT)
-# kind -> (message type, whether it carries a reg, whether it carries ts and val)
 def parse_message_log(text: Union[str, Iterable[str]]) -> tuple[dict, list[MessageRecord]]:
     """Parse a sidecar, its text or its lines, back into (header, message
     records). Blank lines are skipped but counted, so an error names the

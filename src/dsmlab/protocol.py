@@ -1,14 +1,14 @@
 """Per-process state machine for the replicated-register protocols.
 
 Each step consumes one stimulus (an operation invocation or a received
-message) and returns the successor state, the messages to send, and, when a
-quorum fires, the result of the process's one open operation. Operations
-carry no ids: a recorder that numbers them keeps each process's latest one.
-Steps are pure functions of (state, stimulus): the input state is never
-mutated and identical inputs give identical outputs, which is what makes
-simulation runs replayable. States, outputs and messages are value
-NamedTuples that ``tuple.__new__`` builds from all their fields, minus the
-class call's arity check, which the tests make.
+message) and returns the successor state, the messages to send, and for the
+process's one open operation its result, on the step that completes it, and
+its timestamp, on the step that fixes it. Operations carry no ids: a recorder
+that numbers them keeps each process's open one. Steps are pure functions of
+(state, stimulus): the input state is never mutated and identical inputs give
+identical outputs, which is what makes simulation runs replayable. States,
+outputs and messages are value NamedTuples that ``tuple.__new__`` builds from
+all their fields, minus the class call's arity check, which the tests make.
 
 One state machine serves two protocols that share the replica side (query and
 update handlers), the message vocabulary and the read path; they differ only
@@ -27,7 +27,9 @@ in how a write obtains its timestamp:
   still maintained on every step, but timestamps are derived from the query
   round, not from the clock.
 
-``QUERY_WRITES`` is the one place where the two protocols differ.
+``QUERY_WRITES`` is the one place where the two protocols differ: it says
+whether a write fixes its timestamp at invocation (sc_abd) or, as every read
+does, when its query round closes (mw_abd).
 ``initial_state`` resolves a run's protocol and mutant once, into the frozen
 ``Variant`` that every state carries.
 
@@ -88,16 +90,6 @@ class Invoke(NamedTuple):
     val: Optional[Value] = None  # writes only
 
 
-class Completion(NamedTuple):
-    """The result of the operation that the process last invoked."""
-
-    ret: Union[Value, str]  # read value, or OK for writes
-    # Timestamp selected by the completing op's query phase, reported only
-    # when no update round follows to carry it (the no-writeback mutant);
-    # recorders need it to keep mutant reads auditable.
-    ts: Optional[Timestamp] = None
-
-
 @dataclass(frozen=True, slots=True)
 class Variant:
     """How one run's processes behave, resolved once by ``initial_state``."""
@@ -114,9 +106,9 @@ class State(NamedTuple):
     ``tvps`` maps registers to their stored timestamp-value pair; registers
     never written hold the initial pair ((0, 0), 0), kept implicit via
     ``pair``. ``responses`` collects (pair, responder) during a query phase
-    and responder ids during update phases. ``reg`` is the open operation's
-    register, None exactly when the process is idle; invoking while an
-    operation is open is a client error.
+    and responder ids during update phases. An idle process holds nothing of
+    its last operation: its state is ``State(pid, v, lt, rid, tvps)``.
+    Invoking while ``reg`` names an open operation is a client error.
     """
 
     pid: ProcessId
@@ -136,7 +128,8 @@ class State(NamedTuple):
 class StepOutput(NamedTuple):
     state: State
     outbox: tuple = ()  # tuple[Message, ...] in receiver order
-    completion: Optional[Completion] = None
+    ret: Union[Value, str, None] = None  # the completing step's result: read value, or OK
+    ts: Optional[Timestamp] = None  # the open operation's timestamp, on the step that fixes it
 
 
 def initial_state(
@@ -186,9 +179,9 @@ def invoke(s: State, stim: Invoke) -> StepOutput:
     reading = stim.kind == READ
     nxt = _new(State, (s.pid, s.v, lt, rid, s.tvps, frozenset(), reading, stim.reg, stim.val))
     if reading or s.v.query_writes:
-        return _new(StepOutput, (nxt, _broadcast(s, Query, lt, rid, stim.reg), None))
+        return _new(StepOutput, (nxt, _broadcast(s, Query, lt, rid, stim.reg), None, None))
     tsv = _new(TimestampValuePair, (_new(Timestamp, (lt, s.pid)), stim.val))
-    return _new(StepOutput, (nxt, _broadcast(s, Update, lt, rid, stim.reg, tsv), None))
+    return _new(StepOutput, (nxt, _broadcast(s, Update, lt, rid, stim.reg, tsv), None, tsv.ts))
 
 
 def handle_query(s: State, m: Query) -> StepOutput:
@@ -197,7 +190,7 @@ def handle_query(s: State, m: Query) -> StepOutput:
     lt = clock_merge(lt, m.lt)
     nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val))
     reply = _new(Response, (pid, m.sender, lt, m.rid, s.pair(m.reg)))
-    return _new(StepOutput, (nxt, (reply,), None))
+    return _new(StepOutput, (nxt, (reply,), None, None))
 
 
 def handle_update(s: State, m: Update) -> StepOutput:
@@ -209,45 +202,47 @@ def handle_update(s: State, m: Update) -> StepOutput:
     if s.pair(m.reg).ts < m.tsv.ts:
         tvps = {**tvps, m.reg: m.tsv}
     nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val))
-    return _new(StepOutput, (nxt, (_new(Ack, (pid, m.sender, lt, m.rid)),), None))
+    return _new(StepOutput, (nxt, (_new(Ack, (pid, m.sender, lt, m.rid)),), None, None))
 
 
 def handle_reply(s: State, m: Union[Response, Ack]) -> StepOutput:
     """Initiator side of either phase: collect replies to the open phase
     until the threshold fires on exact equality.
 
-    A closed query phase picks the largest returned pair. A read writes it
-    back, or under no-writeback returns it at once; a querying write
-    installs its own value under a timestamp strictly above everything the
-    quorum returned. A closed update phase completes the operation: a read
-    returns the value its query phase selected, a write returns OK.
+    A closed query phase picks the largest returned pair, and so fixes the
+    operation's timestamp. A read writes the pair back, or under
+    no-writeback returns it at once; a querying write installs its own value
+    under a timestamp strictly above everything the quorum returned. A
+    closed update phase completes the operation: a read returns the value
+    its query phase selected, a write returns OK, and the state is idle.
     """
     pid, v, lt, rid, tvps, responses, reading, reg, val = s
     if m.rid != rid:
         # Reply to a closed phase: drop it whole, clock merge included, so
         # the discarded message leaves no trace in the state.
-        return _new(StepOutput, (s, (), None))
+        return _new(StepOutput, (s, (), None, None))
     lt = clock_merge(lt, m.lt)
     query = type(m) is Response
     responses = responses | {(m.tsv, m.sender) if query else m.sender}
     if len(responses) != v.threshold:
         nxt = _new(State, (pid, v, lt, rid, tvps, responses, reading, reg, val))
-        return _new(StepOutput, (nxt, (), None))
+        return _new(StepOutput, (nxt, (), None, None))
     rid += 1
     if not query:
-        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, None, val))
-        return _new(StepOutput, (nxt, (), _new(Completion, (val if reading else OK, None))))
-    # Largest pair by timestamp; the responder id only makes the choice
-    # deterministic, equal timestamps always carry equal values.
-    tsv, _ = max(responses, key=lambda pr: (pr[0].ts, pr[1]))
-    if not reading:
-        tsv = _new(TimestampValuePair, (_new(Timestamp, (tsv.ts.lt + 1, pid)), val))
-    elif not v.writeback:
-        # Mutant: return the value without propagating it to a majority.
-        nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, None, tsv.val))
-        return _new(StepOutput, (nxt, (), _new(Completion, (tsv.val, tsv.ts))))
-    nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val))
-    return _new(StepOutput, (nxt, _broadcast(s, Update, lt, rid, reg, tsv), None))
+        ret, ts = val if reading else OK, None
+    else:
+        # Largest pair by timestamp; the responder id only makes the choice
+        # deterministic, equal timestamps always carry equal values.
+        tsv, _ = max(responses, key=lambda pr: (pr[0].ts, pr[1]))
+        if not reading:
+            tsv = _new(TimestampValuePair, (_new(Timestamp, (tsv.ts.lt + 1, pid)), val))
+        if not reading or v.writeback:
+            nxt = _new(State, (pid, v, lt, rid, tvps, frozenset(), reading, reg, tsv.val))
+            return _new(StepOutput, (nxt, _broadcast(s, Update, lt, rid, reg, tsv), None, tsv.ts))
+        # Mutant: the read returns the value without propagating it to a majority.
+        ret, ts = tsv.val, tsv.ts
+    idle = _new(State, (pid, v, lt, rid, tvps, frozenset(), False, None, 0))
+    return _new(StepOutput, (idle, (), ret, ts))
 
 
 # --- dispatch ---------------------------------------------------------------

@@ -42,7 +42,6 @@ from .core import (
     ProcessId,
     READ,
     RESPONSE_EVENT,
-    Update,
     WRITE,
     quorum_size,
 )
@@ -159,9 +158,9 @@ class DelayRule:
             raise ConfigError(f"delay rule needs lo >= 1, got {self.lo}")
         if self.hi is not None and not 1 <= self.lo <= self.hi:
             raise ConfigError(f"delay rule needs 1 <= lo <= hi, got {self.lo}..{self.hi}")
-        for pid in (self.sender, self.receiver):
-            if isinstance(pid, int) and not 1 <= pid <= n:
-                raise ConfigError(f"delay rule pid {pid} outside 1..{n}")
+        for pid, words in ((self.sender, ()), (self.receiver, (SELF, OTHER))):
+            if not (pid is None or pid in words or isinstance(pid, int) and 1 <= pid <= n):
+                raise ConfigError(f"delay rule pid {pid!r} outside 1..{n}")
         if self.rid is not None and self.rid < 1:
             raise ConfigError(f"delay rule rid {self.rid} must be >= 1")
 
@@ -382,7 +381,7 @@ class _Run:
         self.history: list[Event] = []
         self.message_log: list[MessageRecord] = []
         self.ops: dict[OpId, OperationDescriptor] = {}  # opid -> what ran; opids from 1, in order
-        # pid -> its latest op, where the protocol's opid-free steps land
+        # pid -> its open op, from invocation to completion: where each step's ret and ts land
         self.running: dict[ProcessId, OperationDescriptor] = {}
 
     def _push(self, due: int, pid: ProcessId) -> None:
@@ -440,34 +439,30 @@ class _Run:
                     op = workload[pid].pop()
                     opid = len(ops) + 1
                     desc = ops[opid] = running[pid] = OperationDescriptor(opid, *op)
-                    state, outbox, completion = step(states[pid], op)
+                    state, outbox, ret, ts = step(states[pid], op)
                     history.append(Event(INVOCATION, desc, tick, state.lt, pid))
                 else:
                     before = states[pid]
-                    state, outbox, completion = step(before, rec.msg)
+                    state, outbox, ret, ts = step(before, rec.msg)
                     rec.recv_rt = tick
                     rec.recv_lt = state.lt
                     # Only a reply to a closed phase leaves the state as is.
                     rec.handled = state is not before
                 states[pid] = state
                 last_exec[pid] = tick
-                if outbox:
-                    first = outbox[0]
-                    if type(first) is Update:  # the op's one update phase carries its ts
-                        running[pid].ts = first.tsv.ts
-                    for msg in outbox:
-                        sent = MessageRecord(msg, tick)
-                        log.append(sent)
-                        due = tick + delay(msg, rng)  # >= 1: models are validated
-                        if not (queue := queues.get(due)):  # the tick's first event
-                            heappush(heap, due)
-                            queue = queues.setdefault(due, [])
-                        queue.append((msg.receiver, sent))
-                if completion is not None:
-                    desc = running[pid]
-                    desc.ret = completion.ret
-                    if completion.ts is not None:  # a no-writeback read: no update phase
-                        desc.ts = completion.ts
+                if ts is not None:
+                    running[pid].ts = ts
+                for msg in outbox:
+                    sent = MessageRecord(msg, tick)
+                    log.append(sent)
+                    due = tick + delay(msg, rng)  # >= 1: models are validated
+                    if not (queue := queues.get(due)):  # the tick's first event
+                        heappush(heap, due)
+                        queue = queues.setdefault(due, [])
+                    queue.append((msg.receiver, sent))
+                if ret is not None:
+                    desc = running.pop(pid)
+                    desc.ret = ret
                     history.append(Event(RESPONSE_EVENT, desc, tick, state.lt, pid))
                     if pid in self.crash_pending:
                         self.crash_pending.discard(pid)
@@ -482,7 +477,7 @@ class _Run:
         return True
 
     def _crash(self, pid: ProcessId, tick: int) -> None:
-        if self.states[pid].reg is None or self.cfg.mid_op_crash:
+        if pid not in self.running or self.cfg.mid_op_crash:
             self.crashed[pid] = tick
         else:  # deferred to the op boundary, so histories stay complete
             self.crash_pending.add(pid)

@@ -471,28 +471,22 @@ class HeapRun(_Run):
         out = self.step(before, rec.msg)
         rec.recv_rt = tick
         rec.recv_lt = out.state.lt
-        rec.handled = out.state is not before or bool(out.outbox) or out.completion is not None
+        rec.handled = out.state is not before or bool(out.outbox) or out.ret is not None
         self._apply(pid, out, tick)
 
     def _apply(self, pid: int, out: StepOutput, tick: int) -> None:
         self.states[pid] = out.state
         self.last_exec[pid] = tick
-        if out.outbox:
-            first = out.outbox[0]
-            if first.kind == "update":
-                desc = self.running[pid]
-                if desc.ts is None:
-                    desc.ts = first.tsv.ts
-            for msg in out.outbox:
-                rec = MessageRecord(msg=msg, send_rt=tick)
-                self.message_log.append(rec)
-                delay = max(1, self.cfg.delay.delay(msg, self.rng))
-                self._push(tick + delay, rec, _DELIVER)
-        if out.completion is not None:
-            desc = self.running[pid]
-            desc.ret = out.completion.ret
-            if desc.ts is None and out.completion.ts is not None:
-                desc.ts = out.completion.ts
+        if out.ts is not None:
+            self.running[pid].ts = out.ts
+        for msg in out.outbox:
+            rec = MessageRecord(msg=msg, send_rt=tick)
+            self.message_log.append(rec)
+            delay = max(1, self.cfg.delay.delay(msg, self.rng))
+            self._push(tick + delay, rec, _DELIVER)
+        if out.ret is not None:
+            desc = self.running.pop(pid)
+            desc.ret = out.ret
             self.history.append(Event(RESPONSE_EVENT, desc, tick, out.state.lt, pid))
             if pid in self.crash_pending:
                 self.crash_pending.discard(pid)

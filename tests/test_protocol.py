@@ -18,8 +18,8 @@ from dsmlab.core import (
     Update,
 )
 from dsmlab.protocol import (
-    Completion,
     Invoke,
+    MUTANT_NONE,
     MUTANT_NO_WRITEBACK,
     MUTANT_SMALL_QUORUM,
     ProtocolError,
@@ -51,7 +51,7 @@ def test_sc_write_broadcasts_update_with_own_timestamp():
         assert isinstance(m, Update)
         assert m.tsv == TimestampValuePair(Timestamp(1, 1), 7)
         assert m.rid == 1
-    assert out.completion is None
+    assert out.ret is None and out.ts == Timestamp(1, 1)  # the invocation fixes the ts
 
 
 def test_sc_write_completes_at_exact_ack_quorum():
@@ -59,17 +59,16 @@ def test_sc_write_completes_at_exact_ack_quorum():
     s = out.state
     # first ack: no completion yet
     out = step(s, Ack(sender=1, receiver=1, lt=2, rid=1))
-    assert out.completion is None and out.outbox == ()
+    assert out.ret is None and out.ts is None and out.outbox == ()
     assert out.state.reg == "x" and out.state.rid == 1  # still in the update phase
     # second ack: quorum of 2 out of 3 fires exactly
     out = step(out.state, Ack(sender=2, receiver=1, lt=3, rid=1))
-    assert out.completion is not None
-    assert out.completion.ret == OK
+    assert out.ret == OK and out.ts is None
     assert out.state.reg is None
     assert out.state.rid == 2  # phase closed, late acks are now stale
     # third ack (late): discarded outright, state untouched
     late = step(out.state, Ack(sender=3, receiver=1, lt=9, rid=1))
-    assert late.state is out.state and late.outbox == () and late.completion is None
+    assert late.state is out.state and late.outbox == () and late.ret is None
 
 
 def test_duplicate_ack_does_not_advance_quorum():
@@ -77,7 +76,7 @@ def test_duplicate_ack_does_not_advance_quorum():
     out = step(out.state, Ack(sender=2, receiver=1, lt=2, rid=1))
     # same sender again: the responder set is a set
     out2 = step(out.state, Ack(sender=2, receiver=1, lt=4, rid=1))
-    assert out2.completion is None
+    assert out2.ret is None
     assert out2.state.responses == out.state.responses
     assert out2.state.lt == 5  # duplicate still merges the clock (rid matches)
 
@@ -89,7 +88,7 @@ def test_stale_response_discarded_without_clock_merge():
     stale = Response(sender=2, receiver=1, lt=50, rid=99, tsv=INITIAL_PAIR)
     out2 = step(s, stale)
     assert out2.state is s  # no new state object, no lt merge from the discard
-    assert out2.outbox == () and out2.completion is None
+    assert out2.outbox == () and out2.ret is None and out2.ts is None
 
 
 def test_invoke_while_busy_is_an_error():
@@ -125,16 +124,16 @@ def test_sc_read_two_phases_and_writeback_of_max():
     fresh = TimestampValuePair(Timestamp(4, 3), 42)
     stale = TimestampValuePair(Timestamp(2, 1), 17)
     out = step(s, Response(sender=1, receiver=2, lt=5, rid=s.rid, tsv=stale))
-    assert out.outbox == () and out.completion is None
+    assert out.outbox == () and out.ret is None and out.ts is None
     out = step(out.state, Response(sender=3, receiver=2, lt=6, rid=s.rid, tsv=fresh))
-    # quorum fired: write-back phase broadcasts the larger pair
-    assert out.state.reg == "x" and out.state.val == 42
+    # quorum fired: write-back phase broadcasts the larger pair, whose ts is the read's
+    assert out.state.reg == "x" and out.state.val == 42 and out.ts == fresh.ts
     assert len(out.outbox) == 3
     assert all(isinstance(m, Update) and m.tsv == fresh and m.reg == "x" for m in out.outbox)
     rid2 = out.state.rid
     out = step(out.state, Ack(sender=2, receiver=2, lt=9, rid=rid2))
     out = step(out.state, Ack(sender=1, receiver=2, lt=10, rid=rid2))
-    assert out.completion == (42, None)
+    assert (out.ret, out.ts) == (42, None)
     assert out.state.reg is None
 
 
@@ -183,7 +182,7 @@ def test_mw_write_queries_then_installs_above_max():
     s = initial_state(1, 3, protocol="mw_abd")
     out = step(s, Invoke(WRITE, "x", 33))
     s = out.state
-    assert s.v.query_writes
+    assert s.v.query_writes and out.ts is None  # the query round fixes the ts
     assert not s.reading and s.reg == "x" and s.val == 33
     assert len(out.outbox) == 3 and all(isinstance(m, Query) for m in out.outbox)
     r1 = TimestampValuePair(Timestamp(6, 2), 8)
@@ -191,7 +190,7 @@ def test_mw_write_queries_then_installs_above_max():
     out = step(s, Response(sender=2, receiver=1, lt=7, rid=s.rid, tsv=r1))
     out = step(out.state, Response(sender=3, receiver=1, lt=8, rid=s.rid, tsv=r2))
     # update phase installs (max.lt + 1, own pid) with the written value
-    assert out.state.reg == "x" and len(out.outbox) == 3
+    assert out.state.reg == "x" and len(out.outbox) == 3 and out.ts == Timestamp(7, 1)
     assert all(
         isinstance(m, Update) and m.tsv == TimestampValuePair(Timestamp(7, 1), 33)
         for m in out.outbox
@@ -199,7 +198,7 @@ def test_mw_write_queries_then_installs_above_max():
     rid2 = out.state.rid
     out = step(out.state, Ack(sender=1, receiver=1, lt=20, rid=rid2))
     out = step(out.state, Ack(sender=3, receiver=1, lt=21, rid=rid2))
-    assert out.completion == (OK, None)
+    assert (out.ret, out.ts) == (OK, None)
 
 
 def test_mw_read_same_shape_as_sc_read():
@@ -219,7 +218,7 @@ def test_small_quorum_mutant_lowers_threshold():
     out = step(s, Invoke(WRITE, "x", 5))
     # floor(3/2) = 1 ack completes the write
     out = step(out.state, Ack(sender=1, receiver=1, lt=2, rid=1))
-    assert out.completion is not None and out.completion.ret == OK
+    assert out.ret == OK
 
 
 def test_no_writeback_mutant_skips_read_update_phase():
@@ -231,9 +230,43 @@ def test_no_writeback_mutant_skips_read_update_phase():
     out = step(out.state, Response(sender=3, receiver=1, lt=10, rid=s.rid, tsv=INITIAL_PAIR))
     # completes straight out of the query phase, reporting the chosen ts
     assert out.outbox == ()
-    assert out.completion is not None
-    assert out.completion.ret == 3 and out.completion.ts == Timestamp(8, 2)
+    assert out.ret == 3 and out.ts == Timestamp(8, 2)
     assert out.state.reg is None
+
+
+def settle(states, pid, stim):
+    """Step stim at process pid, then deliver every message in send order
+    until none is left; returns pid's output on the step that completed."""
+    pending, done = [], None
+    out = step(states[pid], stim)
+    while True:
+        states[out.state.pid] = out.state
+        pending.extend(out.outbox)
+        if out.ret is not None:
+            done = out
+        if not pending:
+            return done
+        m = pending.pop(0)
+        out = step(states[m.receiver], m)
+
+
+def test_completion_leaves_the_canonical_idle_state():
+    cases = [  # protocol, mutant, operation, rounds
+        ("sc_abd", MUTANT_NONE, WRITE, 1),
+        ("sc_abd", MUTANT_NONE, READ, 2),
+        ("mw_abd", MUTANT_NONE, WRITE, 2),
+        ("mw_abd", MUTANT_NONE, READ, 2),
+        ("sc_abd", MUTANT_NO_WRITEBACK, READ, 1),
+        ("mw_abd", MUTANT_NO_WRITEBACK, READ, 1),
+    ]
+    for protocol, mutant, kind, rounds in cases:
+        label = (protocol, mutant, kind)
+        states = {p: initial_state(p, 3, protocol, mutant) for p in (1, 2, 3)}
+        settle(states, 2, Invoke(WRITE, "x", 5))  # a value for the read to return
+        out = settle(states, 1, Invoke(kind, "x", 9))
+        assert out.ret == (5 if kind == READ else OK), label
+        s, v = out.state, initial_state(1, 3, protocol, mutant).v
+        assert s == State(pid=1, v=v, lt=s.lt, rid=rounds + 1, tvps=s.tvps), label
 
 
 def test_step_rejects_unknown_mutant():
@@ -277,7 +310,7 @@ def test_states_and_messages_are_tuples_with_value_semantics():
     s = step(initial_state(1, 3), Invoke(READ, "x")).state
     for stale in (Response(2, 1, 50, s.rid + 1, INITIAL_PAIR), Ack(2, 1, 50, s.rid - 1)):
         out = step(s, stale)
-        assert out.state is s and out.outbox == () and out.completion is None
+        assert out.state is s and out.outbox == () and out.ret is None and out.ts is None
     msgs = [
         Query(1, 2, 3, 4, "x"),
         Response(1, 2, 3, 4, INITIAL_PAIR),
@@ -326,7 +359,7 @@ def positional_cases():
         else:
             tsv = TimestampValuePair(Timestamp(12, 2), 29)
             update = keyword_broadcast(s, Update, lt=12, rid=14, reg="y", tsv=tsv)
-            want = StepOutput(s._replace(reading=False, val=29, **fresh), update)
+            want = StepOutput(s._replace(reading=False, val=29, **fresh), update, ts=tsv.ts)
         cases.append((f"write invoke {v}", s, Invoke(WRITE, "y", 29), want))
 
     s = distinct_state()
@@ -347,21 +380,20 @@ def positional_cases():
     closed = dict(lt=31, rid=14, responses=frozenset())
     s = distinct_state(responses=two)
     update = keyword_broadcast(s, Update, lt=31, rid=14, reg="x", tsv=NEW)
-    want = StepOutput(s._replace(val=80, **closed), update)
+    want = StepOutput(s._replace(val=80, **closed), update, ts=NEW.ts)
     cases.append(("closing query of a read", s, reply, want))
     s = distinct_state(V_MW, responses=two, reading=False)
     tsv = TimestampValuePair(Timestamp(13, 2), 17)
     update = keyword_broadcast(s, Update, lt=31, rid=14, reg="x", tsv=tsv)
-    want = StepOutput(s._replace(val=17, **closed), update)
+    want = StepOutput(s._replace(val=17, **closed), update, ts=tsv.ts)
     cases.append(("closing query of a write", s, reply, want))
+    idle = dict(reading=False, reg=None, val=0, **closed)
     s = distinct_state(V_NWB, responses=two)
-    nxt = s._replace(val=80, reg=None, **closed)
-    want = StepOutput(nxt, (), Completion(ret=80, ts=Timestamp(12, 1)))
+    want = StepOutput(s._replace(**idle), (), ret=80, ts=NEW.ts)
     cases.append(("closing query without write-back", s, reply, want))
     for reading, ret in ((True, 17), (False, OK)):
         s = distinct_state(responses=frozenset({4, 1}), reading=reading)
-        nxt = s._replace(reg=None, **closed)
-        want = StepOutput(nxt, (), Completion(ret=ret))
+        want = StepOutput(s._replace(**idle), (), ret=ret)
         cases.append((f"closing update, ret {ret}", s, Ack(3, 2, 30, 13), want))
     return cases
 
@@ -377,10 +409,7 @@ def test_handlers_fill_every_field_in_place():
         for m, w in zip(got.outbox, want.outbox):
             for name in m._fields:
                 assert getattr(m, name) == getattr(w, name), (label, name)
-        assert (got.completion is None) == (want.completion is None), label
-        if want.completion is not None:
-            for name in Completion._fields:
-                assert getattr(got.completion, name) == getattr(want.completion, name), label
+        assert (got.ret, got.ts) == (want.ret, want.ts), label
     stale = next(c for c in cases if c[0] == "stale reply")
     assert step(stale[1], stale[2]).state is stale[1]
 
@@ -401,13 +430,13 @@ def test_handlers_build_every_tuple_at_its_type_and_arity():
     assert len(cases) == 14
     for label, s, stim, want in cases:
         got = step(s, stim)
-        assert exact(got, StepOutput) and len(got) == 3, label
+        assert exact(got, StepOutput) and len(got) == 4, label
         assert exact(got.state, State) and len(got.state) == 9, label
         assert len(got.outbox) == len(want.outbox), label
         for m, w in zip(got.outbox, want.outbox):
             assert exact(m, type(w)), label
-        if want.completion is not None:
-            assert exact(got.completion, Completion), label
+        if want.ts is not None:
+            assert exact(got.ts, Timestamp), label
 
 
 def test_simulated_messages_and_workloads_are_built_at_full_arity():

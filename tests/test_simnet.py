@@ -251,6 +251,14 @@ def test_config_validation_errors():
     for rule in (DelayRule(sender=0), DelayRule(receiver=4), DelayRule(sender=4, receiver="self")):
         with pytest.raises(ConfigError, match="outside 1..3"):
             SimConfig(n=3, delay=AdversarialSchedule(rules=(rule,))).validate()
+    # a pid spelled as a string, or a misspelled receiver word, could never match
+    for rule, spelled in (
+        (DelayRule(sender="1", lo=5), "'1'"),
+        (DelayRule(sender="self", lo=5), "'self'"),
+        (DelayRule(receiver="slef", lo=5), "'slef'"),
+    ):
+        with pytest.raises(ConfigError, match=f"^delay rule pid {spelled} outside 1..3$"):
+            SimConfig(n=3, delay=AdversarialSchedule(rules=(rule,))).validate()
     # rids start at 1, so a rule for rid 0 or below could never match
     for rid in (0, -4):
         with pytest.raises(ConfigError, match=f"rid {rid} must be >= 1"):
